@@ -177,14 +177,14 @@ class OpenStepBatch:
 # --------------------------------------------------------------------------
 # PRF stream plumbing
 
+# Batches of fewer rows take the Python-list Fisher-Yates in
+# ``_coloring_matrix``. Its cost grows with count x d, while one numpy call
+# per swap round costs nearly the same for any row count below a few
+# hundred; the two cost the same at about 64 rows for d from 512 to 8192.
+_ROW_LOOP_MAX_COUNT = 64
 
-def _words(seed: bytes, lane: int, step: int, nwords: int) -> np.ndarray:
-    """The first ``nwords`` 64-bit words of one step's lane stream."""
-    nblocks = (nwords + 3) // 4
-    prefix = seed + bytes([lane]) + step.to_bytes(8, "big")
-    sha = hashlib.sha256
-    raw = b"".join(sha(prefix + c.to_bytes(8, "big")).digest() for c in range(nblocks))
-    return np.frombuffer(raw, dtype=">u8")[:nwords].astype(np.uint64)
+# Step indices must stay below this: the step field is 8 bytes.
+_STEP_LIMIT = 2 ** 64
 
 
 def _word_matrix(seed: bytes, lane: int, start: int, count: int, nwords: int) -> np.ndarray:
@@ -207,9 +207,23 @@ def _sign_words(seed: bytes, lane: int, start: int, count: int) -> np.ndarray:
 
 
 def _coloring_matrix(seed: bytes, d: int, start: int, count: int) -> np.ndarray:
-    """Balanced colorings for consecutive steps via per-step Fisher-Yates."""
+    """Balanced colorings for consecutive steps via per-step Fisher-Yates.
+
+    Below ``_ROW_LOOP_MAX_COUNT`` rows each row is shuffled on a Python
+    list; larger batches swap one column of every row per numpy call. Both
+    loops perform the same swaps, so the output is identical.
+    """
     words = _word_matrix(seed, LANE_COLORING, start, count, d - 1)
     perm = np.empty((count, d), dtype=np.int8)
+    if count < _ROW_LOOP_MAX_COUNT:
+        positions = (words % np.arange(d, 1, -1, dtype=np.uint64)).tolist()
+        signs = [1] * (d // 2) + [-1] * (d // 2)
+        for row, row_positions in enumerate(positions):
+            a = signs.copy()
+            for i, pos in zip(range(d - 1, 0, -1), row_positions):
+                a[i], a[pos] = a[pos], a[i]
+            perm[row] = a
+        return perm
     perm[:, : d // 2] = 1
     perm[:, d // 2:] = -1
     rows = np.arange(count)
@@ -254,9 +268,14 @@ def _require_scheme(key: WatermarkKey, scheme: str) -> None:
         raise SchemeMismatchError(f"operation needs a {scheme} key, got {key.scheme}")
 
 
-def _check_step(step: int) -> None:
-    if step < 0:
+def _check_step(start: int, count: int = 1) -> None:
+    """Reject a step range ``start .. start+count-1`` that v1 cannot encode."""
+    if count < 0:
+        raise InvalidInputError("step count must be non-negative")
+    if start < 0:
         raise InvalidInputError("step index must be non-negative")
+    if start + max(count, 1) > _STEP_LIMIT:
+        raise InvalidInputError("step indices must be below 2**64")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -283,7 +302,7 @@ def derive_closed_steps(key: WatermarkKey, count: int, start: int = 0) -> Closed
     """Closed key material for ``count`` steps from ``start``; cached because
     detection sweeps re-derive the same prefix for every text."""
     _require_scheme(key, CLOSED)
-    _check_step(start)
+    _check_step(start, count)
     colorings = _freeze(_coloring_matrix(key.master_seed, key.d, start, count))
     flips = _freeze(_sign_words(key.master_seed, LANE_FLIP, start, count))
     return ClosedStepBatch(colorings=colorings, flips=flips, start=start)
@@ -305,7 +324,7 @@ def derive_open_step(key: WatermarkKey, step: int) -> OpenStepKey:
 def derive_open_steps(key: WatermarkKey, count: int, start: int = 0) -> OpenStepBatch:
     """Open sampler material for ``count`` steps from ``start`` (cached)."""
     _require_scheme(key, OPEN)
-    _check_step(start)
+    _check_step(start, count)
     seed = key.master_seed
     gaussians = _freeze(_gaussian_matrix(seed, key.d, key.epsilon, start, count))
     if key.support_mode == FIXED_SUPPORT:
@@ -321,7 +340,7 @@ def derive_open_steps(key: WatermarkKey, count: int, start: int = 0) -> OpenStep
 def derive_open_gaussians(key: WatermarkKey, count: int, start: int = 0) -> np.ndarray:
     """Detector-side material: only the Gaussian vectors, shape (count, d)."""
     _require_scheme(key, OPEN)
-    _check_step(start)
+    _check_step(start, count)
     return _freeze(_gaussian_matrix(key.master_seed, key.d, key.epsilon, start, count))
 
 

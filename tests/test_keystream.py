@@ -10,12 +10,14 @@ vectorized transcendental kernels may differ from libm in the last ulp.
 import hashlib
 import json
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from tokenmark.closed_scheme import closed_step
 from tokenmark.errors import InvalidInputError, InvalidKeyError, SchemeMismatchError
 from tokenmark.keystream import (
     CLOSED,
@@ -106,6 +108,11 @@ GOLDEN_FLIPS = [1, 1, 1, -1]
 GOLDEN_SUPPORT_D4_K2 = [1, 2]
 GOLDEN_DIRECTIONS = [1, 1, -1]
 GOLDEN_GAUSSIAN_STEP0 = [-0.71138, -0.90014, 0.15406, 0.11297]
+# SHA-256 of v1 colorings at d = 32768: single steps 0, 1 and 2**40 + 3
+# concatenated, and the 65-row batch of steps 5 .. 69.
+GOLDEN_SINGLE_STEPS_D32768 = (0, 1, 2**40 + 3)
+GOLDEN_SINGLE_DIGEST_D32768 = "0a2c70d96812b58c5ea4ed42289fccdb7b935981e956b9c933d9f2f2cc787bc3"
+GOLDEN_BATCH_DIGEST_D32768 = "7b685a21f0a88ccbc9e12f7103ec51df47162e81f1bb0e335d356a8aa09c606a"
 
 
 def closed_key(d=8):
@@ -134,14 +141,27 @@ class TestGoldenVectors:
         got = derive_open_step(open_key(), 0).gaussian
         np.testing.assert_allclose(got, GOLDEN_GAUSSIAN_STEP0, atol=1e-5)
 
+    def test_coloring_digests_d32768(self):
+        key = closed_key(32768)
+        digest = hashlib.sha256()
+        for step in GOLDEN_SINGLE_STEPS_D32768:
+            digest.update(derive_closed_step(key, step).coloring.tobytes())
+        assert digest.hexdigest() == GOLDEN_SINGLE_DIGEST_D32768
+        batch = derive_closed_steps(key, 65, start=5)
+        assert hashlib.sha256(batch.colorings.tobytes()).hexdigest() == GOLDEN_BATCH_DIGEST_D32768
+
 
 class TestAgainstScalarReference:
     def test_colorings_exact(self):
-        for d in (2, 8, 12):
+        # Counts on both sides of the kernel's row-loop/column-loop switch.
+        for d, count in ((2, 40), (8, 40), (12, 40), (1024, 63), (1024, 64), (1024, 65)):
             key = closed_key(d)
-            batch = derive_closed_steps(key, 40)
-            for step in range(40):
+            batch = derive_closed_steps(key, count)
+            for step in range(count):
                 assert batch.colorings[step].tolist() == ref_coloring(SEED, step, d), (d, step)
+        key = closed_key(32768)
+        for step in (0, 2**40 + 3):
+            assert derive_closed_step(key, step).coloring.tolist() == ref_coloring(SEED, step, 32768)
 
     def test_flips_exact(self):
         batch = derive_closed_steps(closed_key(), 40)
@@ -189,9 +209,10 @@ class TestDerivationProperties:
         assert a.flip == b.flip
 
     def test_single_matches_batch_row(self):
+        # 70 rows take the batch column loop; single steps take the row loop.
         key = closed_key(16)
-        batch = derive_closed_steps(key, 5, start=7)
-        for offset in range(5):
+        batch = derive_closed_steps(key, 70, start=7)
+        for offset in range(70):
             single = derive_closed_step(key, 7 + offset)
             np.testing.assert_array_equal(batch.colorings[offset], single.coloring)
             assert int(batch.flips[offset]) == single.flip
@@ -256,6 +277,22 @@ class TestDerivationProperties:
             derive_closed_step(closed_key(), -1)
         with pytest.raises(InvalidInputError):
             derive_open_steps(open_key(), 4, start=-2)
+        # The v1 step field holds 8 bytes; counts must be non-negative.
+        last = 2**64 - 1
+        with pytest.raises(InvalidInputError):
+            closed_step(closed_key(), 2**64, np.full(8, 1 / 8), np.random.default_rng(0))
+        with pytest.raises(InvalidInputError):
+            derive_open_step(open_key(), 2**64)
+        with pytest.raises(InvalidInputError):
+            derive_closed_steps(closed_key(), -1)
+        with pytest.raises(InvalidInputError):
+            derive_open_gaussians(open_key(), -3)
+        with pytest.raises(InvalidInputError):
+            derive_closed_steps(closed_key(), 2, start=last)
+        with pytest.raises(InvalidInputError):
+            derive_open_steps(open_key(), 1, start=2**64)
+        assert derive_closed_step(closed_key(), last).coloring.tolist() == ref_coloring(SEED, last, 8)
+        assert derive_closed_steps(closed_key(), 1, start=last).flips.tolist() == [ref_sign(SEED, 1, last)]
 
     def test_scheme_mismatch(self):
         with pytest.raises(SchemeMismatchError):
@@ -264,6 +301,17 @@ class TestDerivationProperties:
             derive_open_step(closed_key(), 0)
         with pytest.raises(SchemeMismatchError):
             derive_open_gaussians(closed_key(), 3)
+
+
+class TestRuntime:
+    def test_closed_step_ceiling_d32768(self):
+        """20 single-step colorings at d = 32768 finish within 2 s."""
+        key = closed_key(32768)
+        start = time.perf_counter()
+        for step in range(20):
+            derive_closed_step(key, step)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, f"20 closed steps took {elapsed:.2f}s >= 2s"
 
 
 class TestDistributions:
