@@ -50,7 +50,7 @@ def rank_match(p, coloring) -> PairedRanking:
     per-token shift magnitudes."""
     p = as_probs(p)
     coloring = _check_coloring(coloring, p.size)
-    order = np.lexsort((np.arange(p.size), -p))
+    order = np.argsort(-p, kind="stable")
     pos = order[coloring[order] == 1]
     neg = order[coloring[order] == -1]
     epsilon = np.empty_like(p)

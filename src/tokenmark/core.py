@@ -125,6 +125,20 @@ def validate_tokens(tokens, d: int) -> np.ndarray:
     arr = np.asarray(tokens)
     if arr.ndim != 1 or arr.size < 1:
         raise CorruptTextError("token sequence must be a non-empty 1-d list")
+    return _token_entries(arr, d)
+
+
+def validate_token_matrix(tokens, d: int) -> np.ndarray:
+    """Validate an (m, n) matrix of token sequences against dictionary size
+    ``d``."""
+    arr = np.asarray(tokens)
+    if arr.ndim != 2 or arr.size < 1:
+        raise CorruptTextError("token matrix must be a non-empty 2-d array")
+    return _token_entries(arr, d)
+
+
+def _token_entries(arr: np.ndarray, d: int) -> np.ndarray:
+    """``arr`` as int64 after checking every entry is an integer in [0, d)."""
     if not np.issubdtype(arr.dtype, np.integer):
         as_int = arr.astype(np.int64)
         if np.any(as_int != arr):
@@ -132,4 +146,4 @@ def validate_tokens(tokens, d: int) -> np.ndarray:
         arr = as_int
     if arr.min() < 0 or arr.max() >= d:
         raise CorruptTextError(f"token out of range for dictionary size {d}")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)

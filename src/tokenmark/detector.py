@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import keystream
-from .core import validate_tokens
+from .core import validate_token_matrix, validate_tokens
 from .errors import InvalidInputError
 from .keystream import CLOSED, OPEN, WatermarkKey
 
@@ -135,8 +135,7 @@ def detect_closed(key: WatermarkKey, tokens, delta: float = 0.05,
     tokens = validate_tokens(tokens, key.d)
     _check_n(tokens.size)
     _check_delta(delta)
-    batch = keystream.derive_closed_steps(key, tokens.size, start)
-    z = closed_statistic(tokens, batch.colorings, batch.flips)
+    z = float(keystream.closed_token_colors(key, tokens, start).astype(np.float64).mean())
     t = closed_threshold(tokens.size, delta)
     return DetectionReport(
         scheme=CLOSED, n_tokens=tokens.size, statistic=z, threshold=t, delta=delta,
@@ -150,8 +149,7 @@ def detect_open(key: WatermarkKey, tokens, delta: float = 0.05,
     tokens = validate_tokens(tokens, key.d)
     _check_n(tokens.size)
     _check_delta(delta)
-    gaussians = keystream.derive_open_gaussians(key, tokens.size, start)
-    z = open_statistic(tokens, gaussians)
+    z = float(keystream.open_gaussian_entries(key, tokens, start).mean())
     t = open_threshold(tokens.size, delta, key.epsilon)
     return DetectionReport(
         scheme=OPEN, n_tokens=tokens.size, statistic=z, threshold=t, delta=delta,
@@ -174,8 +172,8 @@ def detect(key: WatermarkKey, tokens, delta: float = 0.05,
 def closed_statistics(key: WatermarkKey, token_matrix: np.ndarray,
                       start: int = 0) -> np.ndarray:
     """Closed statistic per row of an (m, n) token matrix, one derivation."""
-    token_matrix = np.asarray(token_matrix)
-    m, n = token_matrix.shape
+    token_matrix = validate_token_matrix(token_matrix, key.d)
+    n = token_matrix.shape[1]
     batch = keystream.derive_closed_steps(key, n, start)
     picked = batch.colorings[np.arange(n)[None, :], token_matrix].astype(np.float64)
     return (picked * batch.flips[None, :]).mean(axis=1)
@@ -184,7 +182,7 @@ def closed_statistics(key: WatermarkKey, token_matrix: np.ndarray,
 def open_statistics(key: WatermarkKey, token_matrix: np.ndarray,
                     start: int = 0) -> np.ndarray:
     """Open statistic per row of an (m, n) token matrix, one derivation."""
-    token_matrix = np.asarray(token_matrix)
-    m, n = token_matrix.shape
+    token_matrix = validate_token_matrix(token_matrix, key.d)
+    n = token_matrix.shape[1]
     gaussians = keystream.derive_open_gaussians(key, n, start)
     return gaussians[np.arange(n)[None, :], token_matrix].mean(axis=1)

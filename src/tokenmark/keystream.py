@@ -42,6 +42,27 @@ Derived quantities
   ``pos`` to the subset unless already present, in which case add ``j``.
   With ``support_mode = "fixed-per-key"`` every step reuses the step-0
   subset; with ``"fresh-per-step"`` each step draws its own.
+
+Reading one entry per step
+--------------------------
+Detection scores one token per step, so it reads single entries of the
+lanes above rather than whole vectors. These are readings of the same v1
+definition, not a second format, and give bit-identical values.
+
+* Gaussian entry ``t``: it needs only words ``2 floor(t/2)`` and
+  ``2 floor(t/2) + 1``, which sit in block ``floor(t/4)`` at word offset
+  ``2 (floor(t/2) mod 2)``: one SHA-256 block per token.
+* Coloring entry ``t``, by the swap chain. Write ``pos_i`` for the swap
+  position of round ``i``. No round after round ``i`` touches entry ``i``
+  (later rounds swap below ``i``), so entry ``t >= 1`` ends up holding what
+  entry ``pos_t`` held just before round ``t``. The value entry ``y``
+  holds just before round ``b`` (``y <= b``) came from the latest earlier
+  round that swapped it, which is the smallest ``i' > b`` with
+  ``pos_{i'} = y``: it received what entry ``i'`` held just before round
+  ``i'``. So start from ``y = pos_t`` and ``b = t`` (``y = b = 0`` for
+  ``t = 0``), move to ``y = b = i'`` while such an ``i'`` exists, and read
+  the starting sign of entry ``y``: ``+1`` iff ``y < d/2``. Only rounds
+  ``i >= t``, that is words ``0 .. min(d-1, d-t) - 1``, are needed.
 """
 
 from __future__ import annotations
@@ -57,6 +78,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import validate_tokens
 from .errors import InvalidInputError, InvalidKeyError, SchemeMismatchError
 
 KEY_FILE_VERSION = 1
@@ -235,17 +257,23 @@ def _coloring_matrix(seed: bytes, d: int, start: int, count: int) -> np.ndarray:
     return perm
 
 
+def _box_muller(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit Box-Muller pairs (cosine entries, sine entries) from the two
+    words of each pair. The full lane and the per-token reader both call
+    this, so the same ufuncs produce the same bits."""
+    scale = 2.0 ** -53
+    u1 = ((first >> np.uint64(11)).astype(np.float64) + 1.0) * scale
+    u2 = (second >> np.uint64(11)).astype(np.float64) * scale
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    return radius * np.cos(angle), radius * np.sin(angle)
+
+
 def _gaussian_matrix(seed: bytes, d: int, epsilon: float, start: int, count: int) -> np.ndarray:
     npairs = (d + 1) // 2
     words = _word_matrix(seed, LANE_GAUSSIAN, start, count, 2 * npairs)
-    scale = 2.0 ** -53
-    u1 = ((words[:, 0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * scale
-    u2 = (words[:, 1::2] >> np.uint64(11)).astype(np.float64) * scale
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
     out = np.empty((count, 2 * npairs))
-    out[:, 0::2] = radius * np.cos(angle)
-    out[:, 1::2] = radius * np.sin(angle)
+    out[:, 0::2], out[:, 1::2] = _box_muller(words[:, 0::2], words[:, 1::2])
     return epsilon * out[:, :d]
 
 
@@ -342,6 +370,58 @@ def derive_open_gaussians(key: WatermarkKey, count: int, start: int = 0) -> np.n
     _require_scheme(key, OPEN)
     _check_step(start, count)
     return _freeze(_gaussian_matrix(key.master_seed, key.d, key.epsilon, start, count))
+
+
+def open_gaussian_entries(key: WatermarkKey, tokens, start: int = 0) -> np.ndarray:
+    """Gaussian entry ``G[start + j, tokens[j]]`` of each step, shape (n,).
+
+    Bit-identical to the same entries of ``derive_open_gaussians`` but
+    hashes one block per token, so the cost does not grow with d.
+    """
+    _require_scheme(key, OPEN)
+    tokens = validate_tokens(tokens, key.d)
+    _check_step(start, tokens.size)
+    sha = hashlib.sha256
+    prefix = key.master_seed + bytes([LANE_GAUSSIAN])
+    blocks = b"".join(
+        sha(prefix + step.to_bytes(8, "big") + (t // 4).to_bytes(8, "big")).digest()
+        for step, t in zip(range(start, start + tokens.size), tokens.tolist())
+    )
+    words = np.frombuffer(blocks, dtype=">u8").astype(np.uint64).reshape(-1, 4)
+    rows = np.arange(tokens.size)
+    first = 2 * ((tokens // 2) % 2)
+    cos, sin = _box_muller(words[rows, first], words[rows, first + 1])
+    return key.epsilon * np.where(tokens % 2 == 0, cos, sin)
+
+
+def closed_token_colors(key: WatermarkKey, tokens, start: int = 0) -> np.ndarray:
+    """Scored entry ``flip[start + j] * coloring[start + j, tokens[j]]`` of
+    each step, shape (n,) int8.
+
+    Bit-identical to the same entries of ``derive_closed_steps``. Each
+    colour is read off the swap chain (module docstring), which hashes
+    only the words of rounds at or above the token and holds O(d) memory
+    for one step at a time.
+    """
+    _require_scheme(key, CLOSED)
+    tokens = validate_tokens(tokens, key.d)
+    _check_step(start, tokens.size)
+    seed, d = key.master_seed, key.d
+    colors = np.empty(tokens.size, dtype=np.int8)
+    for j, t in enumerate(tokens.tolist()):
+        nwords = min(d - 1, d - t)
+        words = _word_matrix(seed, LANE_COLORING, start + j, 1, nwords)[0]
+        # positions[k] is pos_i of round i = d-1-k.
+        positions = words % np.arange(d, d - nwords, -1, dtype=np.uint64)
+        y = int(positions[d - 1 - t]) if t else 0
+        bound = t
+        while True:
+            hits = np.flatnonzero(positions[: d - 1 - bound] == y)
+            if hits.size == 0:
+                break
+            y = bound = d - 1 - int(hits[-1])
+        colors[j] = 1 if y < d // 2 else -1
+    return colors * _sign_words(seed, LANE_FLIP, start, tokens.size)
 
 
 # --------------------------------------------------------------------------

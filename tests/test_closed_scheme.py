@@ -46,6 +46,19 @@ class TestRankMatch:
         np.testing.assert_array_equal(ranking.pos, [0, 1])
         np.testing.assert_array_equal(ranking.neg, [2, 3])
 
+    def test_stable_argsort_matches_index_tiebreak(self):
+        # Ties, zeros included, go by ascending token index: the order
+        # rank_match uses equals a lexsort keyed on the index.
+        rng = np.random.default_rng(7)
+        p = np.array([0.0, 0.2, 0.1, 0.0, 0.2, 0.1, 0.4, 0.0])
+        for _ in range(20):
+            coloring = random_balanced_coloring(rng, p.size)
+            lex = np.lexsort((np.arange(p.size), -p))
+            np.testing.assert_array_equal(np.argsort(-p, kind="stable"), lex)
+            ranking = rank_match(p, coloring)
+            np.testing.assert_array_equal(ranking.pos, lex[coloring[lex] == 1])
+            np.testing.assert_array_equal(ranking.neg, lex[coloring[lex] == -1])
+
     def test_pairing_is_a_perfect_matching(self):
         rng = np.random.default_rng(0)
         for _ in range(50):

@@ -205,6 +205,21 @@ class TestBatchScoring:
         for i in range(20):
             assert zs[i] == pytest.approx(detect_open(OPEN_KEY, texts[i]).statistic, abs=1e-15)
 
+    def test_token_matrix_validated(self):
+        # Negative tokens would wrap around to the last columns.
+        bad = (
+            np.array([[-1, -2, -3]]),
+            np.array([[0, 1, 8]]),
+            np.array([[0.5, 1.0, 2.0]]),
+            np.array([0, 1, 2]),
+            np.zeros((2, 0), dtype=np.int64),
+        )
+        for tokens in bad:
+            with pytest.raises(CorruptTextError):
+                closed_statistics(CLOSED_KEY, tokens)
+            with pytest.raises(CorruptTextError):
+                open_statistics(OPEN_KEY, tokens)
+
     def test_start_offset(self):
         rng = np.random.default_rng(5)
         texts = rng.integers(0, 8, size=(5, 80))

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from scipy import stats
 
 from tokenmark.closed_scheme import closed_step
+from tokenmark.detector import detect_closed, detect_open
 from tokenmark.errors import InvalidInputError, InvalidKeyError, SchemeMismatchError
 from tokenmark.keystream import (
     CLOSED,
@@ -27,6 +29,7 @@ from tokenmark.keystream import (
     KEY_FILE_VERSION,
     OPEN,
     WatermarkKey,
+    closed_token_colors,
     derive_closed_step,
     derive_closed_steps,
     derive_open_gaussians,
@@ -36,6 +39,7 @@ from tokenmark.keystream import (
     key_to_dict,
     load_key,
     new_master_seed,
+    open_gaussian_entries,
     save_key,
 )
 
@@ -113,6 +117,10 @@ GOLDEN_GAUSSIAN_STEP0 = [-0.71138, -0.90014, 0.15406, 0.11297]
 GOLDEN_SINGLE_STEPS_D32768 = (0, 1, 2**40 + 3)
 GOLDEN_SINGLE_DIGEST_D32768 = "0a2c70d96812b58c5ea4ed42289fccdb7b935981e956b9c933d9f2f2cc787bc3"
 GOLDEN_BATCH_DIGEST_D32768 = "7b685a21f0a88ccbc9e12f7103ec51df47162e81f1bb0e335d356a8aa09c606a"
+# SHA-256 of v1 supports (k = 64, fresh per step, little-endian int64) at
+# d = 32768: the same single steps, and the 65-row batch of steps 5 .. 69.
+GOLDEN_SUPPORT_DIGEST_D32768 = "59fcb7b731408cd3644703d980689b1815e324d3b8cd21bc1dfc6013121aae6a"
+GOLDEN_SUPPORT_BATCH_DIGEST_D32768 = "c1132f7b9f11c3eeadfc6d315b1c5548233cd804b45cd21c09ee148c22d42140"
 
 
 def closed_key(d=8):
@@ -149,6 +157,18 @@ class TestGoldenVectors:
         assert digest.hexdigest() == GOLDEN_SINGLE_DIGEST_D32768
         batch = derive_closed_steps(key, 65, start=5)
         assert hashlib.sha256(batch.colorings.tobytes()).hexdigest() == GOLDEN_BATCH_DIGEST_D32768
+
+    def test_support_digests_d32768(self):
+        key = open_key(d=32768, epsilon=0.5, k=64, mode=FRESH_SUPPORT)
+        digest = hashlib.sha256()
+        for step in GOLDEN_SINGLE_STEPS_D32768:
+            digest.update(derive_open_step(key, step).support.astype("<i8").tobytes())
+        assert digest.hexdigest() == GOLDEN_SUPPORT_DIGEST_D32768
+        supports = derive_open_steps(key, 65, start=5).supports
+        assert hashlib.sha256(supports.astype("<i8").tobytes()).hexdigest() == (
+            GOLDEN_SUPPORT_BATCH_DIGEST_D32768)
+        for row in (0, 31, 64):
+            assert supports[row].tolist() == ref_support(SEED, 5 + row, 32768, 64)
 
 
 class TestAgainstScalarReference:
@@ -191,6 +211,10 @@ class TestAgainstScalarReference:
             batch = derive_open_steps(key, 40)
             ref = np.array([ref_gaussian(SEED, s, d, 0.5) for s in range(40)])
             np.testing.assert_allclose(batch.gaussians, ref, rtol=1e-13, atol=1e-13)
+        key = open_key(d=32768, epsilon=0.5, k=1)
+        for step in (0, 2**40 + 3):
+            np.testing.assert_allclose(derive_open_step(key, step).gaussian,
+                                       ref_gaussian(SEED, step, 32768, 0.5), rtol=1e-13, atol=1e-13)
 
     def test_odd_d_truncates_final_pair(self):
         # d=5 and d=6 consume the same word budget; the first five entries of
@@ -303,7 +327,111 @@ class TestDerivationProperties:
             derive_open_gaussians(closed_key(), 3)
 
 
+def reader_tokens(d, n, rng):
+    """Tokens 0, 1, d/2-1, d/2 and d-1 (those that exist), then random ones."""
+    edge = sorted({0, 1, d // 2 - 1, d // 2, d - 1} & set(range(d)))
+    return np.array(edge + rng.integers(0, d, n - len(edge)).tolist())
+
+
+class TestTokenReaders:
+    """The per-token readers return exactly the batch material's entries."""
+
+    STARTS = (0, 2**40 + 3)
+
+    def cases(self, sizes):
+        rng = np.random.default_rng(11)
+        for d in sizes:
+            n = 40 if d < 1000 else 8
+            for start in self.STARTS + (2**64 - n,):
+                yield d, n, start, reader_tokens(d, n, rng)
+
+    def test_closed_matches_batch_and_reference(self):
+        for d, n, start, tokens in self.cases((2, 8192, 32768)):
+            key = closed_key(d)
+            got = closed_token_colors(key, tokens, start)
+            batch = derive_closed_steps(key, n, start)
+            steps = np.arange(n)
+            assert got.dtype == np.int8 and got.shape == (n,)
+            np.testing.assert_array_equal(got, batch.colorings[steps, tokens] * batch.flips)
+            score = batch.colorings[steps, tokens].astype(np.float64) * batch.flips
+            assert detect_closed(key, tokens, start=start).statistic == float(score.mean())
+            for j in range(0, n, 3 if d > 1000 else 1):
+                step = start + j
+                expected = ref_coloring(SEED, step, d)[tokens[j]] * ref_sign(SEED, 1, step)
+                assert int(got[j]) == expected, (d, step)
+
+    def test_open_matches_batch_and_reference(self):
+        for d, n, start, tokens in self.cases((2, 5, 8192, 32768)):
+            key = open_key(d=d, epsilon=0.3, k=1)
+            got = open_gaussian_entries(key, tokens, start)
+            gaussians = derive_open_gaussians(key, n, start)
+            entries = gaussians[np.arange(n), tokens]
+            assert got.shape == (n,)
+            np.testing.assert_array_equal(got.view(np.uint64), entries.view(np.uint64))
+            assert detect_open(key, tokens, start=start).statistic == float(entries.mean())
+            for j in range(0, n, 3 if d > 1000 else 1):
+                ref = ref_gaussian(SEED, start + j, d, 0.3)[tokens[j]]
+                assert got[j] == pytest.approx(ref, rel=1e-13, abs=1e-13), (d, start + j)
+
+    def test_odd_d_final_token(self):
+        # d = 5: token 4 is the cosine half of the truncated last pair.
+        key = open_key(d=5, epsilon=0.3, k=1)
+        tokens = np.full(6, 4)
+        expected = derive_open_gaussians(key, 6)[:, 4]
+        np.testing.assert_array_equal(open_gaussian_entries(key, tokens), expected)
+
+    def test_step_range_and_scheme_checked(self):
+        tokens = np.array([0, 1, 2])
+        for start in (2**64 - 2, 2**64, -1):
+            with pytest.raises(InvalidInputError):
+                closed_token_colors(closed_key(), tokens, start)
+            with pytest.raises(InvalidInputError):
+                open_gaussian_entries(open_key(), tokens, start)
+            with pytest.raises(InvalidInputError):
+                detect_closed(closed_key(), tokens, start=start)
+            with pytest.raises(InvalidInputError):
+                detect_open(open_key(), tokens, start=start)
+        with pytest.raises(SchemeMismatchError):
+            closed_token_colors(open_key(), tokens)
+        with pytest.raises(SchemeMismatchError):
+            open_gaussian_entries(closed_key(), tokens)
+
+
+def time_and_peak(fn):
+    """Wall time of one call, and the tracemalloc peak of a second call."""
+    start = time.perf_counter()
+    fn()
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return elapsed, peak
+
+
 class TestRuntime:
+    def test_open_detect_bounded_d262144(self):
+        """Open detection at d = 2**18 reads one hash block per token: 2000
+        tokens in under 1 s and 4 MB, where whole rows would need 4.2 GB."""
+        d = 2**18
+        key = open_key(d=d, epsilon=0.5, k=1)
+        tokens = np.random.default_rng(3).integers(0, d, 2000)
+        elapsed, peak = time_and_peak(lambda: detect_open(key, tokens))
+        assert elapsed < 1.0, f"open detection took {elapsed:.2f}s >= 1s"
+        assert peak < 4 * 2**20, f"open detection peaked at {peak / 2**20:.1f} MB >= 4 MB"
+
+    def test_closed_detect_bounded_d32768(self):
+        """Closed detection at d = 32768 holds one step's words at a time:
+        64 tokens in under 2.5 s and 8 MB."""
+        d = 32768
+        key = closed_key(d)
+        tokens = np.random.default_rng(4).integers(0, d, 64)
+        elapsed, peak = time_and_peak(lambda: detect_closed(key, tokens))
+        assert elapsed < 2.5, f"closed detection took {elapsed:.2f}s >= 2.5s"
+        assert peak < 8 * 2**20, f"closed detection peaked at {peak / 2**20:.1f} MB >= 8 MB"
+
     def test_closed_step_ceiling_d32768(self):
         """20 single-step colorings at d = 32768 finish within 2 s."""
         key = closed_key(32768)
