@@ -103,8 +103,7 @@ def epsilons_for(probs: np.ndarray, colorings: np.ndarray) -> np.ndarray:
     if probs.shape != (n, d):
         raise InvalidInputError("probs shape does not match colorings")
 
-    idx = np.broadcast_to(np.arange(d), (n, d))
-    order = np.lexsort((idx, -probs), axis=-1)
+    order = np.argsort(-probs, axis=-1, kind="stable")
     colors_sorted = np.take_along_axis(colorings, order, axis=-1)
     probs_sorted = np.take_along_axis(probs, order, axis=-1)
     # Per row, the sorted positions of each color class in rank order; the

@@ -2,20 +2,27 @@
 
 The sampler and the detector never share state; both re-derive the same
 per-step secrets from a 32-byte master seed. The derivation below is part
-of the key-file format contract and must stay bit-exact across versions.
+of the key-file format contract. Each key-file version's derivation is
+frozen: a key written under a version gives the same bits for as long as
+that version can be read.
 
 PRF stream
 ----------
-Block ``c`` of lane ``L`` at step ``j`` is::
+Block ``c`` of lane ``L`` at step ``j`` hashes the 49 bytes::
 
-    SHA-256( master_seed (32 bytes)
-             || L  (1 byte)
-             || j  (8 bytes, big-endian)
-             || c  (8 bytes, big-endian) )
+    master_seed (32 bytes) || L (1 byte)
+        || j (8 bytes, big-endian) || c (8 bytes, big-endian)
 
-Blocks are concatenated and split into big-endian unsigned 64-bit words;
-word ``t`` of a lane is bytes ``[8t, 8t+8)`` of that stream. Lanes:
-0 coloring, 1 flip, 2 gaussian, 3 support, 4 direction.
+with the block function of the key's version:
+
+* version 1: SHA-256, 32 bytes (4 words) per block;
+* version 2: SHAKE-256 squeezed to 1024 bytes (128 words) per block.
+
+This is the only difference between the versions. Blocks are concatenated
+and split into big-endian unsigned 64-bit words; word ``t`` of a lane is
+bytes ``[8t, 8t+8)`` of that stream. Lanes: 0 coloring, 1 flip,
+2 gaussian, 3 support, 4 direction. ``keygen`` writes version 2; version 1
+keys are still read.
 
 Derived quantities
 ------------------
@@ -46,12 +53,14 @@ Derived quantities
 Reading one entry per step
 --------------------------
 Detection scores one token per step, so it reads single entries of the
-lanes above rather than whole vectors. These are readings of the same v1
-definition, not a second format, and give bit-identical values.
+lanes above rather than whole vectors. These are readings of the same
+definitions, not another format, and give bit-identical values.
 
 * Gaussian entry ``t``: it needs only words ``2 floor(t/2)`` and
-  ``2 floor(t/2) + 1``, which sit in block ``floor(t/4)`` at word offset
-  ``2 (floor(t/2) mod 2)``: one SHA-256 block per token.
+  ``2 floor(t/2) + 1``, bytes ``[16 floor(t/2), 16 floor(t/2) + 16)`` of the
+  lane: one block per token (``floor(t/4)`` in version 1,
+  ``floor(t/128)`` in version 2). SHAKE-256 output is a prefix of any
+  longer squeeze, so version 2 squeezes only up to the pair's last byte.
 * Coloring entry ``t``, by the swap chain. Write ``pos_i`` for the swap
   position of round ``i``. No round after round ``i`` touches entry ``i``
   (later rounds swap below ``i``), so entry ``t >= 1`` ends up holding what
@@ -62,7 +71,8 @@ definition, not a second format, and give bit-identical values.
   ``i'``. So start from ``y = pos_t`` and ``b = t`` (``y = b = 0`` for
   ``t = 0``), move to ``y = b = i'`` while such an ``i'`` exists, and read
   the starting sign of entry ``y``: ``+1`` iff ``y < d/2``. Only rounds
-  ``i >= t``, that is words ``0 .. min(d-1, d-t) - 1``, are needed.
+  ``i >= t``, that is words ``0 .. min(d-1, d-t) - 1``, are needed: about
+  ``(d - t) / 128`` blocks in version 2.
 """
 
 from __future__ import annotations
@@ -81,7 +91,7 @@ import numpy as np
 from .core import validate_tokens
 from .errors import InvalidInputError, InvalidKeyError, SchemeMismatchError
 
-KEY_FILE_VERSION = 1
+KEY_FILE_VERSION = 2
 SEED_BYTES = 32
 
 LANE_COLORING = 0
@@ -106,7 +116,8 @@ class WatermarkKey:
 
     ``padded`` records that the dictionary had odd size and a zero-probability
     spurious token was appended to make ``d`` even; the spurious token is
-    never sampled because its shift magnitude is always zero.
+    never sampled because its shift magnitude is always zero. ``version``
+    selects the key-file version's PRF block function (module docstring).
     """
 
     master_seed: bytes
@@ -116,8 +127,11 @@ class WatermarkKey:
     k: int | None = None
     support_mode: str | None = None
     padded: bool = False
+    version: int = KEY_FILE_VERSION
 
     def __post_init__(self):
+        if not _is_int(self.version) or self.version not in _BLOCK_FUNCTIONS:
+            raise InvalidKeyError(f"unsupported key file version {self.version!r}")
         if len(self.master_seed) != SEED_BYTES:
             raise InvalidKeyError(f"master seed must be {SEED_BYTES} bytes")
         if self.d < 2:
@@ -209,33 +223,57 @@ _ROW_LOOP_MAX_COUNT = 64
 _STEP_LIMIT = 2 ** 64
 
 
-def _word_matrix(seed: bytes, lane: int, start: int, count: int, nwords: int) -> np.ndarray:
-    """Words for ``count`` consecutive steps, shape (count, nwords)."""
-    nblocks = (nwords + 3) // 4
+def _sha256_blocks(inputs: list[bytes], nbytes: int) -> list[bytes]:
     sha = hashlib.sha256
-    lane_byte = bytes([lane])
+    return [sha(data).digest() for data in inputs]
+
+
+def _shake256_blocks(inputs: list[bytes], nbytes: int) -> list[bytes]:
+    shake = hashlib.shake_256
+    return [shake(data).digest(nbytes) for data in inputs]
+
+
+# Key file version -> (block function, bytes per block); the only place the
+# versions differ. A block function hashes each input to one block. SHAKE-256
+# squeezes just the first ``nbytes`` bytes of it, a prefix of the whole
+# block; SHA-256 always returns its 32 bytes.
+_BLOCK_FUNCTIONS = {1: (_sha256_blocks, 32), 2: (_shake256_blocks, 1024)}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _word_matrix(key: WatermarkKey, lane: int, start: int, count: int,
+                 nwords: int) -> np.ndarray:
+    """Words for ``count`` consecutive steps, shape (count, nwords)."""
+    blocks, block_bytes = _BLOCK_FUNCTIONS[key.version]
+    nblocks = -(-8 * nwords // block_bytes)
+    nbytes = min(block_bytes, 8 * nwords)  # a one-block lane squeezes only its words
+    lane_prefix = key.master_seed + bytes([lane])
     counters = [c.to_bytes(8, "big") for c in range(nblocks)]
     chunks = []
     for step in range(start, start + count):
-        prefix = seed + lane_byte + step.to_bytes(8, "big")
-        chunks.append(b"".join(sha(prefix + c).digest() for c in counters))
+        prefix = lane_prefix + step.to_bytes(8, "big")
+        chunks.append(b"".join(blocks([prefix + c for c in counters], nbytes)))
     flat = np.frombuffer(b"".join(chunks), dtype=">u8").astype(np.uint64)
-    return flat.reshape(count, nblocks * 4)[:, :nwords]
+    return flat.reshape(count, -1)[:, :nwords]
 
 
-def _sign_words(seed: bytes, lane: int, start: int, count: int) -> np.ndarray:
-    words = _word_matrix(seed, lane, start, count, 1)[:, 0]
+def _sign_words(key: WatermarkKey, lane: int, start: int, count: int) -> np.ndarray:
+    words = _word_matrix(key, lane, start, count, 1)[:, 0]
     return (2 * (words & np.uint64(1)).astype(np.int8) - 1).astype(np.int8)
 
 
-def _coloring_matrix(seed: bytes, d: int, start: int, count: int) -> np.ndarray:
+def _coloring_matrix(key: WatermarkKey, start: int, count: int) -> np.ndarray:
     """Balanced colorings for consecutive steps via per-step Fisher-Yates.
 
     Below ``_ROW_LOOP_MAX_COUNT`` rows each row is shuffled on a Python
     list; larger batches swap one column of every row per numpy call. Both
     loops perform the same swaps, so the output is identical.
     """
-    words = _word_matrix(seed, LANE_COLORING, start, count, d - 1)
+    d = key.d
+    words = _word_matrix(key, LANE_COLORING, start, count, d - 1)
     perm = np.empty((count, d), dtype=np.int8)
     if count < _ROW_LOOP_MAX_COUNT:
         positions = (words % np.arange(d, 1, -1, dtype=np.uint64)).tolist()
@@ -269,17 +307,18 @@ def _box_muller(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.n
     return radius * np.cos(angle), radius * np.sin(angle)
 
 
-def _gaussian_matrix(seed: bytes, d: int, epsilon: float, start: int, count: int) -> np.ndarray:
-    npairs = (d + 1) // 2
-    words = _word_matrix(seed, LANE_GAUSSIAN, start, count, 2 * npairs)
+def _gaussian_matrix(key: WatermarkKey, start: int, count: int) -> np.ndarray:
+    npairs = (key.d + 1) // 2
+    words = _word_matrix(key, LANE_GAUSSIAN, start, count, 2 * npairs)
     out = np.empty((count, 2 * npairs))
     out[:, 0::2], out[:, 1::2] = _box_muller(words[:, 0::2], words[:, 1::2])
-    return epsilon * out[:, :d]
+    return key.epsilon * out[:, :key.d]
 
 
-def _support_matrix(seed: bytes, d: int, k: int, start: int, count: int) -> np.ndarray:
+def _support_matrix(key: WatermarkKey, start: int, count: int) -> np.ndarray:
     """Floyd's algorithm per step, vectorized over steps."""
-    words = _word_matrix(seed, LANE_SUPPORT, start, count, k)
+    d, k = key.d, key.k
+    words = _word_matrix(key, LANE_SUPPORT, start, count, k)
     member = np.zeros((count, d), dtype=bool)
     rows = np.arange(count)
     for t in range(k):
@@ -297,7 +336,8 @@ def _require_scheme(key: WatermarkKey, scheme: str) -> None:
 
 
 def _check_step(start: int, count: int = 1) -> None:
-    """Reject a step range ``start .. start+count-1`` that v1 cannot encode."""
+    """Reject a step range ``start .. start+count-1`` that the 8-byte step
+    field cannot encode."""
     if count < 0:
         raise InvalidInputError("step count must be non-negative")
     if start < 0:
@@ -320,8 +360,8 @@ def derive_closed_step(key: WatermarkKey, step: int) -> ClosedStepKey:
     bit-identical on repeated calls."""
     _require_scheme(key, CLOSED)
     _check_step(step)
-    coloring = _freeze(_coloring_matrix(key.master_seed, key.d, step, 1)[0])
-    flip = int(_sign_words(key.master_seed, LANE_FLIP, step, 1)[0])
+    coloring = _freeze(_coloring_matrix(key, step, 1)[0])
+    flip = int(_sign_words(key, LANE_FLIP, step, 1)[0])
     return ClosedStepKey(coloring=coloring, flip=flip)
 
 
@@ -331,8 +371,8 @@ def derive_closed_steps(key: WatermarkKey, count: int, start: int = 0) -> Closed
     detection sweeps re-derive the same prefix for every text."""
     _require_scheme(key, CLOSED)
     _check_step(start, count)
-    colorings = _freeze(_coloring_matrix(key.master_seed, key.d, start, count))
-    flips = _freeze(_sign_words(key.master_seed, LANE_FLIP, start, count))
+    colorings = _freeze(_coloring_matrix(key, start, count))
+    flips = _freeze(_sign_words(key, LANE_FLIP, start, count))
     return ClosedStepBatch(colorings=colorings, flips=flips, start=start)
 
 
@@ -340,11 +380,10 @@ def derive_open_step(key: WatermarkKey, step: int) -> OpenStepKey:
     """Re-derive one step's Gaussian vector, support, and direction."""
     _require_scheme(key, OPEN)
     _check_step(step)
-    seed = key.master_seed
-    gaussian = _freeze(_gaussian_matrix(seed, key.d, key.epsilon, step, 1)[0])
+    gaussian = _freeze(_gaussian_matrix(key, step, 1)[0])
     support_step = 0 if key.support_mode == FIXED_SUPPORT else step
-    support = _freeze(_support_matrix(seed, key.d, key.k, support_step, 1)[0])
-    direction = int(_sign_words(seed, LANE_DIRECTION, step, 1)[0])
+    support = _freeze(_support_matrix(key, support_step, 1)[0])
+    direction = int(_sign_words(key, LANE_DIRECTION, step, 1)[0])
     return OpenStepKey(gaussian=gaussian, support=support, direction=direction)
 
 
@@ -353,14 +392,13 @@ def derive_open_steps(key: WatermarkKey, count: int, start: int = 0) -> OpenStep
     """Open sampler material for ``count`` steps from ``start`` (cached)."""
     _require_scheme(key, OPEN)
     _check_step(start, count)
-    seed = key.master_seed
-    gaussians = _freeze(_gaussian_matrix(seed, key.d, key.epsilon, start, count))
+    gaussians = _freeze(_gaussian_matrix(key, start, count))
     if key.support_mode == FIXED_SUPPORT:
-        one = _support_matrix(seed, key.d, key.k, 0, 1)
+        one = _support_matrix(key, 0, 1)
         supports = _freeze(np.repeat(one, count, axis=0))
     else:
-        supports = _freeze(_support_matrix(seed, key.d, key.k, start, count))
-    directions = _freeze(_sign_words(seed, LANE_DIRECTION, start, count))
+        supports = _freeze(_support_matrix(key, start, count))
+    directions = _freeze(_sign_words(key, LANE_DIRECTION, start, count))
     return OpenStepBatch(gaussians=gaussians, supports=supports, directions=directions, start=start)
 
 
@@ -369,28 +407,28 @@ def derive_open_gaussians(key: WatermarkKey, count: int, start: int = 0) -> np.n
     """Detector-side material: only the Gaussian vectors, shape (count, d)."""
     _require_scheme(key, OPEN)
     _check_step(start, count)
-    return _freeze(_gaussian_matrix(key.master_seed, key.d, key.epsilon, start, count))
+    return _freeze(_gaussian_matrix(key, start, count))
 
 
 def open_gaussian_entries(key: WatermarkKey, tokens, start: int = 0) -> np.ndarray:
     """Gaussian entry ``G[start + j, tokens[j]]`` of each step, shape (n,).
 
     Bit-identical to the same entries of ``derive_open_gaussians`` but
-    hashes one block per token, so the cost does not grow with d.
+    hashes one block per token and keeps 16 bytes of it, so neither cost
+    nor memory grows with d.
     """
     _require_scheme(key, OPEN)
     tokens = validate_tokens(tokens, key.d)
     _check_step(start, tokens.size)
-    sha = hashlib.sha256
+    blocks, block_bytes = _BLOCK_FUNCTIONS[key.version]
     prefix = key.master_seed + bytes([LANE_GAUSSIAN])
-    blocks = b"".join(
-        sha(prefix + step.to_bytes(8, "big") + (t // 4).to_bytes(8, "big")).digest()
-        for step, t in zip(range(start, start + tokens.size), tokens.tolist())
-    )
-    words = np.frombuffer(blocks, dtype=">u8").astype(np.uint64).reshape(-1, 4)
-    rows = np.arange(tokens.size)
-    first = 2 * ((tokens // 2) % 2)
-    cos, sin = _box_muller(words[rows, first], words[rows, first + 1])
+    pairs = []
+    for step, t in zip(range(start, start + tokens.size), tokens.tolist()):
+        block, off = divmod(16 * (t // 2), block_bytes)
+        data = prefix + step.to_bytes(8, "big") + block.to_bytes(8, "big")
+        pairs.append(blocks([data], off + 16)[0][off:off + 16])
+    words = np.frombuffer(b"".join(pairs), dtype=">u8").astype(np.uint64).reshape(-1, 2)
+    cos, sin = _box_muller(words[:, 0], words[:, 1])
     return key.epsilon * np.where(tokens % 2 == 0, cos, sin)
 
 
@@ -406,11 +444,11 @@ def closed_token_colors(key: WatermarkKey, tokens, start: int = 0) -> np.ndarray
     _require_scheme(key, CLOSED)
     tokens = validate_tokens(tokens, key.d)
     _check_step(start, tokens.size)
-    seed, d = key.master_seed, key.d
+    d = key.d
     colors = np.empty(tokens.size, dtype=np.int8)
     for j, t in enumerate(tokens.tolist()):
         nwords = min(d - 1, d - t)
-        words = _word_matrix(seed, LANE_COLORING, start + j, 1, nwords)[0]
+        words = _word_matrix(key, LANE_COLORING, start + j, 1, nwords)[0]
         # positions[k] is pos_i of round i = d-1-k.
         positions = words % np.arange(d, d - nwords, -1, dtype=np.uint64)
         y = int(positions[d - 1 - t]) if t else 0
@@ -421,7 +459,7 @@ def closed_token_colors(key: WatermarkKey, tokens, start: int = 0) -> np.ndarray
                 break
             y = bound = d - 1 - int(hits[-1])
         colors[j] = 1 if y < d // 2 else -1
-    return colors * _sign_words(seed, LANE_FLIP, start, tokens.size)
+    return colors * _sign_words(key, LANE_FLIP, start, tokens.size)
 
 
 # --------------------------------------------------------------------------
@@ -435,7 +473,7 @@ def new_master_seed() -> bytes:
 
 def key_to_dict(key: WatermarkKey) -> dict:
     out = {
-        "version": KEY_FILE_VERSION,
+        "version": key.version,
         "scheme": key.scheme,
         "d": key.d,
         "k": key.k,
@@ -449,19 +487,25 @@ def key_to_dict(key: WatermarkKey) -> dict:
 
 
 def key_from_dict(obj: dict) -> WatermarkKey:
+    """Parse a key file object. ``version`` must be a supported integer, ``d``
+    and ``k`` integers (not floats or booleans), and the seed strict base64."""
     try:
         version = obj["version"]
-        if version != KEY_FILE_VERSION:
+        if not _is_int(version) or version not in _BLOCK_FUNCTIONS:
             raise InvalidKeyError(f"unsupported key file version {version!r}")
-        seed = base64.b64decode(obj["master_seed_base64"])
+        d, k = obj["d"], obj.get("k")
+        if not _is_int(d) or not (k is None or _is_int(k)):
+            raise InvalidKeyError(f"d and k must be integers, got d={d!r}, k={k!r}")
+        seed = base64.b64decode(obj["master_seed_base64"], validate=True)
         return WatermarkKey(
             master_seed=seed,
-            d=int(obj["d"]),
+            d=d,
             scheme=obj["scheme"],
             epsilon=None if obj.get("epsilon") is None else float(obj["epsilon"]),
-            k=None if obj.get("k") is None else int(obj["k"]),
+            k=k,
             support_mode=obj.get("support_mode"),
             padded=bool(obj.get("padded", False)),
+            version=version,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidKeyError(f"malformed key file: {exc}") from exc

@@ -211,7 +211,7 @@ def _generate_markov(model: SourceModel, n: int, key: WatermarkKey | None,
         if padded:
             rows = [np.append(r, 0.0) for r in rows]
         dk = key.d
-        orders = [np.lexsort((np.arange(dk), -r)) for r in rows]
+        orders = [np.argsort(-r, kind="stable") for r in rows]
         sorted_rows = [r[o] for r, o in zip(rows, orders)]
         eps_sorted = np.empty(dk)
         prev = -1  # index 0 of `rows` is the initial law

@@ -44,6 +44,13 @@ class TestKeygen:
         assert not key.padded
         assert len(key.master_seed) == 32
 
+    def test_writes_key_format_2(self, tmp_path):
+        out = tmp_path / "key.json"
+        assert run_cli("keygen", "--scheme", "closed", "--d", "8",
+                       "--out", str(out)) == 0
+        assert json.loads(out.read_text())["version"] == 2
+        assert load_key(out).version == 2
+
     def test_open_round_trip(self, tmp_path):
         out = tmp_path / "key.json"
         rc = run_cli("keygen", "--scheme", "open", "--d", "32",
@@ -222,6 +229,22 @@ class TestDetect:
         rc = run_cli("detect", "--text", str(text),
                      "--key", str(tmp_path / "nope.json"))
         assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("version", True), ("version", 1.0), ("d", 8.7), ("k", 2.5),
+        ("master_seed_base64", "!!!!"),
+    ])
+    def test_lax_key_file_fields(self, tmp_path, capsys, field, value):
+        key = tmp_path / "key.json"
+        run_cli("keygen", "--scheme", "open", "--d", "8", "--epsilon", "0.5",
+                "--k", "2", "--out", str(key))
+        obj = json.loads(key.read_text())
+        obj[field] = value + obj[field] if field == "master_seed_base64" else value
+        key.write_text(json.dumps(obj))
+        text = tmp_path / "tokens.txt"
+        text.write_text("0 1 2\n")
+        assert run_cli("detect", "--text", str(text), "--key", str(key)) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_bad_delta(self, tmp_path, capsys):

@@ -165,6 +165,27 @@ class TestBatchPaths:
                 single = rank_match(probs[i], colorings[i]).epsilon
                 np.testing.assert_array_equal(batch[i], single)
 
+    def test_batch_ties_and_zeros_order_by_index(self):
+        # Rows full of ties and zeros: the batch stable argsort equals a
+        # lexsort keyed on the index, and so do the pairs it builds.
+        rng = np.random.default_rng(8)
+        n, d = 60, 12
+        probs = rng.choice([0.0, 0.05, 0.1, 0.2], size=(n, d))
+        probs[0] = 0.0
+        probs[0, 3] = 1.0
+        probs[1] = 1 / d
+        probs /= probs.sum(axis=1, keepdims=True)
+        colorings = np.vstack([random_balanced_coloring(rng, d) for _ in range(n)])
+        lex = np.lexsort((np.broadcast_to(np.arange(d), (n, d)), -probs), axis=-1)
+        np.testing.assert_array_equal(np.argsort(-probs, axis=-1, kind="stable"), lex)
+        batch = epsilons_for(probs, colorings)
+        for i in range(n):
+            order, c, p = lex[i], colorings[i], probs[i]
+            pos, neg = order[c[order] == 1], order[c[order] == -1]
+            expected = np.empty(d)
+            expected[pos] = expected[neg] = np.minimum(p[pos], p[neg])
+            np.testing.assert_array_equal(batch[i], expected)
+
     def test_shared_distribution_broadcast(self):
         rng = np.random.default_rng(5)
         p = random_probs(rng, 8)

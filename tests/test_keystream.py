@@ -5,6 +5,8 @@ The reference implementation below uses only hashlib and math, no numpy, so
 it cannot share bugs with the production vectorized path. Integer lanes must
 match it exactly; the Gaussian lane is compared at few-ulp tolerance because
 vectorized transcendental kernels may differ from libm in the last ulp.
+Golden vectors exist for both key-file versions; the version 1 ones were
+computed before version 2 existed and must never change.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from tokenmark.cli import main
 from tokenmark.closed_scheme import closed_step
 from tokenmark.detector import detect_closed, detect_open
 from tokenmark.errors import InvalidInputError, InvalidKeyError, SchemeMismatchError
@@ -50,34 +53,38 @@ SEED = bytes(range(32))
 # Scalar reference implementation (hashlib + math only)
 
 
-def ref_words(seed, lane, step, n):
+def ref_words(seed, lane, step, n, version):
+    """Words of version 1 (SHA-256 blocks) or version 2 (SHAKE-256 blocks
+    of 1024 bytes)."""
     out = []
     counter = 0
     while len(out) < n:
-        block = hashlib.sha256(
-            seed + bytes([lane]) + step.to_bytes(8, "big") + counter.to_bytes(8, "big")
-        ).digest()
-        out.extend(int.from_bytes(block[i : i + 8], "big") for i in range(0, 32, 8))
+        data = seed + bytes([lane]) + step.to_bytes(8, "big") + counter.to_bytes(8, "big")
+        if version == 1:
+            block = hashlib.sha256(data).digest()
+        else:
+            block = hashlib.shake_256(data).digest(1024)
+        out.extend(int.from_bytes(block[i : i + 8], "big") for i in range(0, len(block), 8))
         counter += 1
     return out[:n]
 
 
-def ref_coloring(seed, step, d):
+def ref_coloring(seed, step, d, version):
     perm = [1] * (d // 2) + [-1] * (d // 2)
-    words = ref_words(seed, 0, step, d - 1)
+    words = ref_words(seed, 0, step, d - 1, version)
     for t, i in enumerate(range(d - 1, 0, -1)):
         pos = words[t] % (i + 1)
         perm[i], perm[pos] = perm[pos], perm[i]
     return perm
 
 
-def ref_sign(seed, lane, step):
-    return 1 if ref_words(seed, lane, step, 1)[0] & 1 else -1
+def ref_sign(seed, lane, step, version):
+    return 1 if ref_words(seed, lane, step, 1, version)[0] & 1 else -1
 
 
-def ref_gaussian(seed, step, d, epsilon):
+def ref_gaussian(seed, step, d, epsilon, version):
     npairs = (d + 1) // 2
-    words = ref_words(seed, 2, step, 2 * npairs)
+    words = ref_words(seed, 2, step, 2 * npairs, version)
     out = []
     for m in range(npairs):
         u1 = ((words[2 * m] >> 11) + 1) * 2.0**-53
@@ -88,9 +95,9 @@ def ref_gaussian(seed, step, d, epsilon):
     return [epsilon * g for g in out[:d]]
 
 
-def ref_support(seed, step, d, k):
+def ref_support(seed, step, d, k, version):
     chosen = set()
-    words = ref_words(seed, 3, step, k)
+    words = ref_words(seed, 3, step, k, version)
     for t in range(k):
         j = d - k + t
         pos = words[t] % (j + 1)
@@ -121,36 +128,58 @@ GOLDEN_BATCH_DIGEST_D32768 = "7b685a21f0a88ccbc9e12f7103ec51df47162e81f1bb0e335d
 # d = 32768: the same single steps, and the 65-row batch of steps 5 .. 69.
 GOLDEN_SUPPORT_DIGEST_D32768 = "59fcb7b731408cd3644703d980689b1815e324d3b8cd21bc1dfc6013121aae6a"
 GOLDEN_SUPPORT_BATCH_DIGEST_D32768 = "c1132f7b9f11c3eeadfc6d315b1c5548233cd804b45cd21c09ee148c22d42140"
+# SHA-256 of the v1 flips (int8) of steps 0 .. 4095, then of steps
+# 2**40 + 3 and 2**64 - 1.
+GOLDEN_FLIP_DIGEST = "ee6921381d63410808f694ffee46373217e538b52906b43e4ff06704c6a27893"
+
+# Version 2 counterparts of the vectors above, computed from the scalar
+# reference: the same seed, steps, sizes and byte layouts.
+GOLDEN_V2_COLORINGS_D8 = [
+    [1, 1, -1, -1, -1, -1, 1, 1],
+    [-1, -1, 1, -1, -1, 1, 1, 1],
+    [-1, 1, 1, -1, -1, -1, 1, 1],
+    [1, 1, -1, 1, -1, -1, -1, 1],
+]
+GOLDEN_V2_FLIPS = [-1, -1, -1, 1]
+GOLDEN_V2_SUPPORT_D4_K2 = [0, 3]
+GOLDEN_V2_DIRECTIONS = [-1, -1, 1]
+GOLDEN_V2_GAUSSIAN_STEP0 = [0.44925, -0.23029, -0.53911, 0.49121]
+GOLDEN_V2_SINGLE_DIGEST_D32768 = "91ac85bb7be0433aded8c3e86779ea4b5bada72048a9cd413473e56b284b355f"
+GOLDEN_V2_BATCH_DIGEST_D32768 = "a7c0156cca46261ef79e15ac7d4d4f71995116962cbe9e1542aa52a4906a118c"
+GOLDEN_V2_SUPPORT_DIGEST_D32768 = "ed97e491ae7839b04d4b5992b49c53a08550f50de4c78585d2ff6e6c8d39c297"
+GOLDEN_V2_SUPPORT_BATCH_DIGEST_D32768 = (
+    "aa8608fbcb73ec7ebc5b7e37089e5296da79e570d9155d15ad67921825b4d055")
 
 
-def closed_key(d=8):
-    return WatermarkKey(master_seed=SEED, d=d, scheme=CLOSED)
+def closed_key(d=8, version=KEY_FILE_VERSION):
+    return WatermarkKey(master_seed=SEED, d=d, scheme=CLOSED, version=version)
 
 
-def open_key(d=4, epsilon=0.5, k=2, mode=None):
-    return WatermarkKey(master_seed=SEED, d=d, scheme=OPEN, epsilon=epsilon, k=k, support_mode=mode)
+def open_key(d=4, epsilon=0.5, k=2, mode=None, version=KEY_FILE_VERSION):
+    return WatermarkKey(master_seed=SEED, d=d, scheme=OPEN, epsilon=epsilon, k=k,
+                        support_mode=mode, version=version)
 
 
 class TestGoldenVectors:
     def test_colorings(self):
-        batch = derive_closed_steps(closed_key(), 4)
+        batch = derive_closed_steps(closed_key(version=1), 4)
         np.testing.assert_array_equal(batch.colorings, GOLDEN_COLORINGS_D8)
 
     def test_flips(self):
-        batch = derive_closed_steps(closed_key(), 4)
+        batch = derive_closed_steps(closed_key(version=1), 4)
         np.testing.assert_array_equal(batch.flips, GOLDEN_FLIPS)
 
     def test_fixed_support_and_directions(self):
-        batch = derive_open_steps(open_key(), 3)
+        batch = derive_open_steps(open_key(version=1), 3)
         np.testing.assert_array_equal(batch.supports, [GOLDEN_SUPPORT_D4_K2] * 3)
         np.testing.assert_array_equal(batch.directions, GOLDEN_DIRECTIONS)
 
     def test_gaussian_step0(self):
-        got = derive_open_step(open_key(), 0).gaussian
+        got = derive_open_step(open_key(version=1), 0).gaussian
         np.testing.assert_allclose(got, GOLDEN_GAUSSIAN_STEP0, atol=1e-5)
 
     def test_coloring_digests_d32768(self):
-        key = closed_key(32768)
+        key = closed_key(32768, version=1)
         digest = hashlib.sha256()
         for step in GOLDEN_SINGLE_STEPS_D32768:
             digest.update(derive_closed_step(key, step).coloring.tobytes())
@@ -159,7 +188,7 @@ class TestGoldenVectors:
         assert hashlib.sha256(batch.colorings.tobytes()).hexdigest() == GOLDEN_BATCH_DIGEST_D32768
 
     def test_support_digests_d32768(self):
-        key = open_key(d=32768, epsilon=0.5, k=64, mode=FRESH_SUPPORT)
+        key = open_key(d=32768, epsilon=0.5, k=64, mode=FRESH_SUPPORT, version=1)
         digest = hashlib.sha256()
         for step in GOLDEN_SINGLE_STEPS_D32768:
             digest.update(derive_open_step(key, step).support.astype("<i8").tobytes())
@@ -168,53 +197,119 @@ class TestGoldenVectors:
         assert hashlib.sha256(supports.astype("<i8").tobytes()).hexdigest() == (
             GOLDEN_SUPPORT_BATCH_DIGEST_D32768)
         for row in (0, 31, 64):
-            assert supports[row].tolist() == ref_support(SEED, 5 + row, 32768, 64)
+            assert supports[row].tolist() == ref_support(SEED, 5 + row, 32768, 64, version=1)
+
+    def test_v1_flip_digest(self):
+        key = closed_key(version=1)
+        digest = hashlib.sha256(derive_closed_steps(key, 4096).flips.tobytes())
+        for step in (2**40 + 3, 2**64 - 1):
+            digest.update(np.int8(derive_closed_step(key, step).flip).tobytes())
+        assert digest.hexdigest() == GOLDEN_FLIP_DIGEST
+
+    def test_v2_vectors_d8(self):
+        batch = derive_closed_steps(closed_key(version=2), 4)
+        np.testing.assert_array_equal(batch.colorings, GOLDEN_V2_COLORINGS_D8)
+        np.testing.assert_array_equal(batch.flips, GOLDEN_V2_FLIPS)
+        opened = derive_open_steps(open_key(version=2), 3)
+        np.testing.assert_array_equal(opened.supports, [GOLDEN_V2_SUPPORT_D4_K2] * 3)
+        np.testing.assert_array_equal(opened.directions, GOLDEN_V2_DIRECTIONS)
+        np.testing.assert_allclose(derive_open_step(open_key(version=2), 0).gaussian,
+                                   GOLDEN_V2_GAUSSIAN_STEP0, atol=1e-5)
+
+    def test_v2_coloring_digests_d32768(self):
+        key = closed_key(32768, version=2)
+        digest = hashlib.sha256()
+        for step in GOLDEN_SINGLE_STEPS_D32768:
+            digest.update(derive_closed_step(key, step).coloring.tobytes())
+        assert digest.hexdigest() == GOLDEN_V2_SINGLE_DIGEST_D32768
+        batch = derive_closed_steps(key, 65, start=5)
+        assert hashlib.sha256(batch.colorings.tobytes()).hexdigest() == (
+            GOLDEN_V2_BATCH_DIGEST_D32768)
+
+    def test_v2_support_digests_d32768(self):
+        key = open_key(d=32768, epsilon=0.5, k=64, mode=FRESH_SUPPORT, version=2)
+        digest = hashlib.sha256()
+        for step in GOLDEN_SINGLE_STEPS_D32768:
+            digest.update(derive_open_step(key, step).support.astype("<i8").tobytes())
+        assert digest.hexdigest() == GOLDEN_V2_SUPPORT_DIGEST_D32768
+        supports = derive_open_steps(key, 65, start=5).supports
+        assert hashlib.sha256(supports.astype("<i8").tobytes()).hexdigest() == (
+            GOLDEN_V2_SUPPORT_BATCH_DIGEST_D32768)
 
 
 class TestAgainstScalarReference:
     def test_colorings_exact(self):
         # Counts on both sides of the kernel's row-loop/column-loop switch.
         for d, count in ((2, 40), (8, 40), (12, 40), (1024, 63), (1024, 64), (1024, 65)):
-            key = closed_key(d)
+            key = closed_key(d, version=1)
             batch = derive_closed_steps(key, count)
             for step in range(count):
-                assert batch.colorings[step].tolist() == ref_coloring(SEED, step, d), (d, step)
-        key = closed_key(32768)
+                assert batch.colorings[step].tolist() == ref_coloring(SEED, step, d, version=1), (
+                    d, step)
+        key = closed_key(32768, version=1)
         for step in (0, 2**40 + 3):
-            assert derive_closed_step(key, step).coloring.tolist() == ref_coloring(SEED, step, 32768)
+            assert derive_closed_step(key, step).coloring.tolist() == ref_coloring(
+                SEED, step, 32768, version=1)
 
     def test_flips_exact(self):
-        batch = derive_closed_steps(closed_key(), 40)
-        assert batch.flips.tolist() == [ref_sign(SEED, 1, s) for s in range(40)]
+        batch = derive_closed_steps(closed_key(version=1), 40)
+        assert batch.flips.tolist() == [ref_sign(SEED, 1, s, version=1) for s in range(40)]
 
     def test_directions_exact(self):
-        batch = derive_open_steps(open_key(), 40)
-        assert batch.directions.tolist() == [ref_sign(SEED, 4, s) for s in range(40)]
+        batch = derive_open_steps(open_key(version=1), 40)
+        assert batch.directions.tolist() == [ref_sign(SEED, 4, s, version=1) for s in range(40)]
 
     def test_supports_exact_fresh(self):
         for d, k in ((4, 2), (7, 3), (16, 16), (9, 1)):
-            key = open_key(d=d, epsilon=0.3, k=k, mode=FRESH_SUPPORT)
+            key = open_key(d=d, epsilon=0.3, k=k, mode=FRESH_SUPPORT, version=1)
             batch = derive_open_steps(key, 40)
             for step in range(40):
-                assert batch.supports[step].tolist() == ref_support(SEED, step, d, k), (d, k, step)
+                assert batch.supports[step].tolist() == ref_support(SEED, step, d, k, version=1), (
+                    d, k, step)
 
     def test_supports_fixed_mode_reuses_step_zero(self):
-        key = open_key(d=16, epsilon=0.3, k=5, mode=FIXED_SUPPORT)
+        key = open_key(d=16, epsilon=0.3, k=5, mode=FIXED_SUPPORT, version=1)
         batch = derive_open_steps(key, 40)
-        expected = ref_support(SEED, 0, 16, 5)
+        expected = ref_support(SEED, 0, 16, 5, version=1)
         for step in range(40):
             assert batch.supports[step].tolist() == expected
 
     def test_gaussians_few_ulp(self):
         for d in (2, 4, 7, 5):
-            key = open_key(d=d, epsilon=0.5, k=1)
+            key = open_key(d=d, epsilon=0.5, k=1, version=1)
             batch = derive_open_steps(key, 40)
-            ref = np.array([ref_gaussian(SEED, s, d, 0.5) for s in range(40)])
+            ref = np.array([ref_gaussian(SEED, s, d, 0.5, version=1) for s in range(40)])
             np.testing.assert_allclose(batch.gaussians, ref, rtol=1e-13, atol=1e-13)
-        key = open_key(d=32768, epsilon=0.5, k=1)
+        key = open_key(d=32768, epsilon=0.5, k=1, version=1)
         for step in (0, 2**40 + 3):
             np.testing.assert_allclose(derive_open_step(key, step).gaussian,
-                                       ref_gaussian(SEED, step, 32768, 0.5), rtol=1e-13, atol=1e-13)
+                                       ref_gaussian(SEED, step, 32768, 0.5, version=1),
+                                       rtol=1e-13, atol=1e-13)
+
+    def test_v2_matches_reference(self):
+        # Word counts on both sides of the 128-word block boundary, and
+        # batches on both sides of the row-loop/column-loop switch.
+        for d, count in ((2, 40), (128, 3), (130, 3), (258, 3), (1024, 63), (1024, 65)):
+            batch = derive_closed_steps(closed_key(d, version=2), count)
+            for step in range(count):
+                assert batch.colorings[step].tolist() == ref_coloring(SEED, step, d, 2), (d, step)
+        key = closed_key(32768, version=2)
+        for step in (0, 2**40 + 3, 2**64 - 1):
+            assert derive_closed_step(key, step).coloring.tolist() == ref_coloring(
+                SEED, step, 32768, 2)
+        batch = derive_closed_steps(closed_key(version=2), 40, start=2**64 - 40)
+        assert batch.flips.tolist() == [ref_sign(SEED, 1, 2**64 - 40 + s, 2) for s in range(40)]
+        directions = derive_open_steps(open_key(version=2), 40).directions
+        assert directions.tolist() == [ref_sign(SEED, 4, s, 2) for s in range(40)]
+        for d, k in ((7, 3), (200, 128), (300, 129)):
+            key = open_key(d=d, epsilon=0.3, k=k, mode=FRESH_SUPPORT, version=2)
+            supports = derive_open_steps(key, 5).supports
+            for step in range(5):
+                assert supports[step].tolist() == ref_support(SEED, step, d, k, 2), (d, k, step)
+        for d in (5, 127, 128, 129, 256, 301):
+            gaussians = derive_open_steps(open_key(d=d, epsilon=0.5, k=1, version=2), 4).gaussians
+            ref = np.array([ref_gaussian(SEED, s, d, 0.5, 2) for s in range(4)])
+            np.testing.assert_allclose(gaussians, ref, rtol=1e-13, atol=1e-13)
 
     def test_odd_d_truncates_final_pair(self):
         # d=5 and d=6 consume the same word budget; the first five entries of
@@ -315,8 +410,11 @@ class TestDerivationProperties:
             derive_closed_steps(closed_key(), 2, start=last)
         with pytest.raises(InvalidInputError):
             derive_open_steps(open_key(), 1, start=2**64)
-        assert derive_closed_step(closed_key(), last).coloring.tolist() == ref_coloring(SEED, last, 8)
-        assert derive_closed_steps(closed_key(), 1, start=last).flips.tolist() == [ref_sign(SEED, 1, last)]
+        key = closed_key(version=1)
+        assert derive_closed_step(key, last).coloring.tolist() == ref_coloring(
+            SEED, last, 8, version=1)
+        assert derive_closed_steps(key, 1, start=last).flips.tolist() == [
+            ref_sign(SEED, 1, last, version=1)]
 
     def test_scheme_mismatch(self):
         with pytest.raises(SchemeMismatchError):
@@ -328,26 +426,32 @@ class TestDerivationProperties:
 
 
 def reader_tokens(d, n, rng):
-    """Tokens 0, 1, d/2-1, d/2 and d-1 (those that exist), then random ones."""
-    edge = sorted({0, 1, d // 2 - 1, d // 2, d - 1} & set(range(d)))
+    """Edge tokens (those that exist), then random ones. 127 and 128 sit on
+    either side of the first version 2 block boundary of the Gaussian lane;
+    d-128 and d-129 make the coloring reader hash exactly one whole block
+    and just over one."""
+    edge = {0, 1, 127, 128, d // 2 - 1, d // 2, d - 129, d - 128, d - 1}
+    edge = sorted(edge & set(range(d)))
     return np.array(edge + rng.integers(0, d, n - len(edge)).tolist())
 
 
 class TestTokenReaders:
-    """The per-token readers return exactly the batch material's entries."""
+    """The per-token readers return exactly the batch material's entries,
+    under both key file versions."""
 
     STARTS = (0, 2**40 + 3)
 
     def cases(self, sizes):
         rng = np.random.default_rng(11)
-        for d in sizes:
-            n = 40 if d < 1000 else 8
-            for start in self.STARTS + (2**64 - n,):
-                yield d, n, start, reader_tokens(d, n, rng)
+        for version in (1, 2):
+            for d in sizes:
+                n = 40 if d < 1000 else 12
+                for start in self.STARTS + (2**64 - n,):
+                    yield version, d, n, start, reader_tokens(d, n, rng)
 
     def test_closed_matches_batch_and_reference(self):
-        for d, n, start, tokens in self.cases((2, 8192, 32768)):
-            key = closed_key(d)
+        for version, d, n, start, tokens in self.cases((2, 8192, 32768)):
+            key = closed_key(d, version)
             got = closed_token_colors(key, tokens, start)
             batch = derive_closed_steps(key, n, start)
             steps = np.arange(n)
@@ -357,12 +461,13 @@ class TestTokenReaders:
             assert detect_closed(key, tokens, start=start).statistic == float(score.mean())
             for j in range(0, n, 3 if d > 1000 else 1):
                 step = start + j
-                expected = ref_coloring(SEED, step, d)[tokens[j]] * ref_sign(SEED, 1, step)
-                assert int(got[j]) == expected, (d, step)
+                expected = (ref_coloring(SEED, step, d, version)[tokens[j]]
+                            * ref_sign(SEED, 1, step, version))
+                assert int(got[j]) == expected, (version, d, step)
 
     def test_open_matches_batch_and_reference(self):
-        for d, n, start, tokens in self.cases((2, 5, 8192, 32768)):
-            key = open_key(d=d, epsilon=0.3, k=1)
+        for version, d, n, start, tokens in self.cases((2, 5, 8192, 32768)):
+            key = open_key(d=d, epsilon=0.3, k=1, version=version)
             got = open_gaussian_entries(key, tokens, start)
             gaussians = derive_open_gaussians(key, n, start)
             entries = gaussians[np.arange(n), tokens]
@@ -370,15 +475,17 @@ class TestTokenReaders:
             np.testing.assert_array_equal(got.view(np.uint64), entries.view(np.uint64))
             assert detect_open(key, tokens, start=start).statistic == float(entries.mean())
             for j in range(0, n, 3 if d > 1000 else 1):
-                ref = ref_gaussian(SEED, start + j, d, 0.3)[tokens[j]]
-                assert got[j] == pytest.approx(ref, rel=1e-13, abs=1e-13), (d, start + j)
+                ref = ref_gaussian(SEED, start + j, d, 0.3, version)[tokens[j]]
+                assert got[j] == pytest.approx(ref, rel=1e-13, abs=1e-13), (
+                    version, d, start + j)
 
     def test_odd_d_final_token(self):
         # d = 5: token 4 is the cosine half of the truncated last pair.
-        key = open_key(d=5, epsilon=0.3, k=1)
-        tokens = np.full(6, 4)
-        expected = derive_open_gaussians(key, 6)[:, 4]
-        np.testing.assert_array_equal(open_gaussian_entries(key, tokens), expected)
+        for version in (1, 2):
+            key = open_key(d=5, epsilon=0.3, k=1, version=version)
+            tokens = np.full(6, 4)
+            expected = derive_open_gaussians(key, 6)[:, 4]
+            np.testing.assert_array_equal(open_gaussian_entries(key, tokens), expected)
 
     def test_step_range_and_scheme_checked(self):
         tokens = np.array([0, 1, 2])
@@ -616,3 +723,114 @@ class TestKeyFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InvalidKeyError):
             load_key(tmp_path / "nope.json")
+
+    def test_version_must_be_a_supported_int(self):
+        for version in (True, 1.0, 2.0, "2", 0, 3, None):
+            obj = key_to_dict(closed_key())
+            obj["version"] = version
+            with pytest.raises(InvalidKeyError):
+                key_from_dict(obj)
+            with pytest.raises(InvalidKeyError):
+                WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED, version=version)
+
+    def test_d_must_be_an_int(self):
+        for d in (8.7, 8.0, True, "8"):
+            obj = key_to_dict(closed_key())
+            obj["d"] = d
+            with pytest.raises(InvalidKeyError):
+                key_from_dict(obj)
+
+    def test_k_must_be_an_int(self):
+        for k in (2.5, 2.0, True):
+            obj = key_to_dict(open_key())
+            obj["k"] = k
+            with pytest.raises(InvalidKeyError):
+                key_from_dict(obj)
+
+    def test_seed_base64_is_strict(self):
+        obj = key_to_dict(closed_key())
+        obj["master_seed_base64"] = "!!!!" + obj["master_seed_base64"]
+        with pytest.raises(InvalidKeyError):
+            key_from_dict(obj)
+
+
+# Key files written by the v1 code (before version 2 existed), and what
+# `tokenmark detect` reported for them on V1_TOKENS.
+V1_CLOSED_KEY_FILE = {
+    "d": 64, "epsilon": None, "k": None, "scheme": "closed", "support_mode": None,
+    "master_seed_base64": "KCkqKywtLi8wMTIzNDU2Nzg5Ojs8PT4/QEFCQ0RFRkc=", "version": 1,
+}
+V1_OPEN_KEY_FILE = {
+    "d": 64, "epsilon": 0.5, "k": 8, "scheme": "open", "support_mode": "fixed-per-key",
+    "master_seed_base64": "SElKS0xNTk9QUVJTVFVWV1hZWltcXV5fYGFiY2RlZmc=", "version": 1,
+}
+V1_TOKENS = [(37 * j + 11) % 64 for j in range(48)]
+V1_CLOSED_STATISTIC = -0.16666666666666666
+V1_OPEN_STATISTIC = -0.015355687202160982
+
+
+class TestKeyFormatVersions:
+    def test_v1_key_file_loads_as_version_1(self, tmp_path):
+        for obj in (V1_CLOSED_KEY_FILE, V1_OPEN_KEY_FILE):
+            path = tmp_path / "v1.json"
+            path.write_text(json.dumps(obj))
+            key = load_key(path)
+            assert key.version == 1
+            assert key_to_dict(key) == obj
+
+    def test_v1_key_file_matches_reference(self):
+        key = key_from_dict(V1_CLOSED_KEY_FILE)
+        seed, tokens = key.master_seed, np.array(V1_TOKENS)
+        for step in (0, 5, 2**40 + 3):
+            derived = derive_closed_step(key, step)
+            assert derived.coloring.tolist() == ref_coloring(seed, step, 64, version=1)
+            assert derived.flip == ref_sign(seed, 1, step, version=1)
+        expected = [ref_coloring(seed, j, 64, version=1)[t] * ref_sign(seed, 1, j, version=1)
+                    for j, t in enumerate(V1_TOKENS)]
+        assert closed_token_colors(key, tokens).tolist() == expected
+        key = key_from_dict(V1_OPEN_KEY_FILE)
+        expected = [ref_gaussian(key.master_seed, j, 64, 0.5, version=1)[t]
+                    for j, t in enumerate(V1_TOKENS)]
+        np.testing.assert_allclose(open_gaussian_entries(key, tokens), expected,
+                                   rtol=1e-13, atol=1e-13)
+
+    def test_cli_detect_with_v1_key_file(self, tmp_path, capsys):
+        text = tmp_path / "tokens.txt"
+        text.write_text(" ".join(map(str, V1_TOKENS)) + "\n")
+        for obj, statistic in ((V1_CLOSED_KEY_FILE, V1_CLOSED_STATISTIC),
+                               (V1_OPEN_KEY_FILE, V1_OPEN_STATISTIC)):
+            path = tmp_path / "key.json"
+            path.write_text(json.dumps(obj))
+            assert main(["detect", "--text", str(text), "--key", str(path)]) == 1
+            report = json.loads(capsys.readouterr().out)
+            assert report["n_tokens"] == len(V1_TOKENS)
+            if obj["scheme"] == CLOSED:
+                assert report["statistic"] == statistic
+            else:
+                # Gaussian entries may move by an ulp across math libraries.
+                assert report["statistic"] == pytest.approx(statistic, rel=1e-13)
+
+    def test_round_trip_each_version(self, tmp_path):
+        for version in (1, 2):
+            for key in (closed_key(64, version),
+                        open_key(d=100, epsilon=0.25, k=10, mode=FRESH_SUPPORT, version=version)):
+                path = tmp_path / "key.json"
+                save_key(key, path)
+                assert json.loads(path.read_text())["version"] == version
+                loaded = load_key(path)
+                assert loaded == key and loaded.version == version
+
+    def test_default_version_is_2(self):
+        assert KEY_FILE_VERSION == 2
+        assert WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED).version == 2
+
+    def test_versions_give_different_streams(self):
+        v1, v2 = closed_key(64, version=1), closed_key(64, version=2)
+        assert v1 != v2
+        ones = derive_closed_steps(v1, 16)
+        twos = derive_closed_steps(v2, 16)
+        assert not np.array_equal(ones.colorings, twos.colorings)
+        assert not np.array_equal(ones.flips, twos.flips)
+        g1 = derive_open_gaussians(open_key(d=64, version=1), 4)
+        g2 = derive_open_gaussians(open_key(d=64, version=2), 4)
+        assert not np.any(g1 == g2)
