@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import keystream
-from .core import as_probs, sample_categorical, sample_rows
+from .core import as_probs, sample_rows
 from .errors import InvalidInputError
 from .keystream import WatermarkKey
 
@@ -35,7 +35,7 @@ class PairedRanking:
     epsilon: np.ndarray
 
 
-def _check_coloring(coloring: np.ndarray, d: int) -> np.ndarray:
+def _check_coloring(coloring, d: int) -> np.ndarray:
     coloring = np.asarray(coloring)
     if coloring.shape != (d,):
         raise InvalidInputError(f"coloring must have shape ({d},)")
@@ -45,19 +45,71 @@ def _check_coloring(coloring: np.ndarray, d: int) -> np.ndarray:
     return coloring
 
 
+def _rank_shift(ps: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The pairing kernel: the signed shift ``flip * epsilon * coloring`` of
+    every token, in rank order.
+
+    ``signs`` holds ``flip * coloring`` permuted into rank order, (d,) or
+    (n, d), and ``ps`` the probabilities sorted the same way: one row per
+    row of ``signs``, or one (d,) row shared by all of them. The i-th +1
+    and the i-th -1 entry of a row form a pair (the flip only swaps the
+    names of the two classes), and the later of the two ranks holds the
+    pair's smaller probability, its shift magnitude.
+    """
+    # A stable sort of the flat signs lists every -1 index and then every +1
+    # index, each ascending; with d/2 of each per row, entry i of the two
+    # halves is the same pair of the same row.
+    by_sign = signs.reshape(-1).argsort(kind="stable")
+    half = by_sign.size // 2
+    minus, plus = by_sign[:half], by_sign[half:]
+    # Flat indices of one row differ by less than d, so the larger index of
+    # a pair is its later rank. A shared (d,) row is read at index mod d.
+    later = np.maximum(plus, minus)
+    if ps.ndim < signs.ndim:
+        later %= ps.size
+    pairmin = ps.take(later)
+    shift = np.empty(signs.shape)
+    flat = shift.reshape(-1)
+    flat[plus] = pairmin
+    flat[minus] = -pairmin
+    return shift
+
+
+def rank_order(probs: np.ndarray) -> np.ndarray:
+    """Token indices by descending probability along the last axis, ties by
+    ascending index: the rank order the pairing uses."""
+    return np.argsort(-probs, axis=-1, kind="stable")
+
+
+def watermark_ranked(probs: np.ndarray, order: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """``probs`` shifted by the pairing kernel, in token order.
+
+    ``signs`` is ``flip * coloring`` in token order, (d,) or (n, d), and
+    ``order`` is ``rank_order(probs)``: of one (d,) distribution shared by
+    every row, or of one distribution per row.
+    """
+    q = np.empty(signs.shape)
+    if order.ndim == 1:
+        # Indexing the transpose's first axis is the last axis of q.
+        q.T[order] = _rank_shift(probs[order], signs.take(order, axis=-1)).T
+    else:
+        np.put_along_axis(q, order, _rank_shift(np.take_along_axis(probs, order, axis=-1),
+                                                np.take_along_axis(signs, order, axis=-1)),
+                          axis=-1)
+    q += probs
+    return q
+
+
 def rank_match(p, coloring) -> PairedRanking:
     """Pair opposite-colored tokens by descending probability and compute
     per-token shift magnitudes."""
     p = as_probs(p)
     coloring = _check_coloring(coloring, p.size)
-    order = np.argsort(-p, kind="stable")
-    pos = order[coloring[order] == 1]
-    neg = order[coloring[order] == -1]
-    epsilon = np.empty_like(p)
-    pairmin = np.minimum(p[pos], p[neg])
-    epsilon[pos] = pairmin
-    epsilon[neg] = pairmin
-    return PairedRanking(pos=pos, neg=neg, epsilon=epsilon)
+    order = rank_order(p)
+    cs = coloring[order]
+    eps = np.empty_like(p)
+    eps[order] = _rank_shift(p[order], cs) * cs
+    return PairedRanking(pos=order[cs == 1], neg=order[cs == -1], epsilon=eps)
 
 
 def watermark_distribution(p, coloring, flip: int) -> np.ndarray:
@@ -69,17 +121,16 @@ def watermark_distribution(p, coloring, flip: int) -> np.ndarray:
     """
     if flip not in (1, -1):
         raise InvalidInputError("flip must be +1 or -1")
-    ranking = rank_match(p, coloring)
-    return np.asarray(p, dtype=np.float64) + flip * ranking.epsilon * coloring
+    p = as_probs(p)
+    return watermark_ranked(p, rank_order(p), flip * _check_coloring(coloring, p.size))
 
 
 def closed_step(key: WatermarkKey, step: int, p, rng: np.random.Generator) -> int:
     """Sample one watermarked token: derive the step's coloring and flip,
-    shift ``p``, and draw from the result."""
+    shift ``p``, and draw from the result, as a batch of one."""
     p = as_probs(p, key.d)
     sk = keystream.derive_closed_step(key, step)
-    q = watermark_distribution(p, sk.coloring, sk.flip)
-    return sample_categorical(q, rng)
+    return int(sample_rows(watermark_distributions(p, sk.coloring[None], [sk.flip]), rng)[0])
 
 
 # --------------------------------------------------------------------------
@@ -87,47 +138,20 @@ def closed_step(key: WatermarkKey, step: int, p, rng: np.random.Generator) -> in
 # (it comes from the keystream) and skip the per-row balance check.
 
 
-def epsilons_for(probs: np.ndarray, colorings: np.ndarray) -> np.ndarray:
-    """Shift magnitudes for ``n`` steps at once.
+def watermark_distributions(probs, colorings, flips) -> np.ndarray:
+    """Watermarked distributions for ``n`` steps, shape (n, d).
 
     ``probs`` is (n, d) or a single (d,) distribution shared by all steps;
-    ``colorings`` is (n, d). Returns the (n, d) epsilon matrix.
+    ``colorings`` is (n, d) and ``flips`` (n,).
     """
     colorings = np.asarray(colorings)
     if colorings.ndim != 2:
         raise InvalidInputError("colorings must be 2-d")
-    n, d = colorings.shape
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim == 1:
-        probs = np.broadcast_to(probs, (n, d))
-    if probs.shape != (n, d):
+    if probs.shape not in (colorings.shape, colorings.shape[1:]):
         raise InvalidInputError("probs shape does not match colorings")
-
-    order = np.argsort(-probs, axis=-1, kind="stable")
-    colors_sorted = np.take_along_axis(colorings, order, axis=-1)
-    probs_sorted = np.take_along_axis(probs, order, axis=-1)
-    # Per row, the sorted positions of each color class in rank order; the
-    # later position of a pair holds its smaller probability.
-    pos_cols = np.nonzero(colors_sorted == 1)[1].reshape(n, d // 2)
-    neg_cols = np.nonzero(colors_sorted == -1)[1].reshape(n, d // 2)
-    later = np.maximum(pos_cols, neg_cols)
-    rows = np.arange(n)[:, None]
-    pairmin = probs_sorted[rows, later]
-    eps_sorted = np.empty((n, d))
-    eps_sorted[rows, pos_cols] = pairmin
-    eps_sorted[rows, neg_cols] = pairmin
-    eps = np.empty((n, d))
-    np.put_along_axis(eps, order, eps_sorted, axis=-1)
-    return eps
-
-
-def watermark_distributions(probs, colorings, flips) -> np.ndarray:
-    """Watermarked distributions for ``n`` steps, shape (n, d)."""
-    colorings = np.asarray(colorings)
-    probs_in = np.asarray(probs, dtype=np.float64)
-    eps = epsilons_for(probs_in, colorings)
-    flips = np.asarray(flips, dtype=np.float64).reshape(-1, 1)
-    return probs_in + flips * eps * colorings
+    signs = colorings * np.asarray(flips, dtype=colorings.dtype).reshape(-1, 1)
+    return watermark_ranked(probs, rank_order(probs), signs)
 
 
 def sample_closed_batch(key: WatermarkKey, probs, rng: np.random.Generator,

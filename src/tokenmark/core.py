@@ -4,9 +4,19 @@ Tokens are plain integers in ``[0, d)`` (0-based everywhere in code;
 1-based only in human-readable output). Probability vectors and logits are
 1-d float64 numpy arrays. Vectors that fail validation are rejected, never
 renormalized: silent renormalization hides upstream bugs.
+
+Every token draw in the package goes through ``sample_tokens``, with one
+uniform ``u`` in [0, 1) per token: the token is the first index whose
+running sum of probabilities exceeds ``u``, and when ``u`` lies past the
+whole sum (a total a hair below 1), the last token with positive
+probability. A zero entry leaves the running sum unchanged, so it is never
+the first to exceed ``u``.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 import numpy as np
 
@@ -63,61 +73,56 @@ def softmax(logits) -> np.ndarray:
     Stabilized by subtracting the max logit before exponentiation, so large
     perturbed logits cannot overflow.
     """
-    arr = as_logits(logits)
-    shifted = np.exp(arr - arr.max())
-    return shifted / shifted.sum()
+    return softmax_rows(as_logits(logits))
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax for a 2-d array of logits (no per-row validation)."""
-    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True)
+    """Softmax along the last axis of a (d,) or (n, d) array of logits (no
+    per-row validation)."""
+    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
+
+
+def sample_tokens(probs: np.ndarray, u) -> np.ndarray:
+    """Tokens drawn from caller-drawn uniforms ``u`` by the module's rule.
+
+    ``probs`` is one (d,) distribution shared by every uniform in ``u``, or
+    an (n, d) matrix with one uniform per row. Rows are trusted to be
+    distributions.
+    """
+    cdf = probs.cumsum(-1)
+    if cdf.ndim == 1:
+        tokens = cdf.searchsorted(u, side="right")
+    else:
+        tokens = np.count_nonzero(cdf <= np.asarray(u)[:, None], axis=1)
+    past = tokens >= cdf.shape[-1]
+    # A scalar's any() would cost as much as the search.
+    if past.any() if past.shape else past:
+        last = cdf.shape[-1] - 1 - (probs[..., ::-1] > 0).argmax(axis=-1)
+        tokens = np.where(past, last, tokens)
+    return tokens
 
 
 def sample_categorical(p, rng: RandomStream) -> int:
-    """Draw one token from ``p`` by inverse-CDF sampling.
-
-    Deterministic given the stream state. Tokens with zero probability are
-    never returned.
-    """
-    arr = as_probs(p)
-    cdf = np.cumsum(arr)
-    u = rng.random()
-    i = int(np.searchsorted(cdf, u, side="right"))
-    if i >= arr.size:
-        # u landed beyond the accumulated total (possible when sum(p) is a
-        # hair below 1); clamp to the last positive-probability token.
-        i = arr.size - 1
-    while i > 0 and arr[i] == 0.0:
-        i -= 1
-    return i
+    """Draw one token from a validated ``p``; deterministic given the stream
+    state."""
+    return int(sample_tokens(as_probs(p), rng.random()))
 
 
 def sample_rows(probs: np.ndarray, rng: RandomStream) -> np.ndarray:
-    """Draw one token per row of a (n, d) probability matrix.
+    """Draw one token per row of a trusted (n, d) probability matrix."""
+    return sample_tokens(probs, rng.random(probs.shape[0]))
 
-    Internal batch helper: rows are trusted to be valid distributions.
-    Zero-probability tokens are never returned.
-    """
-    cdf = np.cumsum(probs, axis=1)
-    u = rng.random(probs.shape[0])
-    tokens = (cdf > u[:, None]).argmax(axis=1)
-    # Rows where u >= cdf[-1] (sum a hair below 1) yield argmax 0 on an
-    # all-False mask; resolve those to the last positive-probability token.
-    overshoot = np.nonzero(cdf[:, -1] <= u)[0]
-    for row in overshoot:
-        i = probs.shape[1] - 1
-        while i > 0 and probs[row, i] == 0.0:
-            i -= 1
-        tokens[row] = i
-    # Guard against zero-probability picks from exact cdf ties.
-    picked = probs[np.arange(probs.shape[0]), tokens]
-    for row in np.nonzero(picked == 0.0)[0]:
-        i = int(tokens[row])
-        while i > 0 and probs[row, i] == 0.0:
-            i -= 1
-        tokens[row] = i
-    return tokens.astype(np.int64)
+
+def is_int(value) -> bool:
+    """Whether a parsed file field is an integer; a boolean is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """Whether a parsed file field is a finite real number; a boolean is not."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def validate_tokens(tokens, d: int) -> np.ndarray:

@@ -83,12 +83,12 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import validate_tokens
+from .core import is_int, is_number, validate_tokens
 from .errors import InvalidInputError, InvalidKeyError, SchemeMismatchError
 
 KEY_FILE_VERSION = 2
@@ -130,7 +130,7 @@ class WatermarkKey:
     version: int = KEY_FILE_VERSION
 
     def __post_init__(self):
-        if not _is_int(self.version) or self.version not in _BLOCK_FUNCTIONS:
+        if not is_int(self.version) or self.version not in _BLOCK_FUNCTIONS:
             raise InvalidKeyError(f"unsupported key file version {self.version!r}")
         if len(self.master_seed) != SEED_BYTES:
             raise InvalidKeyError(f"master seed must be {SEED_BYTES} bytes")
@@ -181,14 +181,6 @@ class OpenStepKey:
     gaussian: np.ndarray     # (d,) float64, i.i.d. N(0, epsilon^2) entries
     support: np.ndarray      # (k,) int64, sorted ascending
     direction: int           # +1 or -1
-    mean_vector: np.ndarray = field(default=None)  # k^{-1/2} on support, else 0
-
-    def __post_init__(self):
-        if self.mean_vector is None:
-            mu = np.zeros(self.gaussian.size)
-            mu[self.support] = 1.0 / np.sqrt(self.support.size)
-            mu.flags.writeable = False
-            object.__setattr__(self, "mean_vector", mu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,10 +230,6 @@ def _shake256_blocks(inputs: list[bytes], nbytes: int) -> list[bytes]:
 # squeezes just the first ``nbytes`` bytes of it, a prefix of the whole
 # block; SHA-256 always returns its 32 bytes.
 _BLOCK_FUNCTIONS = {1: (_sha256_blocks, 32), 2: (_shake256_blocks, 1024)}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _word_matrix(key: WatermarkKey, lane: int, start: int, count: int,
@@ -488,23 +476,30 @@ def key_to_dict(key: WatermarkKey) -> dict:
 
 def key_from_dict(obj: dict) -> WatermarkKey:
     """Parse a key file object. ``version`` must be a supported integer, ``d``
-    and ``k`` integers (not floats or booleans), and the seed strict base64."""
+    and ``k`` integers (not floats or booleans), ``epsilon`` a finite number
+    (not a boolean or string), ``padded`` a boolean, and the seed strict
+    base64."""
     try:
         version = obj["version"]
-        if not _is_int(version) or version not in _BLOCK_FUNCTIONS:
+        if not is_int(version) or version not in _BLOCK_FUNCTIONS:
             raise InvalidKeyError(f"unsupported key file version {version!r}")
         d, k = obj["d"], obj.get("k")
-        if not _is_int(d) or not (k is None or _is_int(k)):
+        if not is_int(d) or not (k is None or is_int(k)):
             raise InvalidKeyError(f"d and k must be integers, got d={d!r}, k={k!r}")
+        epsilon, padded = obj.get("epsilon"), obj.get("padded", False)
+        if not (epsilon is None or is_number(epsilon)):
+            raise InvalidKeyError(f"epsilon must be a finite number, got {epsilon!r}")
+        if not isinstance(padded, bool):
+            raise InvalidKeyError(f"padded must be true or false, got {padded!r}")
         seed = base64.b64decode(obj["master_seed_base64"], validate=True)
         return WatermarkKey(
             master_seed=seed,
             d=d,
             scheme=obj["scheme"],
-            epsilon=None if obj.get("epsilon") is None else float(obj["epsilon"]),
+            epsilon=None if epsilon is None else float(epsilon),
             k=k,
             support_mode=obj.get("support_mode"),
-            padded=bool(obj.get("padded", False)),
+            padded=padded,
             version=version,
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -14,9 +14,24 @@ from __future__ import annotations
 import numpy as np
 
 from . import keystream
-from .core import as_logits, sample_categorical, sample_rows, softmax, softmax_rows
+from .core import as_logits, sample_rows, softmax, softmax_rows
 from .errors import InvalidInputError
 from .keystream import WatermarkKey
+
+
+def _mean_vectors(supports: np.ndarray, d: int) -> np.ndarray:
+    """Unit vectors with mass ``k**-0.5`` on each row's k support tokens,
+    shape (n, d) from (n, k) supports."""
+    n, k = supports.shape
+    mu = np.zeros((n, d))
+    mu[np.arange(n)[:, None], supports] = 1.0 / np.sqrt(k)
+    return mu
+
+
+def _perturbations(gaussians: np.ndarray, mean_vectors: np.ndarray,
+                   directions: np.ndarray, epsilon: float) -> np.ndarray:
+    """Rows ``gaussian + direction * epsilon * mean_vector``, shape (n, d)."""
+    return gaussians + directions[:, None] * epsilon * mean_vectors
 
 
 def mean_vector(support, d: int) -> np.ndarray:
@@ -26,9 +41,7 @@ def mean_vector(support, d: int) -> np.ndarray:
         raise InvalidInputError("support must be a non-empty 1-d index array")
     if support.min() < 0 or support.max() >= d or np.unique(support).size != support.size:
         raise InvalidInputError(f"support must be distinct indices in [0, {d})")
-    mu = np.zeros(d)
-    mu[support] = 1.0 / np.sqrt(support.size)
-    return mu
+    return _mean_vectors(support[None], d)[0]
 
 
 def build_perturbation(gaussian, mean_vec, direction: int, epsilon: float) -> np.ndarray:
@@ -44,7 +57,7 @@ def build_perturbation(gaussian, mean_vec, direction: int, epsilon: float) -> np
     mean_vec = np.asarray(mean_vec, dtype=np.float64)
     if gaussian.shape != mean_vec.shape:
         raise InvalidInputError("gaussian and mean vector must have the same shape")
-    return gaussian + direction * epsilon * mean_vec
+    return _perturbations(gaussian[None], mean_vec[None], np.array([direction]), epsilon)[0]
 
 
 def watermarked_softmax(logits, delta) -> np.ndarray:
@@ -58,19 +71,20 @@ def watermarked_softmax(logits, delta) -> np.ndarray:
 
 
 def open_step(key: WatermarkKey, step: int, logits, rng: np.random.Generator) -> int:
-    """Sample one watermarked token from softmax(logits + delta)."""
+    """Sample one watermarked token from softmax(logits + delta), as a batch
+    of one."""
     logits = as_logits(logits, key.d)
     sk = keystream.derive_open_step(key, step)
-    delta = build_perturbation(sk.gaussian, sk.mean_vector, sk.direction, key.epsilon)
-    return sample_categorical(watermarked_softmax(logits, delta), rng)
+    delta = _perturbations(sk.gaussian[None], _mean_vectors(sk.support[None], key.d),
+                           np.array([sk.direction]), key.epsilon)
+    return int(sample_rows(softmax_rows(logits + delta), rng)[0])
 
 
 def perturbations_for(key: WatermarkKey, count: int, start: int = 0) -> np.ndarray:
     """Logit perturbations for ``count`` consecutive steps, shape (count, d)."""
     batch = keystream.derive_open_steps(key, count, start)
-    mu = np.zeros((count, key.d))
-    mu[np.arange(count)[:, None], batch.supports] = 1.0 / np.sqrt(key.k)
-    return batch.gaussians + batch.directions[:, None] * key.epsilon * mu
+    return _perturbations(batch.gaussians, _mean_vectors(batch.supports, key.d),
+                          batch.directions, key.epsilon)
 
 
 def sample_open_batch(key: WatermarkKey, logits, rng: np.random.Generator,

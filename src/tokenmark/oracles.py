@@ -8,7 +8,8 @@ and sub-exponential tail bounds by simulation, and the Gaussian
 total-variation formula the unremovability argument reduces to. The checks
 deliberately avoid sharing code with the sampling path (enumeration here,
 keyed PRF there), except ``undetectability_exact``, which must call the
-production ``watermark_distribution`` because it certifies that function.
+production ``watermark_distribution``: it certifies the one pairing kernel
+that every closed-scheme sampling path shifts mass with.
 
 ``verify_suite`` bundles the assertions into a machine-readable report;
 Monte-Carlo assertions uniformly use three standard errors of slack, so a

@@ -18,11 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import keystream
-from .closed_scheme import watermark_distributions
-from .core import as_probs, sample_rows, softmax, softmax_rows
+from .closed_scheme import (rank_order, sample_closed_batch, watermark_distributions,
+                            watermark_ranked)
+from .core import as_probs, is_int, is_number, sample_tokens, softmax, softmax_rows
 from .errors import InvalidInputError, SchemeMismatchError
 from .keystream import CLOSED, OPEN, WatermarkKey
-from .open_scheme import perturbations_for
+from .open_scheme import perturbations_for, sample_open_batch
 
 IID = "iid"
 MARKOV = "markov"
@@ -150,107 +151,58 @@ def _check_dims(model: SourceModel, key: WatermarkKey) -> bool:
     return False
 
 
-def _sample_fixed(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. draws from one distribution, never returning zero-probability
-    tokens."""
-    support = np.flatnonzero(p > 0)
-    cdf = np.cumsum(p[support])
-    u = rng.random(n)
-    idx = np.minimum(np.searchsorted(cdf, u, side="right"), support.size - 1)
-    return support[idx].astype(np.int64)
+def _fixed_law(model: SourceModel, key: WatermarkKey) -> np.ndarray:
+    """What a memoryless source gives the key's scheme at every step: its
+    logits for an open key, its probabilities (padded as the key needs) for
+    a closed one."""
+    padded = _check_dims(model, key)
+    if key.scheme == OPEN:
+        return model.fixed_logits()
+    p = model.fixed_probs()
+    return np.append(p, 0.0) if padded else p
 
 
 def _generate_memoryless(model: SourceModel, n: int, key: WatermarkKey | None,
                          rng: np.random.Generator) -> np.ndarray:
     if key is None:
-        return _sample_fixed(model.fixed_probs(), n, rng)
-    padded = _check_dims(model, key)
-    if key.scheme == CLOSED:
-        p = model.fixed_probs()
-        if padded:
-            p = np.append(p, 0.0)
-        tokens = np.empty(n, dtype=np.int64)
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            batch = keystream.derive_closed_steps(key, hi - lo, lo)
-            q = watermark_distributions(p, batch.colorings, batch.flips)
-            tokens[lo:hi] = sample_rows(q, rng)
-        return tokens
-    logits = model.fixed_logits()
+        return sample_tokens(model.fixed_probs(), rng.random(n))
+    law = _fixed_law(model, key)
+    sample_batch = sample_closed_batch if key.scheme == CLOSED else sample_open_batch
     tokens = np.empty(n, dtype=np.int64)
     for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        q = softmax_rows(logits + perturbations_for(key, hi - lo, lo))
-        tokens[lo:hi] = sample_rows(q, rng)
+        tokens[lo:lo + _CHUNK] = sample_batch(key, law, rng, min(_CHUNK, n - lo), lo)
     return tokens
 
 
 def _generate_markov(model: SourceModel, n: int, key: WatermarkKey | None,
                      rng: np.random.Generator) -> np.ndarray:
-    d = model.d
     tokens = np.empty(n, dtype=np.int64)
     uniforms = rng.random(n)
+    rows = [model.initial, *model.transition]  # the law after token prev is rows[prev + 1]
+    prev = -1
 
     if key is None:
-        sup_cdf = []
-        for r in [model.initial, *model.transition]:
-            sup = np.flatnonzero(r > 0)
-            sup_cdf.append((sup, np.cumsum(r[sup])))
-        prev = -1
         for j in range(n):
-            sup, cdf = sup_cdf[prev + 1]
-            i = min(int(np.searchsorted(cdf, uniforms[j], side="right")), sup.size - 1)
-            tokens[j] = prev = int(sup[i])
+            tokens[j] = prev = int(sample_tokens(rows[prev + 1], uniforms[j]))
         return tokens
 
     padded = _check_dims(model, key)
     if key.scheme == CLOSED:
-        # Per-row sort orders are fixed, so precompute them and do each
-        # step's pairing in rank space where it is a handful of O(d) ops.
-        rows = [model.initial] + [model.transition[s] for s in range(d)]
         if padded:
             rows = [np.append(r, 0.0) for r in rows]
-        dk = key.d
-        orders = [np.argsort(-r, kind="stable") for r in rows]
-        sorted_rows = [r[o] for r, o in zip(rows, orders)]
-        eps_sorted = np.empty(dk)
-        prev = -1  # index 0 of `rows` is the initial law
+        orders = [rank_order(r) for r in rows]  # each state's law is sorted once
         for lo in range(0, n, _CHUNK):
             batch = keystream.derive_closed_steps(key, min(_CHUNK, n - lo), lo)
-            for j in range(batch.colorings.shape[0]):
-                order = orders[prev + 1]
-                ps = sorted_rows[prev + 1]
-                cs = batch.colorings[j][order]
-                pos = np.flatnonzero(cs == 1)
-                neg = np.flatnonzero(cs == -1)
-                pairmin = ps[np.maximum(pos, neg)]
-                eps_sorted[pos] = pairmin
-                eps_sorted[neg] = pairmin
-                q = ps + (batch.flips[j] * eps_sorted) * cs
-                cdf = np.cumsum(q)
-                i = min(int(np.searchsorted(cdf, uniforms[lo + j] * cdf[-1],
-                                            side="right")), dk - 1)
-                while q[i] <= 0.0:
-                    i -= 1
-                prev = int(order[i])
-                tokens[lo + j] = prev
+            for j, signs in enumerate(batch.colorings * batch.flips[:, None]):
+                q = watermark_ranked(rows[prev + 1], orders[prev + 1], signs)
+                tokens[lo + j] = prev = int(sample_tokens(q, uniforms[lo + j]))
         return tokens
 
-    row_logits = model.row_logits()
-    init_logits = np.log(model.initial)
-    prev = -1
+    logits = [np.log(model.initial), *model.row_logits()]
     for lo in range(0, n, _CHUNK):
-        deltas = perturbations_for(key, min(_CHUNK, n - lo), lo)
-        for j in range(deltas.shape[0]):
-            logits = init_logits if prev < 0 else row_logits[prev]
-            q = softmax(logits + deltas[j])
-            cdf = np.cumsum(q)
-            i = min(int(np.searchsorted(cdf, uniforms[lo + j] * cdf[-1],
-                                        side="right")), d - 1)
-            while q[i] <= 0.0:
-                i -= 1
-            prev = i
-            tokens[lo + j] = prev
+        for j, delta in enumerate(perturbations_for(key, min(_CHUNK, n - lo), lo)):
+            q = softmax_rows(logits[prev + 1] + delta)
+            tokens[lo + j] = prev = int(sample_tokens(q, uniforms[lo + j]))
     return tokens
 
 
@@ -289,19 +241,6 @@ def generate(model: SourceModel, n: int, key: WatermarkKey | None,
     )
 
 
-def _sample_rows_many(q: np.ndarray, u: np.ndarray) -> None:
-    """Fill ``u`` (texts, steps) in place with token draws: column j of the
-    output samples distribution ``q[j]``. ``u`` holds uniforms on entry."""
-    cdf = np.cumsum(q, axis=1)
-    last = cdf[:, -1]
-    d = q.shape[1]
-    for j in range(q.shape[0]):
-        # (1 - u) * total lies in (0, total], and side='left' then lands on
-        # an atom of positive width, so zero-probability tokens never appear.
-        u[:, j] = np.searchsorted(cdf[j], (1.0 - u[:, j]) * last[j], side="left")
-        np.minimum(u[:, j], d - 1, out=u[:, j])
-
-
 def generate_many(model: SourceModel, n: int, key: WatermarkKey | None,
                   texts: int, rng: np.random.Generator) -> np.ndarray:
     """Token matrix (texts, n): independent texts sharing one key.
@@ -315,22 +254,21 @@ def generate_many(model: SourceModel, n: int, key: WatermarkKey | None,
     if not model.memoryless:
         return np.stack([generate(model, n, key, rng).tokens for _ in range(texts)])
     if key is None:
-        return _sample_fixed(model.fixed_probs(), texts * n, rng).reshape(texts, n)
+        return sample_tokens(model.fixed_probs(), rng.random((texts, n)))
 
-    padded = _check_dims(model, key)
-    out = rng.random((texts, n))
+    law = _fixed_law(model, key)
+    u = rng.random((texts, n))
+    tokens = np.empty((texts, n), dtype=np.int64)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         if key.scheme == CLOSED:
-            p = model.fixed_probs()
-            if padded:
-                p = np.append(p, 0.0)
             batch = keystream.derive_closed_steps(key, hi - lo, lo)
-            q = watermark_distributions(p, batch.colorings, batch.flips)
+            q = watermark_distributions(law, batch.colorings, batch.flips)
         else:
-            q = softmax_rows(model.fixed_logits() + perturbations_for(key, hi - lo, lo))
-        _sample_rows_many(q, out[:, lo:hi])
-    return out.astype(np.int64)
+            q = softmax_rows(law + perturbations_for(key, hi - lo, lo))
+        for j in range(lo, hi):
+            tokens[:, j] = sample_tokens(q[j - lo], u[:, j])
+    return tokens
 
 
 def condition_lhs(record: GenerationRecord, delta: float) -> float:
@@ -347,23 +285,42 @@ def condition_lhs(record: GenerationRecord, delta: float) -> float:
     return lhs - math.sqrt(2.0 * math.log(1.0 / delta) / n)
 
 
+def _field(obj: dict, name: str, check, default=None):
+    """``obj[name]`` (or ``default`` when absent) after ``check`` accepts it."""
+    value = obj[name] if default is None else obj.get(name, default)
+    if not check(value):
+        raise InvalidInputError(f"{name} has the wrong type: {value!r}")
+    return value
+
+
+def _array_field(obj: dict, name: str, check, dtype) -> np.ndarray:
+    """``obj[name]``, a (nested) list, as an array after ``check`` accepts
+    every entry; booleans and strings are never silently converted."""
+    entries = np.asarray(obj[name], dtype=object)
+    if not all(map(check, entries.flat)):
+        raise InvalidInputError(f"{name} has an entry of the wrong type")
+    return entries.astype(dtype)
+
+
 def model_from_dict(obj: dict) -> SourceModel:
     """Build a source from its JSON description. Kinds: ``uniform`` (d),
     ``iid`` (probs), ``markov`` (transition, initial), ``powerlaw-logits``
-    (d, s, optional scale)."""
+    (d, s, optional scale). ``d`` must be an integer and every other number
+    a number: booleans and strings are rejected."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InvalidInputError("model description must be an object with a kind")
     kind = obj["kind"]
     try:
         if kind == "uniform":
-            return uniform_source(int(obj["d"]))
+            return uniform_source(_field(obj, "d", is_int))
         if kind == IID:
-            return iid_source(obj["probs"])
+            return iid_source(_array_field(obj, "probs", is_number, np.float64))
         if kind == MARKOV:
-            return markov_source(obj["transition"], obj["initial"])
+            return markov_source(_array_field(obj, "transition", is_number, np.float64),
+                                 _array_field(obj, "initial", is_number, np.float64))
         if kind == POWERLAW:
-            return powerlaw_source(int(obj["d"]), float(obj["s"]),
-                                   float(obj.get("scale", 1.0)))
+            return powerlaw_source(_field(obj, "d", is_int), _field(obj, "s", is_number),
+                                   _field(obj, "scale", is_number, 1.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed model description: {exc}") from exc
     raise InvalidInputError(f"unknown model kind {kind!r}")
@@ -383,16 +340,18 @@ def record_to_dict(record: GenerationRecord) -> dict:
 
 
 def record_from_dict(obj: dict) -> GenerationRecord:
+    """Parse a text record. ``d`` and the tokens must be integers and the
+    ``pstar`` entries numbers: booleans, strings and fractions are rejected."""
     try:
         scheme = obj["scheme"]
         return GenerationRecord(
-            tokens=np.asarray(obj["tokens"], dtype=np.int64),
-            per_step_pstar=np.asarray(obj["pstar"], dtype=np.float64),
+            tokens=_array_field(obj, "tokens", is_int, np.int64),
+            per_step_pstar=_array_field(obj, "pstar", is_number, np.float64),
             watermarked=scheme != UNWATERMARKED,
             scheme=scheme,
-            d=int(obj["d"]),
+            d=_field(obj, "d", is_int),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed text record: {exc}") from exc
 
 

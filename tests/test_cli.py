@@ -133,6 +133,22 @@ class TestGenerate:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", [
+        {"kind": "uniform", "d": 8.7},
+        {"kind": "powerlaw-logits", "d": 8.7, "s": 1.0},
+        {"kind": "powerlaw-logits", "d": "16", "s": 1.0},
+        {"kind": "powerlaw-logits", "d": 16, "s": True},
+        {"kind": "powerlaw-logits", "d": 16, "s": "1.0"},
+        {"kind": "powerlaw-logits", "d": 16, "s": 1.0, "scale": False},
+    ], ids=["uniform-d-float", "powerlaw-d-float", "d-string", "s-bool", "s-string",
+            "scale-bool"])
+    def test_lax_model_fields(self, tmp_path, capsys, model):
+        rc = run_cli("generate", "--model", json.dumps(model), "--n", "5",
+                     "--seed", "1", "--out", str(tmp_path / "t.json"))
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
     def test_model_and_model_file_conflict(self, tmp_path):
         model = tmp_path / "model.json"
         model.write_text(UNIFORM64)
@@ -233,17 +249,36 @@ class TestDetect:
 
     @pytest.mark.parametrize("field, value", [
         ("version", True), ("version", 1.0), ("d", 8.7), ("k", 2.5),
-        ("master_seed_base64", "!!!!"),
+        ("master_seed_base64", "!!!!"), ("padded", "no"), ("epsilon", True),
+        ("epsilon", "0.25"),
     ])
     def test_lax_key_file_fields(self, tmp_path, capsys, field, value):
         key = tmp_path / "key.json"
-        run_cli("keygen", "--scheme", "open", "--d", "8", "--epsilon", "0.5",
-                "--k", "2", "--out", str(key))
+        if field == "padded":  # a closed-key field; "no" once loaded as True
+            run_cli("keygen", "--scheme", "closed", "--d", "8", "--out", str(key))
+        else:
+            run_cli("keygen", "--scheme", "open", "--d", "8", "--epsilon", "0.5",
+                    "--k", "2", "--out", str(key))
         obj = json.loads(key.read_text())
         obj[field] = value + obj[field] if field == "master_seed_base64" else value
         key.write_text(json.dumps(obj))
         text = tmp_path / "tokens.txt"
         text.write_text("0 1 2\n")
+        assert run_cli("detect", "--text", str(text), "--key", str(key)) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("tokens", [1.7, 2.2]), ("tokens", [True, False]), ("tokens", ["1", "2"]),
+        ("d", 8.9),
+    ])
+    def test_lax_text_record_fields(self, tmp_path, capsys, field, value):
+        # Each of these once loaded (tokens [1, 2] or [1, 0], d = 8) and was
+        # scored.
+        key = tmp_path / "key.json"
+        run_cli("keygen", "--scheme", "closed", "--d", "8", "--out", str(key))
+        text = tmp_path / "text.json"
+        record = {"d": 8, "scheme": "closed", "tokens": [1, 2], "pstar": [0.5, 0.5]}
+        text.write_text(json.dumps({**record, field: value}))
         assert run_cli("detect", "--text", str(text), "--key", str(key)) == 2
         assert "error:" in capsys.readouterr().err
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tokenmark.closed_scheme import (
     closed_step,
-    epsilons_for,
     rank_match,
     sample_closed_batch,
     watermark_distribution,
@@ -155,15 +154,17 @@ class TestWatermarkDistribution:
 
 class TestBatchPaths:
     def test_epsilons_match_single_step(self):
+        # Batch rows shift each token by rank_match's epsilon, bit for bit.
         rng = np.random.default_rng(4)
         for d in (4, 8, 18, 32):
             n = 40
             probs = np.vstack([random_probs(rng, d) for _ in range(n)])
             colorings = np.vstack([random_balanced_coloring(rng, d) for _ in range(n)])
-            batch = epsilons_for(probs, colorings)
+            flips = rng.choice([-1, 1], size=n)
+            batch = watermark_distributions(probs, colorings, flips)
             for i in range(n):
-                single = rank_match(probs[i], colorings[i]).epsilon
-                np.testing.assert_array_equal(batch[i], single)
+                eps = rank_match(probs[i], colorings[i]).epsilon
+                np.testing.assert_array_equal(batch[i], probs[i] + flips[i] * eps * colorings[i])
 
     def test_batch_ties_and_zeros_order_by_index(self):
         # Rows full of ties and zeros: the batch stable argsort equals a
@@ -176,22 +177,24 @@ class TestBatchPaths:
         probs[1] = 1 / d
         probs /= probs.sum(axis=1, keepdims=True)
         colorings = np.vstack([random_balanced_coloring(rng, d) for _ in range(n)])
+        flips = rng.choice([-1, 1], size=n)
         lex = np.lexsort((np.broadcast_to(np.arange(d), (n, d)), -probs), axis=-1)
         np.testing.assert_array_equal(np.argsort(-probs, axis=-1, kind="stable"), lex)
-        batch = epsilons_for(probs, colorings)
+        batch = watermark_distributions(probs, colorings, flips)
         for i in range(n):
             order, c, p = lex[i], colorings[i], probs[i]
             pos, neg = order[c[order] == 1], order[c[order] == -1]
             expected = np.empty(d)
             expected[pos] = expected[neg] = np.minimum(p[pos], p[neg])
-            np.testing.assert_array_equal(batch[i], expected)
+            np.testing.assert_array_equal(batch[i], p + flips[i] * expected * c)
 
     def test_shared_distribution_broadcast(self):
         rng = np.random.default_rng(5)
         p = random_probs(rng, 8)
         colorings = np.vstack([random_balanced_coloring(rng, 8) for _ in range(10)])
-        batch = epsilons_for(p, colorings)
-        loop = epsilons_for(np.tile(p, (10, 1)), colorings)
+        flips = rng.choice([-1, 1], size=10)
+        batch = watermark_distributions(p, colorings, flips)
+        loop = watermark_distributions(np.tile(p, (10, 1)), colorings, flips)
         np.testing.assert_array_equal(batch, loop)
 
     def test_distributions_match_single_step(self):
@@ -206,9 +209,49 @@ class TestBatchPaths:
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(InvalidInputError):
-            epsilons_for(P4, COLORING4)  # colorings must be 2-d
+            watermark_distributions(P4, COLORING4, [1])  # colorings must be 2-d
         with pytest.raises(InvalidInputError):
-            epsilons_for(np.ones((3, 4)) / 4, np.tile(COLORING4, (2, 1)))
+            watermark_distributions(np.ones((3, 4)) / 4, np.tile(COLORING4, (2, 1)), [1, 1])
+
+
+class TestLargeDictionary:
+    """The batch rows equal single-step watermark_distribution and a lexsort
+    reference bit for bit at d = 32768, on keystream colorings."""
+
+    D = 32768
+
+    @staticmethod
+    def reference(p, coloring, flip):
+        order = np.lexsort((np.arange(p.size), -p))
+        pos, neg = order[coloring[order] == 1], order[coloring[order] == -1]
+        eps = np.empty(p.size)
+        eps[pos] = eps[neg] = np.minimum(p[pos], p[neg])
+        return p + flip * eps * coloring
+
+    def check(self, probs):
+        key = WatermarkKey(master_seed=bytes(range(32)), d=self.D, scheme=CLOSED)
+        batch = derive_closed_steps(key, 3, 2**40 + 3)
+        q = watermark_distributions(probs, batch.colorings, batch.flips)
+        for i in range(3):
+            p = probs if probs.ndim == 1 else probs[i]
+            single = watermark_distribution(p, batch.colorings[i], int(batch.flips[i]))
+            np.testing.assert_array_equal(q[i], single)
+            np.testing.assert_array_equal(
+                single, self.reference(p, batch.colorings[i], int(batch.flips[i])))
+
+    def test_shared_distribution(self):
+        self.check(np.random.default_rng(30).dirichlet(np.full(self.D, 0.3)))
+
+    def test_per_row_distributions(self):
+        self.check(np.random.default_rng(31).dirichlet(np.full(self.D, 0.3), size=3))
+
+    def test_padded_trailing_zero(self):
+        p = np.append(np.random.default_rng(32).dirichlet(np.full(self.D - 1, 0.3)), 0.0)
+        self.check(p)
+
+    def test_tied_probabilities(self):
+        p = np.random.default_rng(33).choice([0.0, 1.0, 2.0, 4.0], size=self.D)
+        self.check(p / p.sum())
 
 
 class TestKeyedSampling:

@@ -13,6 +13,7 @@ from tokenmark.core import (
     as_probs,
     sample_categorical,
     sample_rows,
+    sample_tokens,
     softmax,
     softmax_rows,
     validate_tokens,
@@ -178,6 +179,32 @@ class TestSampleRows:
     def test_dtype(self):
         tokens = sample_rows(np.array([[0.5, 0.5]]), np.random.default_rng(0))
         assert tokens.dtype == np.int64
+
+
+class TestSampleTokens:
+    """The one uniform-to-token rule, at the boundaries where rules differ."""
+
+    P = np.array([0.0, 0.25, 0.25, 0.0, 0.5, 0.0])
+
+    def test_first_running_sum_above_u(self):
+        # Running sums 0, .25, .5, .5, 1, 1: u equal to a sum moves on to
+        # the next token with mass, and u = 0 skips a leading zero.
+        u = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.99])
+        np.testing.assert_array_equal(sample_tokens(self.P, u), [1, 1, 2, 2, 4, 4])
+        np.testing.assert_array_equal(sample_tokens(np.tile(self.P, (6, 1)), u),
+                                      [1, 1, 2, 2, 4, 4])
+        assert sample_tokens(self.P, 0.25) == 2
+
+    def test_past_the_sum_takes_last_positive(self):
+        short = np.array([0.25, 0.25, 0.0, 0.0])  # sums to 0.5
+        assert sample_tokens(short, 0.75) == 1
+        rows = np.vstack([short, self.P[:4] * 2])
+        np.testing.assert_array_equal(sample_tokens(rows, np.array([0.75, 0.99])), [1, 2])
+
+    def test_rows_match_shared_row(self):
+        u = np.random.default_rng(4).random(500)
+        np.testing.assert_array_equal(sample_tokens(np.tile(self.P, (500, 1)), u),
+                                      sample_tokens(self.P, u))
 
 
 class TestValidateTokens:

@@ -385,12 +385,6 @@ class TestDerivationProperties:
         batch = derive_open_steps(key, 50)
         assert len({tuple(row) for row in batch.supports.tolist()}) > 1
 
-    def test_mean_vector(self):
-        step = derive_open_step(open_key(d=4, epsilon=0.5, k=2), 0)
-        mu = np.zeros(4)
-        mu[step.support] = 1 / math.sqrt(2)
-        np.testing.assert_array_equal(step.mean_vector, mu)
-
     def test_negative_step_rejected(self):
         with pytest.raises(InvalidInputError):
             derive_closed_step(closed_key(), -1)
@@ -746,6 +740,25 @@ class TestKeyFiles:
             obj["k"] = k
             with pytest.raises(InvalidKeyError):
                 key_from_dict(obj)
+
+    def test_epsilon_must_be_a_number(self):
+        for epsilon in (True, "0.25", float("nan"), [0.25]):
+            obj = key_to_dict(open_key())
+            obj["epsilon"] = epsilon
+            with pytest.raises(InvalidKeyError):
+                key_from_dict(obj)
+
+    def test_padded_must_be_a_boolean(self):
+        # "no" once loaded as padded=True, and generate then refused the
+        # key's own model.
+        for padded in ("no", "false", 0, 1, None):
+            obj = key_to_dict(closed_key())
+            obj["padded"] = padded
+            with pytest.raises(InvalidKeyError):
+                key_from_dict(obj)
+        obj = key_to_dict(closed_key())
+        obj["padded"] = False
+        assert key_from_dict(obj).padded is False
 
     def test_seed_base64_is_strict(self):
         obj = key_to_dict(closed_key())

@@ -8,6 +8,7 @@ import pytest
 
 import tokenmark.closed_scheme
 from tokenmark.errors import CheckFailedError, InvalidInputError
+from tokenmark.keystream import CLOSED, WatermarkKey
 from tokenmark.oracles import (
     BIAS_CONSTANT,
     PSI1_CENTERED_SCALE,
@@ -21,6 +22,7 @@ from tokenmark.oracles import (
     undetectability_exact,
     verify_suite,
 )
+from tokenmark.textgen import generate, iid_source, markov_source
 
 
 class TestLemmaExact:
@@ -148,6 +150,30 @@ class TestUndetectabilityExact:
         assert undetectability_exact([0.7, 0.3]) > 0.1
         monkeypatch.setattr(tokenmark.closed_scheme, "watermark_distribution", real)
         assert undetectability_exact([0.7, 0.3]) == 0.0
+
+    def test_kernel_mutant_reaches_oracle_and_generation(self, monkeypatch):
+        """The oracle certifies the code that samples: the same mutant
+        patched into the one pairing kernel shows in the oracle and changes
+        the closed tokens ``generate`` draws, memoryless and Markov."""
+        real = tokenmark.closed_scheme._rank_shift
+
+        def overshooting(ps, signs):
+            q = np.clip(ps + 2.0 * real(ps, signs), 0.0, None)
+            return q / q.sum(axis=-1, keepdims=True) - ps
+
+        key = WatermarkKey(master_seed=bytes(32), d=8, scheme=CLOSED)
+        base = np.array([0.3, 0.2, 0.15, 0.12, 0.1, 0.06, 0.04, 0.03])
+        models = [iid_source(base),
+                  markov_source(np.vstack([np.roll(base, i) for i in range(8)]), base)]
+
+        def streams():
+            return [generate(m, 300, key, np.random.default_rng(21)).tokens for m in models]
+
+        honest = streams()
+        monkeypatch.setattr(tokenmark.closed_scheme, "_rank_shift", overshooting)
+        assert undetectability_exact([0.7, 0.3]) > 0.1
+        for before, after in zip(honest, streams()):
+            assert not np.array_equal(before, after)
 
     def test_mutant_makes_quick_suite_fail(self, monkeypatch):
         def overshooting(p, coloring, flip):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from tokenmark.closed_scheme import watermark_distributions
+from tokenmark.closed_scheme import watermark_distribution, watermark_distributions
+from tokenmark.core import sample_tokens
 from tokenmark.detector import closed_statistics, detect_closed
 from tokenmark.errors import InvalidInputError, SchemeMismatchError
 from tokenmark.keystream import (
@@ -16,6 +17,7 @@ from tokenmark.keystream import (
     WatermarkKey,
     derive_closed_steps,
 )
+from tokenmark.open_scheme import perturbations_for, watermarked_softmax
 from tokenmark.textgen import (
     GenerationRecord,
     condition_lhs,
@@ -120,6 +122,31 @@ class TestModelFromDict:
         with pytest.raises(InvalidInputError):
             model_from_dict({"kind": "iid"})
 
+    def test_field_types_are_strict(self):
+        # Each of these once loaded: d = 8.7 as 8, "16" as 16, s = true as 1.
+        for obj in (
+            {"kind": "uniform", "d": 8.7},
+            {"kind": "uniform", "d": True},
+            {"kind": "powerlaw-logits", "d": 8.7, "s": 1.0},
+            {"kind": "powerlaw-logits", "d": "16", "s": 1.0},
+            {"kind": "powerlaw-logits", "d": 16, "s": True},
+            {"kind": "powerlaw-logits", "d": 16, "s": "1.2"},
+            {"kind": "powerlaw-logits", "d": 16, "s": 1.2, "scale": "2"},
+            {"kind": "powerlaw-logits", "d": 16, "s": 1.2, "scale": True},
+            {"kind": "iid", "probs": [True, False]},
+            {"kind": "iid", "probs": ["0.5", "0.5"]},
+            {"kind": "markov", "transition": [[1, 0], [0, True]], "initial": [1, 0]},
+        ):
+            with pytest.raises(InvalidInputError):
+                model_from_dict(obj)
+
+    def test_numbers_load(self):
+        # Integers are numbers wherever a number is asked for.
+        power = model_from_dict({"kind": "powerlaw-logits", "d": 8192, "s": 1, "scale": 2})
+        np.testing.assert_array_equal(power.logits, powerlaw_source(8192, 2.0).logits)
+        iid = model_from_dict({"kind": "iid", "probs": [1, 0]})
+        np.testing.assert_array_equal(iid.probs, [1.0, 0.0])
+
 
 class TestGenerate:
     def test_record_shape_and_tags(self):
@@ -194,6 +221,31 @@ class TestGenerate:
         record = generate(model, 120, key, np.random.default_rng(7))
         assert record.scheme == "open"
         assert record.tokens.shape == (120,)
+
+
+    def test_markov_steps_follow_single_step_laws(self):
+        # Keyed Markov generation draws step j from the single-step law of
+        # the current state, with the one sampler and uniforms drawn up front.
+        base = np.array([0.4, 0.02, 0.25, 0.15, 0.1, 0.05, 0.02, 0.01])
+        model = markov_source(circulant_transition(base), np.full(8, 1 / 8))
+        n = 300
+        for key in (closed_key(8), open_key(8, epsilon=0.4, k=2)):
+            tokens = generate(model, n, key, np.random.default_rng(22)).tokens
+            u = np.random.default_rng(22).random(n)
+            if key.scheme == CLOSED:
+                batch = derive_closed_steps(key, n)
+
+                def law(row, j):
+                    return watermark_distribution(row, batch.colorings[j], int(batch.flips[j]))
+            else:
+                deltas = perturbations_for(key, n)
+
+                def law(row, j):
+                    return watermarked_softmax(np.log(row), deltas[j])
+            row = model.initial
+            for j, token in enumerate(tokens):
+                assert token == sample_tokens(law(row, j), u[j])
+                row = model.transition[token]
 
 
 class TestGenerateMany:
@@ -372,6 +424,19 @@ class TestFiles:
             record_from_dict(
                 {"d": 4, "scheme": "alien", "tokens": [0], "pstar": [0.5]}
             )
+
+    def test_record_field_types_are_strict(self):
+        # Fractional or boolean tokens once loaded as [1, 2] and [1, 0] and
+        # were scored; d = 8.9 loaded as 8.
+        good = {"d": 8, "scheme": "closed", "tokens": [1, 2], "pstar": [0.5, 0.5]}
+        assert record_from_dict(good).tokens.tolist() == [1, 2]
+        for field, value in (
+            ("tokens", [1.7, 2.2]), ("tokens", [1.0, 2.0]), ("tokens", [True, False]),
+            ("tokens", ["1", "2"]), ("tokens", [1, 2**70]), ("d", 8.9), ("d", True),
+            ("d", "8"), ("pstar", [True, 0.5]), ("pstar", ["0.5", "0.5"]),
+        ):
+            with pytest.raises(InvalidInputError):
+                record_from_dict({**good, field: value})
 
     def test_token_file_round_trip(self, tmp_path):
         path = tmp_path / "tokens.txt"
