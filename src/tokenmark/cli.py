@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -107,16 +108,23 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_text_tokens(path) -> np.ndarray:
+def _load_text_tokens(path, key: WatermarkKey) -> np.ndarray:
+    """Tokens of a text record, a file whose first non-blank character is
+    ``{`` and whose ``d`` must fit the key, or of a bare token file."""
     try:
-        return textgen.load_record(path).tokens
-    except InvalidInputError:
+        is_record = Path(path).read_text().lstrip().startswith("{")
+    except (OSError, ValueError) as exc:
+        raise InvalidInputError(f"cannot read text file {path}: {exc}") from exc
+    if not is_record:
         return textgen.load_tokens(path)
+    record = textgen.load_record(path)
+    textgen.check_key_d(record.d, key)
+    return record.tokens
 
 
 def cmd_detect(args) -> int:
     key = keystream.load_key(args.key)
-    tokens = _load_text_tokens(args.text)
+    tokens = _load_text_tokens(args.text, key)
     report = detect(key, tokens, args.delta)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     print(text)

@@ -153,11 +153,3 @@ def watermark_distributions(probs, colorings, flips) -> np.ndarray:
     signs = colorings * np.asarray(flips, dtype=colorings.dtype).reshape(-1, 1)
     return watermark_ranked(probs, rank_order(probs), signs)
 
-
-def sample_closed_batch(key: WatermarkKey, probs, rng: np.random.Generator,
-                        count: int, start: int = 0) -> np.ndarray:
-    """Watermarked tokens for ``count`` consecutive steps with per-step
-    distributions ``probs`` ((count, d) or shared (d,))."""
-    batch = keystream.derive_closed_steps(key, count, start)
-    q = watermark_distributions(probs, batch.colorings, batch.flips)
-    return sample_rows(q, rng)

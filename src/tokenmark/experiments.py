@@ -21,12 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import is_int, is_number
 from .detector import (closed_statistics, closed_threshold, open_statistics,
                        open_threshold)
 from .errors import InvalidInputError
 from .keystream import CLOSED, FRESH_SUPPORT, OPEN, WatermarkKey
 from .seeds import derive_master_seed, derive_seed, rng_for
-from .sparsemean import POWER_CSV_HEADER, PowerPoint, rejection_rate, wilson_interval
+from .sparsemean import POWER_CSV_HEADER, power_point, wilson_interval
 from .textgen import GenerationRecord, condition_lhs, generate_many, uniform_source
 
 try:
@@ -43,6 +44,13 @@ OPEN_COMPLETENESS_HEADER = ["scheme", "n", "d", "epsilon", "k", "delta", "texts"
                             "power", "ci_lo", "ci_hi"]
 
 
+# The type every experiment field must have; list fields must hold lists of it.
+_FIELDS = {"d": is_int, "n": is_int, "texts": is_int, "k": is_int, "trials": is_int,
+           "n_grid": is_int, "epsilon": is_number, "alpha": is_number, "delta": is_number,
+           "deltas": is_number}
+_LIST_FIELDS = ("n_grid", "deltas")
+
+
 def load_config(path) -> dict:
     try:
         config = json.loads(Path(path).read_text())
@@ -57,6 +65,9 @@ def validate_config(config: dict) -> None:
         raise InvalidInputError("config must be a JSON object")
     if "root_seed" not in config:
         raise InvalidInputError("config needs a root_seed")
+    workers = config.get("workers", 1)
+    if not is_int(workers) or workers < 1:
+        raise InvalidInputError(f"workers must be an integer of at least 1, got {workers!r}")
     experiments = config.get("experiments")
     if not isinstance(experiments, list) or not experiments:
         raise InvalidInputError("config needs a non-empty experiments list")
@@ -65,13 +76,21 @@ def validate_config(config: dict) -> None:
         if not isinstance(exp, dict) or "name" not in exp or "type" not in exp:
             raise InvalidInputError("each experiment needs a name and a type")
         name = exp["name"]
-        if not _NAME_RE.match(name):
+        if not isinstance(name, str) or not _NAME_RE.match(name):
             raise InvalidInputError(f"experiment name {name!r} is not a safe file stem")
         if name in seen:
             raise InvalidInputError(f"duplicate experiment name {name!r}")
         seen.add(name)
         if exp["type"] not in _RUNNERS:
             raise InvalidInputError(f"unknown experiment type {exp['type']!r}")
+        for field, check in _FIELDS.items():
+            if field not in exp:
+                continue
+            value = exp[field]
+            entries = value if field in _LIST_FIELDS else [value]
+            if not isinstance(entries, list) or not all(map(check, entries)):
+                raise InvalidInputError(
+                    f"experiment {name!r}: {field} has the wrong type: {value!r}")
 
 
 def _require(exp: dict, *keys):
@@ -83,98 +102,76 @@ def _require(exp: dict, *keys):
     return vals
 
 
+def _key(exp: dict, root, scheme: str, d: int) -> WatermarkKey:
+    seed = derive_master_seed(root, exp["name"], "key")
+    if scheme == CLOSED:
+        return WatermarkKey(seed, d=d, scheme=CLOSED)
+    return WatermarkKey(seed, d=d, scheme=OPEN, epsilon=float(exp.get("epsilon", 0.5)),
+                        k=exp.get("k", 1), support_mode=FRESH_SUPPORT)
+
+
+def _statistics(key: WatermarkKey, tokens: np.ndarray) -> np.ndarray:
+    return (closed_statistics if key.scheme == CLOSED else open_statistics)(key, tokens)
+
+
+def _rate(key: WatermarkKey, z: np.ndarray, n: int, delta: float) -> list:
+    """Share of the statistics ``z`` at or above the key's threshold, and
+    its Wilson interval."""
+    if key.scheme == CLOSED:
+        threshold = closed_threshold(n, delta)
+    else:
+        threshold = open_threshold(n, delta, key.epsilon)
+    hits = int((z >= threshold).sum())
+    return [hits / z.size, *wilson_interval(hits, z.size)]
+
+
 def _soundness(exp: dict, root, scheme: str) -> tuple[list[str], list[list]]:
     d, n, texts, deltas = _require(exp, "d", "n", "texts", "deltas")
-    name = exp["name"]
-    if scheme == CLOSED:
-        key = WatermarkKey(derive_master_seed(root, name, "key"), d=d, scheme=CLOSED)
-    else:
-        key = WatermarkKey(derive_master_seed(root, name, "key"), d=d, scheme=OPEN,
-                           epsilon=float(exp.get("epsilon", 0.5)),
-                           k=int(exp.get("k", 1)), support_mode=FRESH_SUPPORT)
+    key = _key(exp, root, scheme, d)
     tokens = generate_many(uniform_source(d), n, None, texts,
-                           rng_for(root, name, "texts"))
-    if scheme == CLOSED:
-        z = closed_statistics(key, tokens)
-    else:
-        z = open_statistics(key, tokens)
-    rows = []
-    for delta in deltas:
-        if scheme == CLOSED:
-            thr = closed_threshold(n, delta)
-        else:
-            thr = open_threshold(n, delta, key.epsilon)
-        hits = int((z >= thr).sum())
-        lo, hi = wilson_interval(hits, texts)
-        rows.append([scheme, delta, d, n, texts, hits / texts, lo, hi])
-    rows.sort(key=lambda r: r[1])
-    return SOUNDNESS_HEADER, rows
+                           rng_for(root, exp["name"], "texts"))
+    z = _statistics(key, tokens)
+    return SOUNDNESS_HEADER, [[scheme, delta, d, n, texts, *_rate(key, z, n, delta)]
+                              for delta in sorted(deltas)]
 
 
-def _closed_completeness(exp: dict, root) -> tuple[list[str], list[list]]:
+def _completeness(exp: dict, root, scheme: str) -> tuple[list[str], list[list]]:
     d, n_grid, texts, delta = _require(exp, "d", "n_grid", "texts", "delta")
-    name = exp["name"]
-    key = WatermarkKey(derive_master_seed(root, name, "key"), d=d, scheme=CLOSED)
-    model = uniform_source(d)
+    if scheme == OPEN:
+        _require(exp, "epsilon", "k")
+    key = _key(exp, root, scheme, d)
     rows = []
-    for n in sorted(int(n) for n in n_grid):
-        tokens = generate_many(model, n, key, texts, rng_for(root, name, "texts", n))
-        z = closed_statistics(key, tokens)
-        hits = int((z >= closed_threshold(n, delta)).sum())
-        lo, hi = wilson_interval(hits, texts)
-        record = GenerationRecord(tokens=tokens[0], per_step_pstar=np.full(n, 1.0 / d),
-                                  watermarked=True, scheme=CLOSED, d=d)
-        rows.append([CLOSED, n, d, delta, texts, condition_lhs(record, delta),
-                     hits / texts, lo, hi])
-    return CLOSED_COMPLETENESS_HEADER, rows
-
-
-def _open_completeness(exp: dict, root) -> tuple[list[str], list[list]]:
-    d, n_grid, texts, delta, epsilon, k = _require(
-        exp, "d", "n_grid", "texts", "delta", "epsilon", "k")
-    name = exp["name"]
-    key = WatermarkKey(derive_master_seed(root, name, "key"), d=d, scheme=OPEN,
-                       epsilon=float(epsilon), k=int(k), support_mode=FRESH_SUPPORT)
-    model = uniform_source(d)
-    rows = []
-    for n in sorted(int(n) for n in n_grid):
-        tokens = generate_many(model, n, key, texts, rng_for(root, name, "texts", n))
-        z = open_statistics(key, tokens)
-        hits = int((z >= open_threshold(n, delta, key.epsilon)).sum())
-        lo, hi = wilson_interval(hits, texts)
-        rows.append([OPEN, n, d, key.epsilon, key.k, delta, texts,
-                     hits / texts, lo, hi])
-    return OPEN_COMPLETENESS_HEADER, rows
+    for n in sorted(n_grid):
+        tokens = generate_many(uniform_source(d), n, key, texts,
+                               rng_for(root, exp["name"], "texts", n))
+        rate = _rate(key, _statistics(key, tokens), n, delta)
+        if scheme == CLOSED:
+            record = GenerationRecord(tokens=tokens[0], per_step_pstar=np.full(n, 1.0 / d),
+                                      watermarked=True, scheme=CLOSED, d=d)
+            rows.append([CLOSED, n, d, delta, texts, condition_lhs(record, delta), *rate])
+        else:
+            rows.append([OPEN, n, d, key.epsilon, key.k, delta, texts, *rate])
+    return (CLOSED_COMPLETENESS_HEADER if scheme == CLOSED else OPEN_COMPLETENESS_HEADER), rows
 
 
 def _sparse_power(exp: dict, root, workers: int) -> tuple[list[str], list[list]]:
     d, k, epsilon, alpha, n_grid, trials, tests = _require(
         exp, "d", "k", "epsilon", "alpha", "n_grid", "trials", "tests")
     seed = derive_seed(root, exp["name"])
-    points = [(test, n) for test in sorted(set(tests))
-              for n in sorted(set(int(n) for n in n_grid))]
+    points = [(test, n) for test in sorted(set(tests)) for n in sorted(set(n_grid))]
 
     def run_point(point):
-        test, n = point
-        hits, total = rejection_rate(test, "Ha", n, d, k, float(epsilon),
-                                     float(alpha), int(trials), seed)
-        lo, hi = wilson_interval(hits, total)
-        return PowerPoint(test=test, n=n, d=d, k=k, epsilon=float(epsilon),
-                          alpha=float(alpha), power=hits / total, ci_lo=lo, ci_hi=hi)
+        return power_point(*point, d, k, float(epsilon), float(alpha), trials, seed)
 
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_point, points))
-    else:
-        results = [run_point(point) for point in points]
-    return POWER_CSV_HEADER, [p.to_row() for p in results]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        return POWER_CSV_HEADER, [p.to_row() for p in pool.map(run_point, points)]
 
 
 _RUNNERS = {
     "closed-soundness": lambda exp, root, workers: _soundness(exp, root, CLOSED),
     "open-soundness": lambda exp, root, workers: _soundness(exp, root, OPEN),
-    "closed-completeness": lambda exp, root, workers: _closed_completeness(exp, root),
-    "open-completeness": lambda exp, root, workers: _open_completeness(exp, root),
+    "closed-completeness": lambda exp, root, workers: _completeness(exp, root, CLOSED),
+    "open-completeness": lambda exp, root, workers: _completeness(exp, root, OPEN),
     "sparse-power": _sparse_power,
 }
 
@@ -198,9 +195,7 @@ def run_experiments(config: dict, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     root = config["root_seed"]
-    workers = int(config.get("workers", 1))
-    if workers < 1:
-        raise InvalidInputError("workers must be at least 1")
+    workers = config.get("workers", 1)
     outputs = {}
     for exp in config["experiments"]:
         header, rows = _RUNNERS[exp["type"]](exp, root, workers)

@@ -142,8 +142,8 @@ class WatermarkKey:
             if self.epsilon is not None or self.k is not None or self.support_mode is not None:
                 raise InvalidKeyError("epsilon/k/support_mode only apply to the open scheme")
         elif self.scheme == OPEN:
-            if self.epsilon is None or self.epsilon <= 0:
-                raise InvalidKeyError("open scheme requires epsilon > 0")
+            if not is_number(self.epsilon) or self.epsilon <= 0:
+                raise InvalidKeyError("open scheme requires a finite epsilon > 0")
             if self.k is None or not 1 <= self.k <= self.d:
                 raise InvalidKeyError("open scheme requires 1 <= k <= d")
             mode = self.support_mode if self.support_mode is not None else FIXED_SUPPORT

@@ -86,11 +86,3 @@ def perturbations_for(key: WatermarkKey, count: int, start: int = 0) -> np.ndarr
     return _perturbations(batch.gaussians, _mean_vectors(batch.supports, key.d),
                           batch.directions, key.epsilon)
 
-
-def sample_open_batch(key: WatermarkKey, logits, rng: np.random.Generator,
-                      count: int, start: int = 0) -> np.ndarray:
-    """Watermarked tokens for ``count`` steps with per-step ``logits``
-    ((count, d) or a shared (d,) vector)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    q = softmax_rows(logits + perturbations_for(key, count, start))
-    return sample_rows(q, rng)

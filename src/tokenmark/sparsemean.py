@@ -263,18 +263,19 @@ POWER_CSV_HEADER = ["test", "n", "d", "k", "epsilon", "alpha",
                     "power", "ci_lo", "ci_hi"]
 
 
+def power_point(test: str, n: int, d: int, k: int, epsilon: float, alpha: float,
+                trials: int, seed) -> PowerPoint:
+    """Monte-Carlo power of one test at one sample size, with its Wilson 95%
+    confidence interval."""
+    hits, total = rejection_rate(test, HA, n, d, k, epsilon, alpha, trials, seed)
+    lo, hi = wilson_interval(hits, total)
+    return PowerPoint(test=test, n=n, d=d, k=k, epsilon=epsilon, alpha=alpha,
+                      power=hits / total, ci_lo=lo, ci_hi=hi)
+
+
 def power_curve(tests, n_grid, d: int, k: int, epsilon: float, alpha: float,
                 trials: int, seed) -> list[PowerPoint]:
-    """Monte-Carlo power of each test at each sample size, with Wilson 95%
-    confidence intervals. Rows come out sorted by (test, n) regardless of
-    execution order."""
-    points = []
-    for test in sorted(set(tests)):
-        for n in sorted(set(int(n) for n in n_grid)):
-            hits, total = rejection_rate(test, HA, n, d, k, epsilon, alpha,
-                                         trials, seed)
-            lo, hi = wilson_interval(hits, total)
-            points.append(PowerPoint(test=test, n=n, d=d, k=k, epsilon=epsilon,
-                                     alpha=alpha, power=hits / total,
-                                     ci_lo=lo, ci_hi=hi))
-    return points
+    """``power_point`` of each test at each sample size. Rows come out
+    sorted by (test, n) regardless of execution order."""
+    return [power_point(test, n, d, k, epsilon, alpha, trials, seed)
+            for test in sorted(set(tests)) for n in sorted(set(int(n) for n in n_grid))]

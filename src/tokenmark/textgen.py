@@ -18,20 +18,19 @@ from pathlib import Path
 import numpy as np
 
 from . import keystream
-from .closed_scheme import (rank_order, sample_closed_batch, watermark_distributions,
-                            watermark_ranked)
+from .closed_scheme import rank_order, watermark_distributions, watermark_ranked
 from .core import as_probs, is_int, is_number, sample_tokens, softmax, softmax_rows
 from .errors import InvalidInputError, SchemeMismatchError
 from .keystream import CLOSED, OPEN, WatermarkKey
-from .open_scheme import perturbations_for, sample_open_batch
+from .open_scheme import perturbations_for
 
 IID = "iid"
 MARKOV = "markov"
 POWERLAW = "powerlaw-logits"
 UNWATERMARKED = "none"
 
-# Steps per derivation/sampling block in the memoryless fast paths; bounds
-# peak memory at ~chunk * d doubles regardless of text length.
+# Steps per key-derivation block in both generation loops; bounds the key
+# material held at ~chunk * d entries regardless of text length.
 _CHUNK = 1 << 16
 
 
@@ -75,14 +74,6 @@ class SourceModel:
                 raise InvalidInputError("logit-space sampling needs strictly positive probabilities")
             return np.log(self.probs)
         raise InvalidInputError("markov sources have no fixed logits")
-
-    def row_logits(self) -> np.ndarray:
-        """Per-state logits (d, d) of a markov source, rows log(transition)."""
-        if self.kind != MARKOV:
-            raise InvalidInputError("row_logits applies to markov sources")
-        if (self.transition <= 0).any() or (self.initial <= 0).any():
-            raise InvalidInputError("logit-space sampling needs strictly positive rows")
-        return np.log(self.transition)
 
 
 def iid_source(p) -> SourceModel:
@@ -139,96 +130,111 @@ class GenerationRecord:
 # Generation
 
 
-def _check_dims(model: SourceModel, key: WatermarkKey) -> bool:
-    """Whether the key matches the model's dictionary; True if the closed key
-    expects one padding token on top of the model's d."""
+def check_key_d(d: int, key: WatermarkKey) -> bool:
+    """Raise SchemeMismatchError unless ``key`` is for a d-token dictionary,
+    a model's or a text record's; return whether it is a closed key padded
+    with one token past d."""
     if key.scheme == CLOSED and key.padded:
-        if key.d != model.d + 1:
-            raise SchemeMismatchError("padded key size must be model size + 1")
+        if key.d != d + 1:
+            raise SchemeMismatchError(f"padded key is for d={key.d - 1}, not d={d}")
         return True
-    if key.d != model.d:
-        raise SchemeMismatchError(f"key is for d={key.d}, model has d={model.d}")
+    if key.d != d:
+        raise SchemeMismatchError(f"key is for d={key.d}, not d={d}")
     return False
 
 
-def _fixed_law(model: SourceModel, key: WatermarkKey) -> np.ndarray:
-    """What a memoryless source gives the key's scheme at every step: its
-    logits for an open key, its probabilities (padded as the key needs) for
-    a closed one."""
-    padded = _check_dims(model, key)
-    if key.scheme == OPEN:
-        return model.fixed_logits()
-    p = model.fixed_probs()
-    return np.append(p, 0.0) if padded else p
+def _state_laws(model: SourceModel, key: WatermarkKey | None) -> np.ndarray:
+    """The law of each source state, one row per state, as sampling under
+    ``key`` takes it: logits for an open key, otherwise probabilities, with
+    a zero for the padding token of a padded closed key. A memoryless source
+    has one state; a Markov source starts in state 0, its initial law, and
+    moves to state ``token + 1``."""
+    padded = key is not None and check_key_d(model.d, key)
+    logits = key is not None and key.scheme == OPEN
+    if model.memoryless:
+        if logits:
+            return model.fixed_logits()[None]
+        laws = model.fixed_probs()[None]
+    else:
+        laws = np.vstack([model.initial, model.transition])
+        if logits:
+            if (laws <= 0).any():
+                raise InvalidInputError("logit-space sampling needs strictly positive rows")
+            return np.log(laws)
+    return np.pad(laws, ((0, 0), (0, 1))) if padded else laws
 
 
-def _generate_memoryless(model: SourceModel, n: int, key: WatermarkKey | None,
-                         rng: np.random.Generator) -> np.ndarray:
-    if key is None:
-        return sample_tokens(model.fixed_probs(), rng.random(n))
-    law = _fixed_law(model, key)
-    sample_batch = sample_closed_batch if key.scheme == CLOSED else sample_open_batch
-    tokens = np.empty(n, dtype=np.int64)
+def _memoryless_tokens(law: np.ndarray, key: WatermarkKey, u: np.ndarray) -> np.ndarray:
+    """Keyed tokens of a memoryless source from uniforms ``u`` (texts, n).
+    Each chunk's watermarked laws are computed once; one text samples the
+    whole chunk at once, many texts sample it step by step."""
+    texts, n = u.shape
+    tokens = np.empty(u.shape, dtype=np.int64)
     for lo in range(0, n, _CHUNK):
-        tokens[lo:lo + _CHUNK] = sample_batch(key, law, rng, min(_CHUNK, n - lo), lo)
+        hi = min(lo + _CHUNK, n)
+        if key.scheme == CLOSED:
+            batch = keystream.derive_closed_steps(key, hi - lo, lo)
+            q = watermark_distributions(law, batch.colorings, batch.flips)
+        else:
+            q = softmax_rows(law + perturbations_for(key, hi - lo, lo))
+        if texts == 1:
+            tokens[0, lo:hi] = sample_tokens(q, u[0, lo:hi])
+        else:
+            for j in range(lo, hi):
+                tokens[:, j] = sample_tokens(q[j - lo], u[:, j])
     return tokens
 
 
-def _generate_markov(model: SourceModel, n: int, key: WatermarkKey | None,
-                     rng: np.random.Generator) -> np.ndarray:
-    tokens = np.empty(n, dtype=np.int64)
-    uniforms = rng.random(n)
-    rows = [model.initial, *model.transition]  # the law after token prev is rows[prev + 1]
-    prev = -1
-
-    if key is None:
-        for j in range(n):
-            tokens[j] = prev = int(sample_tokens(rows[prev + 1], uniforms[j]))
-        return tokens
-
-    padded = _check_dims(model, key)
-    if key.scheme == CLOSED:
-        if padded:
-            rows = [np.append(r, 0.0) for r in rows]
-        orders = [rank_order(r) for r in rows]  # each state's law is sorted once
-        for lo in range(0, n, _CHUNK):
-            batch = keystream.derive_closed_steps(key, min(_CHUNK, n - lo), lo)
-            for j, signs in enumerate(batch.colorings * batch.flips[:, None]):
-                q = watermark_ranked(rows[prev + 1], orders[prev + 1], signs)
-                tokens[lo + j] = prev = int(sample_tokens(q, uniforms[lo + j]))
-        return tokens
-
-    logits = [np.log(model.initial), *model.row_logits()]
+def _markov_tokens(laws: np.ndarray, key: WatermarkKey | None, u: np.ndarray) -> np.ndarray:
+    """Tokens of a Markov source from uniforms ``u`` (texts, n), one step
+    at a time from the current state's (watermarked) law."""
+    texts, n = u.shape
+    if key is not None and key.scheme == CLOSED:
+        orders = list(rank_order(laws))  # each state's law is sorted once
+    laws = list(laws)
+    tokens = np.empty(u.shape, dtype=np.int64)
+    states = [0] * texts
     for lo in range(0, n, _CHUNK):
-        for j, delta in enumerate(perturbations_for(key, min(_CHUNK, n - lo), lo)):
-            q = softmax_rows(logits[prev + 1] + delta)
-            tokens[lo + j] = prev = int(sample_tokens(q, uniforms[lo + j]))
+        hi = min(lo + _CHUNK, n)
+        if key is None:
+            def law(s, j):
+                return laws[s]
+        elif key.scheme == CLOSED:
+            batch = keystream.derive_closed_steps(key, hi - lo, lo)
+            signs = batch.colorings * batch.flips[:, None]
+
+            def law(s, j):
+                return watermark_ranked(laws[s], orders[s], signs[j])
+        else:
+            deltas = perturbations_for(key, hi - lo, lo)
+
+            def law(s, j):
+                return softmax_rows(laws[s] + deltas[j])
+        for i, (row, uniforms) in enumerate(zip(tokens, u)):
+            s = states[i]
+            for j in range(lo, hi):
+                row[j] = token = int(sample_tokens(law(s, j - lo), uniforms[j]))
+                s = token + 1
+            states[i] = s
     return tokens
 
 
 def _pstar_series(model: SourceModel, tokens: np.ndarray) -> np.ndarray:
     """Exact per-step top probability of the source law (not the watermarked
     one: the guarantees are stated in terms of the model's own entropy)."""
-    n = tokens.size
-    if model.memoryless:
-        return np.full(n, model.fixed_probs().max())
-    row_max = model.transition.max(axis=1)
-    out = np.empty(n)
-    out[0] = model.initial.max()
-    out[1:] = row_max[tokens[:-1]]
-    return out
+    states = np.zeros(tokens.size, dtype=np.int64)
+    if not model.memoryless:
+        states[1:] = tokens[:-1] + 1
+    return _state_laws(model, None).max(axis=1)[states]
 
 
 def generate(model: SourceModel, n: int, key: WatermarkKey | None,
              rng: np.random.Generator) -> GenerationRecord:
     """Sample an n-token text from ``model``, watermarking each step with
-    ``key`` if one is given. Deterministic given the rng state and key."""
-    if n < 1:
-        raise InvalidInputError("text length must be at least 1")
-    if model.memoryless:
-        tokens = _generate_memoryless(model, n, key, rng)
-    else:
-        tokens = _generate_markov(model, n, key, rng)
+    ``key`` if one is given: the one-text case of ``generate_many``, plus
+    the per-step top probabilities. Deterministic given the rng state and
+    key."""
+    tokens = generate_many(model, n, key, 1, rng)[0]
     tokens.flags.writeable = False
     pstar = _pstar_series(model, tokens)
     pstar.flags.writeable = False
@@ -245,30 +251,20 @@ def generate_many(model: SourceModel, n: int, key: WatermarkKey | None,
                   texts: int, rng: np.random.Generator) -> np.ndarray:
     """Token matrix (texts, n): independent texts sharing one key.
 
-    For a memoryless source all texts draw from the same per-step
-    watermarked distributions, so those are computed once; this is what
-    makes thousand-text detector sweeps cheap. Markov sources fall back to
-    per-text generation."""
+    Whatever the source and key, the uniforms are one draw
+    ``u = rng.random((texts, n))`` and text i takes its tokens from row i,
+    so a call equals ``texts`` successive one-text calls on the same rng.
+    The per-step watermarked laws of a memoryless source are computed once
+    for all texts; this is what makes thousand-text detector sweeps cheap."""
     if texts < 1 or n < 1:
         raise InvalidInputError("need at least one text and one step")
-    if not model.memoryless:
-        return np.stack([generate(model, n, key, rng).tokens for _ in range(texts)])
-    if key is None:
-        return sample_tokens(model.fixed_probs(), rng.random((texts, n)))
-
-    law = _fixed_law(model, key)
+    laws = _state_laws(model, key)
     u = rng.random((texts, n))
-    tokens = np.empty((texts, n), dtype=np.int64)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        if key.scheme == CLOSED:
-            batch = keystream.derive_closed_steps(key, hi - lo, lo)
-            q = watermark_distributions(law, batch.colorings, batch.flips)
-        else:
-            q = softmax_rows(law + perturbations_for(key, hi - lo, lo))
-        for j in range(lo, hi):
-            tokens[:, j] = sample_tokens(q[j - lo], u[:, j])
-    return tokens
+    if not model.memoryless:
+        return _markov_tokens(laws, key, u)
+    if key is None:
+        return sample_tokens(laws[0], u)
+    return _memoryless_tokens(laws[0], key, u)
 
 
 def condition_lhs(record: GenerationRecord, delta: float) -> float:

@@ -27,6 +27,10 @@ from tokenmark.keystream import CLOSED, OPEN, WatermarkKey, load_key, save_key
 from tokenmark.textgen import load_record, load_tokens
 
 UNIFORM64 = json.dumps({"kind": "uniform", "d": 64})
+FPR = {"name": "fpr", "type": "closed-soundness", "d": 8, "n": 50, "texts": 40,
+       "deltas": [0.05]}
+POWER = {"name": "power", "type": "closed-completeness", "d": 8, "n_grid": [200.7],
+         "texts": 10, "delta": 0.05}
 
 
 def run_cli(*argv):
@@ -83,6 +87,16 @@ class TestKeygen:
                      "--out", str(tmp_path / "key.json"))
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_writes_no_key(self, tmp_path, capsys, epsilon):
+        # Such a key file was once written, and every later command rejected it.
+        out = tmp_path / "key.json"
+        rc = run_cli("keygen", "--scheme", "open", "--d", "8", "--k", "2",
+                     "--epsilon", epsilon, "--out", str(out))
+        assert rc == 2
+        assert "epsilon" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGenerate:
@@ -282,6 +296,47 @@ class TestDetect:
         assert run_cli("detect", "--text", str(text), "--key", str(key)) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_record_error_is_reported_as_is(self, tmp_path, capsys):
+        key = tmp_path / "key.json"
+        run_cli("keygen", "--scheme", "closed", "--d", "8", "--out", str(key))
+        text = tmp_path / "text.json"
+        text.write_text(json.dumps({"d": 8, "scheme": "closed", "tokens": [1.5, 2],
+                                    "pstar": [0.5, 0.5]}))
+        assert run_cli("detect", "--text", str(text), "--key", str(key)) == 2
+        err = capsys.readouterr().err
+        assert "tokens" in err
+        assert "token file" not in err
+        bare = tmp_path / "tokens.txt"
+        bare.write_text("\n  1 2 3\n")
+        assert run_cli("detect", "--text", str(bare), "--key", str(key)) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["n_tokens"] == 3
+        # Not UTF-8: once a traceback with exit 1.
+        bare.write_bytes(b"\xff\xfe 1 2")
+        assert run_cli("detect", "--text", str(bare), "--key", str(key)) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_record_d_must_fit_the_key(self, tmp_path, capsys):
+        text = tmp_path / "text.json"
+        text.write_text(json.dumps({"d": 8, "scheme": "closed", "tokens": [1, 2],
+                                    "pstar": [0.5, 0.5]}))
+        for d, padded in ((16, False), (8, True)):
+            key = tmp_path / f"key{d}.json"
+            save_key(WatermarkKey(master_seed=bytes(32), d=d, scheme=CLOSED,
+                                  padded=padded), key)
+            assert run_cli("detect", "--text", str(text), "--key", str(key)) == 2
+            assert "d=8" in capsys.readouterr().err
+
+    def test_padded_key_scores_its_record(self, tmp_path, capsys):
+        key = tmp_path / "key.json"
+        record = tmp_path / "record.json"
+        run_cli("keygen", "--scheme", "closed", "--d", "7", "--out", str(key))
+        run_cli("generate", "--model", json.dumps({"kind": "uniform", "d": 7}),
+                "--n", "300", "--seed", "3", "--key", str(key), "--out", str(record))
+        capsys.readouterr()
+        assert load_record(record).d == 7
+        assert run_cli("detect", "--text", str(record), "--key", str(key)) == 0
+        assert json.loads(capsys.readouterr().out)["n_tokens"] == 300
+
     def test_bad_delta(self, tmp_path, capsys):
         key = tmp_path / "key.json"
         run_cli("keygen", "--scheme", "closed", "--d", "8", "--out", str(key))
@@ -346,6 +401,22 @@ class TestExperiment:
         assert (out_dir / "manifest.json").exists()
         for filename in manifest["outputs"].values():
             assert (out_dir / filename).exists()
+
+    @pytest.mark.parametrize("workers, experiment", [
+        ("two", FPR), (1, {**FPR, "d": "8"}), (1, {**FPR, "d": 8.0}),
+        (1, {**FPR, "n": 20.5}), (1, POWER), (1, {**FPR, "name": 5}),
+    ], ids=["workers-string", "d-string", "d-float", "n-float", "n_grid-float", "name-int"])
+    def test_malformed_config_fields(self, tmp_path, capsys, workers, experiment):
+        # Each once ended in a traceback with exit 1; the n_grid one silently
+        # ran n = 200.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"root_seed": 99, "workers": workers,
+                                      "experiments": [experiment]}))
+        out_dir = tmp_path / "results"
+        rc = run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir))
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_config(self, tmp_path, capsys):
         rc = run_cli("experiment", "--config", str(tmp_path / "nope.json"),

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from tokenmark.closed_scheme import (
     closed_step,
     rank_match,
-    sample_closed_batch,
     watermark_distribution,
     watermark_distributions,
 )
 from tokenmark.errors import InvalidInputError
 from tokenmark.keystream import CLOSED, WatermarkKey, derive_closed_steps
+from tokenmark.textgen import generate, iid_source
 
 P4 = np.array([0.4, 0.3, 0.2, 0.1])
 COLORING4 = np.array([1, -1, 1, -1])
@@ -269,7 +269,7 @@ class TestKeyedSampling:
         p = np.full(8, 1 / 8)
         rng = np.random.default_rng(10)
         n = 600
-        tokens = sample_closed_batch(key, p, rng, n)
+        tokens = generate(iid_source(p), n, key, rng).tokens
         batch = derive_closed_steps(key, n)
         q = watermark_distributions(p, batch.colorings, batch.flips)
         assert np.all(q[np.arange(n), tokens] > 0)
@@ -278,7 +278,7 @@ class TestKeyedSampling:
         key = WatermarkKey(master_seed=bytes(32), d=6, scheme=CLOSED)
         p = np.array([0.3, 0.25, 0.2, 0.15, 0.07, 0.03])
         n = 4000
-        tokens = sample_closed_batch(key, p, np.random.default_rng(11), n)
+        tokens = generate(iid_source(p), n, key, np.random.default_rng(11)).tokens
         batch = derive_closed_steps(key, n)
         q = watermark_distributions(p, batch.colorings, batch.flips)
         # Pooled frequencies should match the average watermarked law.

@@ -1,6 +1,8 @@
 """Experiment runner: config validation, CSV schemas, reproducibility."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -61,6 +63,27 @@ def small_config():
             },
         ],
     }
+
+
+def pinned_config():
+    """``small_config`` plus an open-soundness sweep: one of each type."""
+    config = small_config()
+    config["experiments"].append({"name": "open-fpr", "type": "open-soundness", "d": 16,
+                                  "n": 200, "texts": 400, "epsilon": 0.5, "k": 2,
+                                  "deltas": [0.01, 0.05, 0.1]})
+    return config
+
+
+# SHA-256 of each output of ``pinned_config``; the manifest's with its
+# ``versions`` object emptied, since those name the installed numpy and python.
+PINNED_OUTPUTS = {
+    "closed-fpr.csv": "00019eef5a76e73c8faa6ec82ef036c5ea36dde8cd027d5434ea1b2881cb7b26",
+    "closed-power.csv": "b27935cd44fda43074bd383c06972371aa51cf52905f94ac45c6f4cf8f2d07a2",
+    "open-fpr.csv": "aa27e0b20a6ff6cc97d2685326504926df4a293688495a560082e2c59e98eb87",
+    "open-power.csv": "9f504533ad09af8430ace6290523ec1eae4f9a39f9af7e93971c91359a53d084",
+    "sparse-grid.csv": "32446d74a0ff4f4dbd34523664904dc0643e1430513ce578d5a2115ea3f60551",
+    "manifest.json": "e62e0d49d6b38a7dcd0854197f47cc9c86697b249b12f87da9c85eb8c5e3f212",
+}
 
 
 def read_csv(path):
@@ -206,6 +229,15 @@ class TestReproducibility:
         for name in ("closed-fpr.csv", "closed-power.csv", "open-power.csv",
                      "sparse-grid.csv", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_pinned_output_bytes(self, tmp_path):
+        run_experiments(pinned_config(), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(PINNED_OUTPUTS)
+        for name, expected in PINNED_OUTPUTS.items():
+            raw = (tmp_path / name).read_bytes()
+            if name == "manifest.json":
+                raw = re.sub(rb'"versions": \{[^}]*\}', b'"versions": {}', raw)
+            assert hashlib.sha256(raw).hexdigest() == expected, name
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         serial = small_config()

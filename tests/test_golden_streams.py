@@ -1,10 +1,12 @@
 """Golden token streams: SHA-256 digests of what the samplers draw.
 
 Every sampling path draws through one categorical sampler and, for the
-closed scheme, one pairing kernel. These digests pin the token streams of
-the single-step samplers at d = 32768 and of the generation paths whose
-streams did not change when those paths were merged; a refactor of the
-sampler or the kernels must keep every one of them.
+closed scheme, one pairing kernel, and ``generate`` is the one-text case of
+``generate_many``. These digests pin the token streams of the single-step
+samplers at d = 32768 and of every generation path: memoryless and Markov,
+one text and many, unkeyed, closed, padded closed and open, and texts
+longer than one derivation chunk. A refactor of the sampler, the kernels or
+the generation loops must keep every one of them.
 """
 
 import hashlib
@@ -21,10 +23,31 @@ SEED = bytes(range(32))
 D = 32768
 STEPS = [0, 1, 4097, 2**40 + 3]
 P9 = np.array([0.25, 0.2, 0.15, 0.0, 0.12, 0.1, 0.1, 0.05, 0.03])
+P8 = np.array([0.4, 0.02, 0.25, 0.15, 0.1, 0.05, 0.02, 0.01])
+# One step past a derivation chunk of 2**16 steps, and 99 more.
+LONG = 65536 + 100
+
+CLOSED8 = WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED)
+PADDED8 = WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED, padded=True)
+OPEN8 = WatermarkKey(master_seed=SEED, d=8, scheme=OPEN, epsilon=0.4, k=2)
 
 
 def digest(tokens):
     return hashlib.sha256(np.asarray(tokens, dtype=np.int64).tobytes()).hexdigest()
+
+
+def circulant(base):
+    return np.vstack([np.roll(base, i) for i in range(base.size)])
+
+
+def markov8():
+    return markov_source(circulant(P8), np.full(8, 1 / 8))
+
+
+def markov7():
+    """A d = 7 chain with a zero in every row, for a padded d = 8 key."""
+    base = np.array([0.35, 0.0, 0.25, 0.15, 0.12, 0.08, 0.05])
+    return markov_source(circulant(base), np.array([0.1, 0.2, 0.3, 0.1, 0.1, 0.1, 0.1]))
 
 
 def large_inputs():
@@ -76,3 +99,62 @@ def test_markov_unkeyed():
     record = generate(model, 5000, None, np.random.default_rng(11))
     assert digest(record.tokens) == \
         "063624b833efcb705dd3ee73aa16cfb8b5b673c5e0ba6f0afa685955df7c55b8"
+
+
+def test_markov_keyed():
+    record = generate(markov8(), 4000, CLOSED8, np.random.default_rng(31))
+    assert digest(record.tokens) == \
+        "dfcad23d10e0d7866dc7833d6e39e2c72afafa6e6a8f1ff398868d20e4080480"
+    record = generate(markov7(), 4000, PADDED8, np.random.default_rng(32))
+    assert digest(record.tokens) == \
+        "504cae26ec6670aae0f1ddef45cc1d30e46582d656a7e796d134b6cbc99d8f3f"
+    record = generate(markov8(), 4000, OPEN8, np.random.default_rng(33))
+    assert digest(record.tokens) == \
+        "ce6bd2debc87d767747f6bb61bea5624317f7a21731e3c3be28cc79f6562a6a5"
+
+
+def test_generate_many_keyed():
+    padded = WatermarkKey(master_seed=SEED, d=10, scheme=CLOSED, padded=True)
+    tokens = generate_many(iid_source(P9), 500, padded, 7, np.random.default_rng(34))
+    assert digest(tokens) == "951298e54b6a42e99f592937d92d94cbb492bdaf18a0ee14f362083e969ea174"
+    key = WatermarkKey(master_seed=SEED, d=64, scheme=OPEN, epsilon=0.3, k=4)
+    tokens = generate_many(powerlaw_source(64, 1.1), 500, key, 7, np.random.default_rng(35))
+    assert digest(tokens) == "32d8f009f617bd78fee28c47e142a6dafd36f447492ee85664f321c7416941a7"
+    tokens = generate_many(markov8(), 400, CLOSED8, 5, np.random.default_rng(36))
+    assert digest(tokens) == "b609d5e8c0b04921333f9f79e68ac8053f959ac28e45cf372daa5ad4fed0ea7f"
+
+
+def test_texts_longer_than_a_chunk():
+    record = generate(iid_source(P8), LONG, CLOSED8, np.random.default_rng(37))
+    assert digest(record.tokens) == \
+        "8857165f8ffed0252c0848105836221cb8482564a670a192e3edefd18411e248"
+    record = generate(powerlaw_source(8, 0.9), LONG, OPEN8, np.random.default_rng(38))
+    assert digest(record.tokens) == \
+        "fab9bc69b3b89162631002ebc6602ac860a296d84492f84753c76582539848d2"
+    tokens = generate_many(iid_source(P8), LONG, CLOSED8, 2, np.random.default_rng(39))
+    assert digest(tokens) == "92471bef1f80aa6ca29d41cfbdc81802f575572724e05d6885eca7037956ad5a"
+    record = generate(markov8(), LONG, CLOSED8, np.random.default_rng(40))
+    assert digest(record.tokens) == \
+        "b6e2b989bdcb0279c44ff2373bcf4fc83ae8feb41801645b0e9da2628aae3e94"
+
+
+def test_generate_is_the_one_text_case():
+    padded = WatermarkKey(master_seed=SEED, d=10, scheme=CLOSED, padded=True)
+    opened = WatermarkKey(master_seed=SEED, d=64, scheme=OPEN, epsilon=0.3, k=4)
+    for model, key in ((iid_source(P9), padded), (powerlaw_source(64, 1.1), opened),
+                       (iid_source(P8), CLOSED8)):
+        record = generate(model, 700, key, np.random.default_rng(41))
+        rows = generate_many(model, 700, key, 1, np.random.default_rng(41))
+        np.testing.assert_array_equal(record.tokens, rows[0])
+
+
+def test_rows_are_successive_texts():
+    # Many memoryless texts sample step by step and one text all steps at
+    # once; both orientations draw the same tokens from the same uniforms.
+    for model, key in ((markov8(), CLOSED8), (markov7(), PADDED8), (markov8(), OPEN8),
+                       (markov8(), None), (iid_source(P8), CLOSED8),
+                       (powerlaw_source(8, 0.9), OPEN8)):
+        rows = generate_many(model, 300, key, 4, np.random.default_rng(42))
+        rng = np.random.default_rng(42)
+        for row in rows:
+            np.testing.assert_array_equal(row, generate(model, 300, key, rng).tokens)

@@ -22,9 +22,9 @@ from tokenmark.open_scheme import (
     mean_vector,
     open_step,
     perturbations_for,
-    sample_open_batch,
     watermarked_softmax,
 )
+from tokenmark.textgen import generate, iid_source, uniform_source
 
 SEED = bytes(range(32))
 
@@ -146,7 +146,7 @@ class TestKeyedSampling:
         key = make_key(d=4, epsilon=0.3, k=2)
         logits = np.array([0.2, -0.1, 0.4, -0.5])
         n = 4000
-        tokens = sample_open_batch(key, logits, np.random.default_rng(12), n)
+        tokens = generate(iid_source(softmax(logits)), n, key, np.random.default_rng(12)).tokens
         q = np.vstack([watermarked_softmax(logits, delta) for delta in perturbations_for(key, n)])
         freq = np.bincount(tokens, minlength=4) / n
         np.testing.assert_allclose(freq, q.mean(axis=0), atol=0.03)
@@ -156,7 +156,7 @@ class TestKeyedSampling:
         # mean score over watermarked draws is positive.
         key = make_key(d=16, epsilon=0.5, k=4, mode=FRESH_SUPPORT)
         n = 20_000
-        tokens = sample_open_batch(key, np.zeros(16), np.random.default_rng(13), n)
+        tokens = generate(uniform_source(16), n, key, np.random.default_rng(13)).tokens
         g = derive_open_gaussians(key, n)
         scores = g[np.arange(n), tokens]
         assert scores.mean() > 5 * scores.std() / math.sqrt(n)
