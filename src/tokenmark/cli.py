@@ -9,15 +9,15 @@ output goes to stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import keystream, oracles, textgen
+from .core import json_text, parse_json, read_json, read_text
 from .detector import detect
-from .errors import InvalidInputError, TokenmarkError
+from .errors import TokenmarkError
 from .experiments import load_config, run_experiments
 from .keystream import CLOSED, OPEN, WatermarkKey
 
@@ -84,17 +84,8 @@ def cmd_keygen(args) -> int:
 
 def _load_model(args) -> textgen.SourceModel:
     if args.model is not None:
-        try:
-            obj = json.loads(args.model)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"bad inline model JSON: {exc}") from exc
-    else:
-        try:
-            with open(args.model_file) as fh:
-                obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InvalidInputError(f"cannot read model file: {exc}") from exc
-    return textgen.model_from_dict(obj)
+        return textgen.model_from_dict(parse_json(args.model, "inline model JSON"))
+    return textgen.model_from_dict(read_json(args.model_file, "model file"))
 
 
 def cmd_generate(args) -> int:
@@ -111,36 +102,34 @@ def cmd_generate(args) -> int:
 def _load_text_tokens(path, key: WatermarkKey) -> np.ndarray:
     """Tokens of a text record, a file whose first non-blank character is
     ``{`` and whose ``d`` must fit the key, or of a bare token file."""
-    try:
-        is_record = Path(path).read_text().lstrip().startswith("{")
-    except (OSError, ValueError) as exc:
-        raise InvalidInputError(f"cannot read text file {path}: {exc}") from exc
-    if not is_record:
-        return textgen.load_tokens(path)
-    record = textgen.load_record(path)
+    text = read_text(path, "text file")
+    if not text.lstrip().startswith("{"):
+        return textgen.tokens_from_text(text, path)
+    record = textgen.record_from_dict(parse_json(text, f"text record {path}"))
     textgen.check_key_d(record.d, key)
     return record.tokens
+
+
+def _print_json(obj, out=None) -> None:
+    """Print ``obj`` as JSON, and write the same text to ``out`` if given."""
+    text = json_text(obj)
+    sys.stdout.write(text)
+    if out:
+        Path(out).write_text(text)
 
 
 def cmd_detect(args) -> int:
     key = keystream.load_key(args.key)
     tokens = _load_text_tokens(args.text, key)
     report = detect(key, tokens, args.delta)
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        report.save(args.out)
+    _print_json(report.to_dict(), args.out)
     return 0 if report.verdict else 1
 
 
 def cmd_verify(args) -> int:
     checks = oracles.verify_suite(args.level, seed=args.seed)
     report = oracles.suite_report(checks, args.level)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    _print_json(report, args.out)
     if report["all_pass"]:
         return 0
     failed = [c["name"] for c in report["checks"] if not c["pass"]]
@@ -149,9 +138,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    config = load_config(args.config)
-    manifest = run_experiments(config, args.out_dir)
-    print(json.dumps(manifest, indent=2, sort_keys=True))
+    _print_json(run_experiments(load_config(args.config), args.out_dir))
     return 0
 
 
@@ -168,10 +155,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except TokenmarkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TokenmarkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,5 @@
-"""Dictionary-indexed numeric primitives shared by every module.
+"""Dictionary-indexed numeric primitives shared by every module, and the
+one reader, field checker and writer for the files the package touches.
 
 Tokens are plain integers in ``[0, d)`` (0-based everywhere in code;
 1-based only in human-readable output). Probability vectors and logits are
@@ -15,8 +16,10 @@ the first to exceed ``u``.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
+from pathlib import Path
 
 import numpy as np
 
@@ -125,6 +128,28 @@ def is_number(value) -> bool:
             and math.isfinite(value))
 
 
+def field(obj: dict, name: str, check, default=...):
+    """``obj[name]`` after ``check`` accepts it; ``default`` when ``obj`` has
+    no ``name`` and a default is given. Values are never converted."""
+    if name not in obj:
+        if default is ...:
+            raise InvalidInputError(f"{name} is missing")
+        return default
+    value = obj[name]
+    if not check(value):
+        raise InvalidInputError(f"{name} has the wrong type: {value!r}")
+    return value
+
+
+def array_field(obj: dict, name: str, check, dtype) -> np.ndarray:
+    """``obj[name]``, a (nested) list, as an array after ``check`` accepts
+    every entry; booleans and strings are never silently converted."""
+    entries = np.asarray(field(obj, name, lambda value: True), dtype=object)
+    if not all(map(check, entries.flat)):
+        raise InvalidInputError(f"{name} has an entry of the wrong type")
+    return entries.astype(dtype)
+
+
 def validate_tokens(tokens, d: int) -> np.ndarray:
     """Validate a token sequence against dictionary size ``d``."""
     arr = np.asarray(tokens)
@@ -152,3 +177,37 @@ def _token_entries(arr: np.ndarray, d: int) -> np.ndarray:
     if arr.min() < 0 or arr.max() >= d:
         raise CorruptTextError(f"token out of range for dictionary size {d}")
     return arr.astype(np.int64, copy=False)
+
+
+# --------------------------------------------------------------------------
+# Files: one that cannot be read, decoded as UTF-8 or parsed raises the
+# caller's error class, never a bare OSError or ValueError.
+
+
+def read_text(path, what: str, error=InvalidInputError) -> str:
+    """The UTF-8 text of the file at ``path``, described as ``what``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def parse_json(text: str, what: str, error=InvalidInputError) -> dict:
+    """The JSON object in ``text``, the contents of ``what``."""
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"cannot parse {what}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise error(f"{what} must hold a JSON object")
+    return obj
+
+
+def read_json(path, what: str, error=InvalidInputError) -> dict:
+    """The JSON object in the file at ``path``, described as ``what``."""
+    return parse_json(read_text(path, what, error), f"{what} {path}", error)
+
+
+def json_text(obj) -> str:
+    """``obj`` as indent-2, sorted-keys JSON text with one final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

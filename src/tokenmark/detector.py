@@ -10,7 +10,6 @@ equality rather than a bound.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import keystream
-from .core import validate_token_matrix, validate_tokens
+from .core import field, is_int, is_number, json_text, validate_token_matrix, validate_tokens
 from .errors import InvalidInputError
 from .keystream import CLOSED, OPEN, WatermarkKey
 
@@ -43,21 +42,19 @@ class DetectionReport:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DetectionReport":
+        """Parse a report as strictly as a key file: a known scheme, an
+        integer token count, finite scores and a boolean verdict."""
         try:
-            return cls(
-                scheme=obj["scheme"],
-                n_tokens=int(obj["n_tokens"]),
-                statistic=float(obj["statistic"]),
-                threshold=float(obj["threshold"]),
-                delta=float(obj["delta"]),
-                p_value=float(obj["p_value"]),
-                verdict=bool(obj["verdict"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            scores = {name: field(obj, name, is_number)
+                      for name in ("statistic", "threshold", "delta", "p_value")}
+            return cls(scheme=field(obj, "scheme", lambda v: v in (CLOSED, OPEN)),
+                       n_tokens=field(obj, "n_tokens", is_int),
+                       verdict=field(obj, "verdict", lambda v: isinstance(v, bool)), **scores)
+        except (InvalidInputError, TypeError) as exc:
             raise InvalidInputError(f"malformed detection report: {exc}") from exc
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(json_text(self.to_dict()))
 
 
 def _check_delta(delta: float) -> None:
@@ -102,8 +99,8 @@ def open_p_value(z: float, n: int, epsilon: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Statistics from raw key material (no key object needed; lets callers score
-# against synthetic material and keeps the key-handling path thin).
+# Statistics from caller-supplied key material (no key object needed; lets
+# callers score synthetic material). Detection against a key does not use them.
 
 
 def closed_statistic(tokens, colorings: np.ndarray, flips: np.ndarray) -> float:

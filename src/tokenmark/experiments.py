@@ -21,13 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import is_int, is_number
+from .core import field, is_int, is_number, json_text, read_json
 from .detector import (closed_statistics, closed_threshold, open_statistics,
                        open_threshold)
 from .errors import InvalidInputError
 from .keystream import CLOSED, FRESH_SUPPORT, OPEN, WatermarkKey
 from .seeds import derive_master_seed, derive_seed, rng_for
-from .sparsemean import POWER_CSV_HEADER, power_point, wilson_interval
+from .sparsemean import POWER_CSV_HEADER, SCAN_TEST, THRESHOLD_TEST, power_point, wilson_interval
 from .textgen import GenerationRecord, condition_lhs, generate_many, uniform_source
 
 try:
@@ -44,18 +44,19 @@ OPEN_COMPLETENESS_HEADER = ["scheme", "n", "d", "epsilon", "k", "delta", "texts"
                             "power", "ci_lo", "ci_hi"]
 
 
-# The type every experiment field must have; list fields must hold lists of it.
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+# The type every experiment field must have.
 _FIELDS = {"d": is_int, "n": is_int, "texts": is_int, "k": is_int, "trials": is_int,
-           "n_grid": is_int, "epsilon": is_number, "alpha": is_number, "delta": is_number,
-           "deltas": is_number}
-_LIST_FIELDS = ("n_grid", "deltas")
+           "n_grid": _list_of(is_int), "epsilon": is_number, "alpha": is_number,
+           "delta": is_number, "deltas": _list_of(is_number),
+           "tests": _list_of(lambda v: v in (THRESHOLD_TEST, SCAN_TEST))}
 
 
 def load_config(path) -> dict:
-    try:
-        config = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInputError(f"cannot read experiment config {path}: {exc}") from exc
+    config = read_json(path, "experiment config")
     validate_config(config)
     return config
 
@@ -63,11 +64,12 @@ def load_config(path) -> dict:
 def validate_config(config: dict) -> None:
     if not isinstance(config, dict):
         raise InvalidInputError("config must be a JSON object")
-    if "root_seed" not in config:
-        raise InvalidInputError("config needs a root_seed")
-    workers = config.get("workers", 1)
-    if not is_int(workers) or workers < 1:
-        raise InvalidInputError(f"workers must be an integer of at least 1, got {workers!r}")
+    root = field(config, "root_seed", is_int)
+    if not -2 ** 127 <= root < 2 ** 127:  # seeds.derive_seed encodes it in 16 bytes
+        raise InvalidInputError(f"root_seed must lie in [-2**127, 2**127), got {root}")
+    workers = field(config, "workers", is_int, 1)
+    if workers < 1:
+        raise InvalidInputError(f"workers must be at least 1, got {workers!r}")
     experiments = config.get("experiments")
     if not isinstance(experiments, list) or not experiments:
         raise InvalidInputError("config needs a non-empty experiments list")
@@ -81,25 +83,20 @@ def validate_config(config: dict) -> None:
         if name in seen:
             raise InvalidInputError(f"duplicate experiment name {name!r}")
         seen.add(name)
-        if exp["type"] not in _RUNNERS:
+        if not isinstance(exp["type"], str) or exp["type"] not in _RUNNERS:
             raise InvalidInputError(f"unknown experiment type {exp['type']!r}")
-        for field, check in _FIELDS.items():
-            if field not in exp:
-                continue
-            value = exp[field]
-            entries = value if field in _LIST_FIELDS else [value]
-            if not isinstance(entries, list) or not all(map(check, entries)):
-                raise InvalidInputError(
-                    f"experiment {name!r}: {field} has the wrong type: {value!r}")
+        try:
+            for key, check in _FIELDS.items():
+                field(exp, key, check, None)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"experiment {name!r}: {exc}") from exc
 
 
 def _require(exp: dict, *keys):
-    vals = []
     for key in keys:
         if key not in exp:
             raise InvalidInputError(f"experiment {exp['name']!r} is missing {key!r}")
-        vals.append(exp[key])
-    return vals
+    return [exp[key] for key in keys]
 
 
 def _key(exp: dict, root, scheme: str, d: int) -> WatermarkKey:
@@ -213,6 +210,5 @@ def run_experiments(config: dict, out_dir) -> dict:
             "python": platform.python_version(),
         },
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (out / "manifest.json").write_text(json_text(manifest))
     return manifest

@@ -80,7 +80,6 @@ from __future__ import annotations
 import base64
 import functools
 import hashlib
-import json
 import os
 import warnings
 from dataclasses import dataclass
@@ -88,7 +87,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import is_int, is_number, validate_tokens
+from .core import field, is_int, is_number, json_text, read_json, validate_tokens
 from .errors import InvalidInputError, InvalidKeyError, SchemeMismatchError
 
 KEY_FILE_VERSION = 2
@@ -189,7 +188,6 @@ class ClosedStepBatch:
 
     colorings: np.ndarray  # (n, d) int8
     flips: np.ndarray      # (n,) int8
-    start: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +197,6 @@ class OpenStepBatch:
     gaussians: np.ndarray   # (n, d) float64
     supports: np.ndarray    # (n, k) int64
     directions: np.ndarray  # (n,) int8
-    start: int = 0
 
 
 # --------------------------------------------------------------------------
@@ -361,7 +358,7 @@ def derive_closed_steps(key: WatermarkKey, count: int, start: int = 0) -> Closed
     _check_step(start, count)
     colorings = _freeze(_coloring_matrix(key, start, count))
     flips = _freeze(_sign_words(key, LANE_FLIP, start, count))
-    return ClosedStepBatch(colorings=colorings, flips=flips, start=start)
+    return ClosedStepBatch(colorings=colorings, flips=flips)
 
 
 def derive_open_step(key: WatermarkKey, step: int) -> OpenStepKey:
@@ -387,7 +384,7 @@ def derive_open_steps(key: WatermarkKey, count: int, start: int = 0) -> OpenStep
     else:
         supports = _freeze(_support_matrix(key, start, count))
     directions = _freeze(_sign_words(key, LANE_DIRECTION, start, count))
-    return OpenStepBatch(gaussians=gaussians, supports=supports, directions=directions, start=start)
+    return OpenStepBatch(gaussians=gaussians, supports=supports, directions=directions)
 
 
 @functools.lru_cache(maxsize=8)
@@ -475,46 +472,28 @@ def key_to_dict(key: WatermarkKey) -> dict:
 
 
 def key_from_dict(obj: dict) -> WatermarkKey:
-    """Parse a key file object. ``version`` must be a supported integer, ``d``
-    and ``k`` integers (not floats or booleans), ``epsilon`` a finite number
-    (not a boolean or string), ``padded`` a boolean, and the seed strict
-    base64."""
+    """Parse a key file object: ``version`` (a supported one), ``d`` and ``k``
+    integers, ``epsilon`` a finite number, ``padded`` a boolean, and the seed
+    strict base64. Booleans, strings and fractions are never converted."""
     try:
-        version = obj["version"]
-        if not is_int(version) or version not in _BLOCK_FUNCTIONS:
-            raise InvalidKeyError(f"unsupported key file version {version!r}")
-        d, k = obj["d"], obj.get("k")
-        if not is_int(d) or not (k is None or is_int(k)):
-            raise InvalidKeyError(f"d and k must be integers, got d={d!r}, k={k!r}")
-        epsilon, padded = obj.get("epsilon"), obj.get("padded", False)
-        if not (epsilon is None or is_number(epsilon)):
-            raise InvalidKeyError(f"epsilon must be a finite number, got {epsilon!r}")
-        if not isinstance(padded, bool):
-            raise InvalidKeyError(f"padded must be true or false, got {padded!r}")
-        seed = base64.b64decode(obj["master_seed_base64"], validate=True)
+        epsilon = field(obj, "epsilon", lambda v: v is None or is_number(v), None)
         return WatermarkKey(
-            master_seed=seed,
-            d=d,
+            master_seed=base64.b64decode(obj["master_seed_base64"], validate=True),
+            d=field(obj, "d", is_int),
             scheme=obj["scheme"],
             epsilon=None if epsilon is None else float(epsilon),
-            k=k,
+            k=field(obj, "k", lambda v: v is None or is_int(v), None),
             support_mode=obj.get("support_mode"),
-            padded=padded,
-            version=version,
+            padded=field(obj, "padded", lambda v: isinstance(v, bool), False),
+            version=field(obj, "version", is_int),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (InvalidInputError, KeyError, TypeError, ValueError) as exc:
         raise InvalidKeyError(f"malformed key file: {exc}") from exc
 
 
 def save_key(key: WatermarkKey, path) -> None:
-    Path(path).write_text(json.dumps(key_to_dict(key), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json_text(key_to_dict(key)))
 
 
 def load_key(path) -> WatermarkKey:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidKeyError(f"cannot read key file {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise InvalidKeyError("key file must hold a JSON object")
-    return key_from_dict(obj)
+    return key_from_dict(read_json(path, "key file", InvalidKeyError))

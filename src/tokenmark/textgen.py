@@ -19,7 +19,8 @@ import numpy as np
 
 from . import keystream
 from .closed_scheme import rank_order, watermark_distributions, watermark_ranked
-from .core import as_probs, is_int, is_number, sample_tokens, softmax, softmax_rows
+from .core import (array_field, as_probs, field, is_int, is_number, read_json, read_text,
+                   sample_tokens, softmax, softmax_rows)
 from .errors import InvalidInputError, SchemeMismatchError
 from .keystream import CLOSED, OPEN, WatermarkKey
 from .open_scheme import perturbations_for
@@ -281,23 +282,6 @@ def condition_lhs(record: GenerationRecord, delta: float) -> float:
     return lhs - math.sqrt(2.0 * math.log(1.0 / delta) / n)
 
 
-def _field(obj: dict, name: str, check, default=None):
-    """``obj[name]`` (or ``default`` when absent) after ``check`` accepts it."""
-    value = obj[name] if default is None else obj.get(name, default)
-    if not check(value):
-        raise InvalidInputError(f"{name} has the wrong type: {value!r}")
-    return value
-
-
-def _array_field(obj: dict, name: str, check, dtype) -> np.ndarray:
-    """``obj[name]``, a (nested) list, as an array after ``check`` accepts
-    every entry; booleans and strings are never silently converted."""
-    entries = np.asarray(obj[name], dtype=object)
-    if not all(map(check, entries.flat)):
-        raise InvalidInputError(f"{name} has an entry of the wrong type")
-    return entries.astype(dtype)
-
-
 def model_from_dict(obj: dict) -> SourceModel:
     """Build a source from its JSON description. Kinds: ``uniform`` (d),
     ``iid`` (probs), ``markov`` (transition, initial), ``powerlaw-logits``
@@ -308,16 +292,16 @@ def model_from_dict(obj: dict) -> SourceModel:
     kind = obj["kind"]
     try:
         if kind == "uniform":
-            return uniform_source(_field(obj, "d", is_int))
+            return uniform_source(field(obj, "d", is_int))
         if kind == IID:
-            return iid_source(_array_field(obj, "probs", is_number, np.float64))
+            return iid_source(array_field(obj, "probs", is_number, np.float64))
         if kind == MARKOV:
-            return markov_source(_array_field(obj, "transition", is_number, np.float64),
-                                 _array_field(obj, "initial", is_number, np.float64))
+            return markov_source(array_field(obj, "transition", is_number, np.float64),
+                                 array_field(obj, "initial", is_number, np.float64))
         if kind == POWERLAW:
-            return powerlaw_source(_field(obj, "d", is_int), _field(obj, "s", is_number),
-                                   _field(obj, "scale", is_number, 1.0))
-    except (KeyError, TypeError, ValueError) as exc:
+            return powerlaw_source(field(obj, "d", is_int), field(obj, "s", is_number),
+                                   field(obj, "scale", is_number, 1.0))
+    except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed model description: {exc}") from exc
     raise InvalidInputError(f"unknown model kind {kind!r}")
 
@@ -341,11 +325,11 @@ def record_from_dict(obj: dict) -> GenerationRecord:
     try:
         scheme = obj["scheme"]
         return GenerationRecord(
-            tokens=_array_field(obj, "tokens", is_int, np.int64),
-            per_step_pstar=_array_field(obj, "pstar", is_number, np.float64),
+            tokens=array_field(obj, "tokens", is_int, np.int64),
+            per_step_pstar=array_field(obj, "pstar", is_number, np.float64),
             watermarked=scheme != UNWATERMARKED,
             scheme=scheme,
-            d=_field(obj, "d", is_int),
+            d=field(obj, "d", is_int),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed text record: {exc}") from exc
@@ -356,11 +340,7 @@ def save_record(record: GenerationRecord, path) -> None:
 
 
 def load_record(path) -> GenerationRecord:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInputError(f"cannot read text record {path}: {exc}") from exc
-    return record_from_dict(obj)
+    return record_from_dict(read_json(path, "text record"))
 
 
 def save_tokens(tokens, path) -> None:
@@ -368,9 +348,13 @@ def save_tokens(tokens, path) -> None:
     Path(path).write_text(" ".join(str(int(t)) for t in np.asarray(tokens).ravel()) + "\n")
 
 
-def load_tokens(path) -> np.ndarray:
+def tokens_from_text(text: str, path) -> np.ndarray:
+    """Token ids of ``text``, the contents of the bare token file ``path``."""
     try:
-        text = Path(path).read_text()
         return np.array([int(tok) for tok in text.split()], dtype=np.int64)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise InvalidInputError(f"cannot read token file {path}: {exc}") from exc
+
+
+def load_tokens(path) -> np.ndarray:
+    return tokens_from_text(read_text(path, "token file"), path)

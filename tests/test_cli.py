@@ -405,7 +405,11 @@ class TestExperiment:
     @pytest.mark.parametrize("workers, experiment", [
         ("two", FPR), (1, {**FPR, "d": "8"}), (1, {**FPR, "d": 8.0}),
         (1, {**FPR, "n": 20.5}), (1, POWER), (1, {**FPR, "name": 5}),
-    ], ids=["workers-string", "d-string", "d-float", "n-float", "n_grid-float", "name-int"])
+        (1, {**FPR, "type": ["closed-soundness"]}),
+        (1, {"name": "p", "type": "sparse-power", "tests": [["scan"]]}),
+        (1, {"name": "p", "type": "sparse-power", "tests": "scan"}),
+    ], ids=["workers-string", "d-string", "d-float", "n-float", "n_grid-float", "name-int",
+            "type-list", "tests-nested", "tests-string"])
     def test_malformed_config_fields(self, tmp_path, capsys, workers, experiment):
         # Each once ended in a traceback with exit 1; the n_grid one silently
         # ran n = 200.
@@ -423,6 +427,54 @@ class TestExperiment:
                      "--out-dir", str(tmp_path / "results"))
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("root_seed", [2**127, -2**127 - 1, True, 1.5, "7"],
+                             ids=["2**127", "-2**127-1", "true", "float", "string"])
+    def test_bad_root_seed(self, tmp_path, capsys, root_seed):
+        # 2**127 once ended in an OverflowError traceback with exit 1, and
+        # true ran as root seed 1.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"root_seed": root_seed, "experiments": [FPR]}))
+        out_dir = tmp_path / "results"
+        rc = run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir))
+        assert rc == 2
+        assert "root_seed" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("root_seed", [2**127 - 1, -2**127], ids=["max", "min"])
+    def test_root_seed_range_ends(self, tmp_path, capsys, root_seed):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"root_seed": root_seed, "experiments": [FPR]}))
+        out_dir = tmp_path / "results"
+        rc = run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir))
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["root_seed"] == root_seed
+        assert (out_dir / "fpr.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["detect --key", "detect --text", "generate --key",
+                                  "generate --model-file", "experiment --config"])
+def test_non_utf8_file(tmp_path, capsys, flag):
+    # A file starting with bytes ff fe once ended in a UnicodeDecodeError
+    # traceback with exit 1 for detect --key, generate --model-file and
+    # experiment --config.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    key, text, out = tmp_path / "key.json", tmp_path / "text.txt", tmp_path / "out"
+    run_cli("keygen", "--scheme", "closed", "--d", "64", "--out", str(key))
+    text.write_text("1 2 3\n")
+    generate = ["generate", "--n", "5", "--seed", "0", "--out", out]
+    argv = {
+        "detect --key": ["detect", "--text", text, "--key", bad, "--out", out],
+        "detect --text": ["detect", "--text", bad, "--key", key, "--out", out],
+        "generate --key": [*generate, "--model", UNIFORM64, "--key", bad],
+        "generate --model-file": [*generate, "--model-file", bad],
+        "experiment --config": ["experiment", "--config", bad, "--out-dir", out],
+    }[flag]
+    assert run_cli(*map(str, argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
 
 
 class TestParser:

@@ -1,4 +1,5 @@
-"""Shared numeric primitives: validation, softmax, categorical sampling."""
+"""Shared primitives: validation, softmax, categorical sampling, and the
+file reader, field checker and JSON writer."""
 
 import math
 
@@ -11,6 +12,9 @@ from tokenmark.core import (
     PROB_SUM_TOL,
     as_logits,
     as_probs,
+    field,
+    json_text,
+    read_json,
     sample_categorical,
     sample_rows,
     sample_tokens,
@@ -18,7 +22,7 @@ from tokenmark.core import (
     softmax_rows,
     validate_tokens,
 )
-from tokenmark.errors import CorruptTextError, InvalidInputError
+from tokenmark.errors import CorruptTextError, InvalidInputError, InvalidKeyError
 
 
 class TestAsProbs:
@@ -229,3 +233,37 @@ class TestValidateTokens:
     def test_empty_rejected(self):
         with pytest.raises(CorruptTextError):
             validate_tokens([], d=4)
+
+
+class TestFiles:
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}", b"{not json", b"[1, 2]", b"[" * 100_000, b"",
+    ], ids=["not-utf8", "not-json", "not-object", "too-deep", "empty"])
+    def test_unreadable_json_raises_callers_error(self, tmp_path, content):
+        path = tmp_path / "f.json"
+        path.write_bytes(content)
+        with pytest.raises(InvalidKeyError, match="key file"):
+            read_json(path, "key file", InvalidKeyError)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(InvalidInputError, match="cannot read model file"):
+            read_json(tmp_path / "none.json", "model file")
+
+    def test_reads_object(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json_text({"b": [1, 2.5], "a": None}))
+        assert read_json(path, "config") == {"a": None, "b": [1, 2.5]}
+
+    def test_json_text_layout(self):
+        assert json_text({"b": 1, "a": [True]}) == '{\n  "a": [\n    true\n  ],\n  "b": 1\n}\n'
+
+    def test_field(self):
+        obj = {"d": 8, "flag": True, "x": None}
+        assert field(obj, "d", lambda v: isinstance(v, int)) == 8
+        assert field(obj, "missing", bool, 1.5) == 1.5
+        with pytest.raises(InvalidInputError, match="missing"):
+            field(obj, "missing", bool)
+        with pytest.raises(InvalidInputError, match="flag has the wrong type"):
+            field(obj, "flag", lambda v: isinstance(v, str))
+        with pytest.raises(InvalidInputError, match="x has the wrong type"):
+            field(obj, "x", lambda v: v is not None, 0)

@@ -251,3 +251,16 @@ class TestReport:
     def test_malformed_rejected(self):
         with pytest.raises(InvalidInputError):
             DetectionReport.from_dict({"scheme": "closed"})
+
+    @pytest.mark.parametrize("name, value", [
+        ("verdict", "no"), ("verdict", 1), ("n_tokens", 2.9), ("n_tokens", True),
+        ("statistic", "0.5"), ("threshold", None), ("delta", float("nan")),
+        ("p_value", [0.5]), ("scheme", "alien"), ("scheme", None),
+    ])
+    def test_lax_fields_rejected(self, name, value):
+        # "verdict": "no" once loaded as True, n_tokens 2.9 as 2 and
+        # statistic "0.5" as 0.5.
+        report = detect_open(OPEN_KEY, [1, 2, 3, 4])
+        assert DetectionReport.from_dict(report.to_dict()) == report
+        with pytest.raises(InvalidInputError, match=name):
+            DetectionReport.from_dict({**report.to_dict(), name: value})

@@ -10,11 +10,13 @@ tests load the benchmark's own modules by path and check each binding.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from tokenmark import keystream
+from tokenmark import cli, keystream
+from tokenmark.detector import DetectionReport
 from tokenmark.textgen import model_from_dict
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -57,3 +59,20 @@ def test_pipeline_model_loads():
         obj = synth.pipeline_model(seed)
         model = model_from_dict(obj)
         assert model.d == obj["d"] == synth.PIPELINE_D
+
+
+@pytest.mark.parametrize("scheme", ["closed", "open"])
+def test_detect_report_file_reads_back(tmp_path, capsys, scheme):
+    # perfbench's pipeline check reads each `detect --out` report with
+    # DetectionReport.from_dict; it must equal the report detect printed.
+    key, record, report = (tmp_path / name for name in ("key.json", "text.json", "report.json"))
+    options = ["--epsilon", "0.25", "--k", "2"] if scheme == "open" else []
+    assert cli.main(["keygen", "--scheme", scheme, "--d", "16", *options, "--out", str(key)]) == 0
+    assert cli.main(["generate", "--model", json.dumps({"kind": "uniform", "d": 16}),
+                     "--n", "200", "--seed", "5", "--key", str(key), "--out", str(record)]) == 0
+    capsys.readouterr()
+    assert cli.main(["detect", "--text", str(record), "--key", str(key),
+                     "--out", str(report)]) in (0, 1)
+    printed = DetectionReport.from_dict(json.loads(capsys.readouterr().out))
+    assert DetectionReport.from_dict(json.loads(report.read_text())) == printed
+    assert printed.scheme == scheme and printed.n_tokens == 200
