@@ -42,16 +42,27 @@ class DetectionReport:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DetectionReport":
-        """Parse a report as strictly as a key file: a known scheme, an
-        integer token count, finite scores and a boolean verdict."""
+        """Parse a report as strictly as a key file: a known scheme, a
+        positive integer token count, finite scores with delta in (0, 1) and
+        p_value in [0, 1], and the boolean verdict ``statistic >= threshold``."""
         try:
             scores = {name: field(obj, name, is_number)
                       for name in ("statistic", "threshold", "delta", "p_value")}
-            return cls(scheme=field(obj, "scheme", lambda v: v in (CLOSED, OPEN)),
-                       n_tokens=field(obj, "n_tokens", is_int),
-                       verdict=field(obj, "verdict", lambda v: isinstance(v, bool)), **scores)
+            report = cls(scheme=field(obj, "scheme", lambda v: v in (CLOSED, OPEN)),
+                         n_tokens=field(obj, "n_tokens", is_int),
+                         verdict=field(obj, "verdict", lambda v: isinstance(v, bool)), **scores)
         except (InvalidInputError, TypeError) as exc:
             raise InvalidInputError(f"malformed detection report: {exc}") from exc
+        for name, ok in (("n_tokens", report.n_tokens >= 1),
+                         ("delta", 0.0 < report.delta < 1.0),
+                         ("p_value", 0.0 <= report.p_value <= 1.0)):
+            if not ok:
+                raise InvalidInputError(f"malformed detection report: {name} is out of range: "
+                                        f"{getattr(report, name)!r}")
+        if report.verdict != (report.statistic >= report.threshold):
+            raise InvalidInputError(f"malformed detection report: verdict {report.verdict} is "
+                                    "not statistic >= threshold")
+        return report
 
     def save(self, path) -> None:
         Path(path).write_text(json_text(self.to_dict()))
@@ -96,29 +107,6 @@ def open_p_value(z: float, n: int, epsilon: float) -> float:
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
     return 0.5 * math.erfc(math.sqrt(n) * max(z, 0.0) / (epsilon * math.sqrt(2.0)))
-
-
-# --------------------------------------------------------------------------
-# Statistics from caller-supplied key material (no key object needed; lets
-# callers score synthetic material). Detection against a key does not use them.
-
-
-def closed_statistic(tokens, colorings: np.ndarray, flips: np.ndarray) -> float:
-    """Mean keyed score (1/n) * sum_j flips[j] * colorings[j, tokens[j]]."""
-    tokens = validate_tokens(tokens, colorings.shape[1])
-    if colorings.shape[0] < tokens.size or flips.shape[0] < tokens.size:
-        raise InvalidInputError("key material covers fewer steps than tokens")
-    steps = np.arange(tokens.size)
-    scores = colorings[steps, tokens].astype(np.float64) * flips[: tokens.size]
-    return float(scores.mean())
-
-
-def open_statistic(tokens, gaussians: np.ndarray) -> float:
-    """Mean observed Gaussian coordinate (1/n) * sum_j gaussians[j, tokens[j]]."""
-    tokens = validate_tokens(tokens, gaussians.shape[1])
-    if gaussians.shape[0] < tokens.size:
-        raise InvalidInputError("key material covers fewer steps than tokens")
-    return float(gaussians[np.arange(tokens.size), tokens].mean())
 
 
 # --------------------------------------------------------------------------

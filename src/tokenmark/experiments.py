@@ -85,18 +85,12 @@ def validate_config(config: dict) -> None:
         seen.add(name)
         if not isinstance(exp["type"], str) or exp["type"] not in _RUNNERS:
             raise InvalidInputError(f"unknown experiment type {exp['type']!r}")
+        required = _REQUIRED[exp["type"]]
         try:
             for key, check in _FIELDS.items():
-                field(exp, key, check, None)
+                field(exp, key, check, ... if key in required else None)
         except InvalidInputError as exc:
             raise InvalidInputError(f"experiment {name!r}: {exc}") from exc
-
-
-def _require(exp: dict, *keys):
-    for key in keys:
-        if key not in exp:
-            raise InvalidInputError(f"experiment {exp['name']!r} is missing {key!r}")
-    return [exp[key] for key in keys]
 
 
 def _key(exp: dict, root, scheme: str, d: int) -> WatermarkKey:
@@ -123,19 +117,17 @@ def _rate(key: WatermarkKey, z: np.ndarray, n: int, delta: float) -> list:
 
 
 def _soundness(exp: dict, root, scheme: str) -> tuple[list[str], list[list]]:
-    d, n, texts, deltas = _require(exp, "d", "n", "texts", "deltas")
+    d, n, texts = exp["d"], exp["n"], exp["texts"]
     key = _key(exp, root, scheme, d)
     tokens = generate_many(uniform_source(d), n, None, texts,
                            rng_for(root, exp["name"], "texts"))
     z = _statistics(key, tokens)
     return SOUNDNESS_HEADER, [[scheme, delta, d, n, texts, *_rate(key, z, n, delta)]
-                              for delta in sorted(deltas)]
+                              for delta in sorted(exp["deltas"])]
 
 
 def _completeness(exp: dict, root, scheme: str) -> tuple[list[str], list[list]]:
-    d, n_grid, texts, delta = _require(exp, "d", "n_grid", "texts", "delta")
-    if scheme == OPEN:
-        _require(exp, "epsilon", "k")
+    d, n_grid, texts, delta = exp["d"], exp["n_grid"], exp["texts"], exp["delta"]
     key = _key(exp, root, scheme, d)
     rows = []
     for n in sorted(n_grid):
@@ -152,24 +144,32 @@ def _completeness(exp: dict, root, scheme: str) -> tuple[list[str], list[list]]:
 
 
 def _sparse_power(exp: dict, root, workers: int) -> tuple[list[str], list[list]]:
-    d, k, epsilon, alpha, n_grid, trials, tests = _require(
-        exp, "d", "k", "epsilon", "alpha", "n_grid", "trials", "tests")
     seed = derive_seed(root, exp["name"])
-    points = [(test, n) for test in sorted(set(tests)) for n in sorted(set(n_grid))]
+    points = [(test, n) for test in sorted(set(exp["tests"])) for n in sorted(set(exp["n_grid"]))]
 
     def run_point(point):
-        return power_point(*point, d, k, float(epsilon), float(alpha), trials, seed)
+        return power_point(*point, exp["d"], exp["k"], float(exp["epsilon"]),
+                           float(exp["alpha"]), exp["trials"], seed)
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return POWER_CSV_HEADER, [p.to_row() for p in pool.map(run_point, points)]
 
 
+# Each experiment type's runner, and the fields it needs, which
+# validate_config checks before any experiment runs.
 _RUNNERS = {
     "closed-soundness": lambda exp, root, workers: _soundness(exp, root, CLOSED),
     "open-soundness": lambda exp, root, workers: _soundness(exp, root, OPEN),
     "closed-completeness": lambda exp, root, workers: _completeness(exp, root, CLOSED),
     "open-completeness": lambda exp, root, workers: _completeness(exp, root, OPEN),
     "sparse-power": _sparse_power,
+}
+_REQUIRED = {
+    "closed-soundness": ("d", "n", "texts", "deltas"),
+    "open-soundness": ("d", "n", "texts", "deltas"),
+    "closed-completeness": ("d", "n_grid", "texts", "delta"),
+    "open-completeness": ("d", "n_grid", "texts", "delta", "epsilon", "k"),
+    "sparse-power": ("d", "k", "epsilon", "alpha", "n_grid", "trials", "tests"),
 }
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import keystream
-from .closed_scheme import rank_order, watermark_distributions, watermark_ranked
+from .closed_scheme import rank_order, watermark_ranked
 from .core import (array_field, as_probs, field, is_int, is_number, read_json, read_text,
                    sample_tokens, softmax, softmax_rows)
 from .errors import InvalidInputError, SchemeMismatchError
@@ -30,7 +30,7 @@ MARKOV = "markov"
 POWERLAW = "powerlaw-logits"
 UNWATERMARKED = "none"
 
-# Steps per key-derivation block in both generation loops; bounds the key
+# Steps per key-derivation block of the generation loop; bounds the key
 # material held at ~chunk * d entries regardless of text length.
 _CHUNK = 1 << 16
 
@@ -165,58 +165,39 @@ def _state_laws(model: SourceModel, key: WatermarkKey | None) -> np.ndarray:
     return np.pad(laws, ((0, 0), (0, 1))) if padded else laws
 
 
-def _memoryless_tokens(law: np.ndarray, key: WatermarkKey, u: np.ndarray) -> np.ndarray:
-    """Keyed tokens of a memoryless source from uniforms ``u`` (texts, n).
-    Each chunk's watermarked laws are computed once; one text samples the
-    whole chunk at once, many texts sample it step by step."""
+def _chain_tokens(laws: np.ndarray, key: WatermarkKey | None, u: np.ndarray) -> np.ndarray:
+    """Tokens from uniforms ``u`` (texts, n), one step at a time. Every text
+    starts in state 0; from a Markov source (more than one row of ``laws``)
+    it moves to state ``token + 1``. Each step computes the (watermarked)
+    law of every state some text is in once and samples that group's
+    uniforms from it."""
     texts, n = u.shape
+    markov = laws.shape[0] > 1
+    closed = key is not None and key.scheme == CLOSED
+    if closed:
+        orders = rank_order(laws)  # each state's law is sorted once
     tokens = np.empty(u.shape, dtype=np.int64)
+    states = np.zeros(texts, dtype=np.int64)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        if key.scheme == CLOSED:
-            batch = keystream.derive_closed_steps(key, hi - lo, lo)
-            q = watermark_distributions(law, batch.colorings, batch.flips)
-        else:
-            q = softmax_rows(law + perturbations_for(key, hi - lo, lo))
-        if texts == 1:
-            tokens[0, lo:hi] = sample_tokens(q, u[0, lo:hi])
-        else:
-            for j in range(lo, hi):
-                tokens[:, j] = sample_tokens(q[j - lo], u[:, j])
-    return tokens
-
-
-def _markov_tokens(laws: np.ndarray, key: WatermarkKey | None, u: np.ndarray) -> np.ndarray:
-    """Tokens of a Markov source from uniforms ``u`` (texts, n), one step
-    at a time from the current state's (watermarked) law."""
-    texts, n = u.shape
-    if key is not None and key.scheme == CLOSED:
-        orders = list(rank_order(laws))  # each state's law is sorted once
-    laws = list(laws)
-    tokens = np.empty(u.shape, dtype=np.int64)
-    states = [0] * texts
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        if key is None:
-            def law(s, j):
-                return laws[s]
-        elif key.scheme == CLOSED:
+        if closed:
             batch = keystream.derive_closed_steps(key, hi - lo, lo)
             signs = batch.colorings * batch.flips[:, None]
-
-            def law(s, j):
-                return watermark_ranked(laws[s], orders[s], signs[j])
-        else:
+        elif key is not None:
             deltas = perturbations_for(key, hi - lo, lo)
-
-            def law(s, j):
-                return softmax_rows(laws[s] + deltas[j])
-        for i, (row, uniforms) in enumerate(zip(tokens, u)):
-            s = states[i]
-            for j in range(lo, hi):
-                row[j] = token = int(sample_tokens(law(s, j - lo), uniforms[j]))
-                s = token + 1
-            states[i] = s
+        for j in range(lo, hi):
+            groups = (((s, states == s) for s in np.unique(states)) if markov
+                      else [(0, slice(None))])
+            for s, group in groups:
+                if closed:
+                    law = watermark_ranked(laws[s], orders[s], signs[j - lo])
+                elif key is not None:
+                    law = softmax_rows(laws[s] + deltas[j - lo])
+                else:
+                    law = laws[s]
+                tokens[group, j] = sample_tokens(law, u[group, j])
+            if markov:
+                states = tokens[:, j] + 1
     return tokens
 
 
@@ -261,11 +242,9 @@ def generate_many(model: SourceModel, n: int, key: WatermarkKey | None,
         raise InvalidInputError("need at least one text and one step")
     laws = _state_laws(model, key)
     u = rng.random((texts, n))
-    if not model.memoryless:
-        return _markov_tokens(laws, key, u)
-    if key is None:
+    if model.memoryless and key is None:
         return sample_tokens(laws[0], u)
-    return _memoryless_tokens(laws[0], key, u)
+    return _chain_tokens(laws, key, u)
 
 
 def condition_lhs(record: GenerationRecord, delta: float) -> float:

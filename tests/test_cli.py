@@ -422,6 +422,19 @@ class TestExperiment:
         assert "error:" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_missing_field_of_later_experiment(self, tmp_path, capsys):
+        # Required fields were once checked only as each experiment ran, by
+        # when the first one's CSV was written and no manifest followed.
+        second = {key: value for key, value in FPR.items() if key != "deltas"}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"root_seed": 99,
+                                      "experiments": [FPR, {**second, "name": "b"}]}))
+        out_dir = tmp_path / "results"
+        rc = run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir))
+        assert rc == 2
+        assert "deltas" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_config(self, tmp_path, capsys):
         rc = run_cli("experiment", "--config", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path / "results"))

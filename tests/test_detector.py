@@ -9,14 +9,12 @@ import pytest
 from tokenmark.detector import (
     DetectionReport,
     closed_p_value,
-    closed_statistic,
     closed_statistics,
     closed_threshold,
     detect,
     detect_closed,
     detect_open,
     open_p_value,
-    open_statistic,
     open_statistics,
     open_threshold,
 )
@@ -88,32 +86,11 @@ class TestPValues:
 
 
 class TestStatistics:
-    def test_closed_counts_color_hits(self):
-        colorings = np.array([[1, -1], [-1, 1], [1, -1]], dtype=np.int8)
-        flips = np.array([1, 1, -1], dtype=np.int8)
-        # scores: +1 (token 0 colored +1), +1 (token 1 colored +1),
-        # -1 * +1 = -1 (token 0 colored +1, flip -1)
-        z = closed_statistic([0, 1, 0], colorings, flips)
-        assert z == pytest.approx(1 / 3, abs=1e-16)
-
-    def test_open_reads_gaussian_coordinates(self):
-        gaussians = np.array([[0.5, -0.5], [0.25, 0.75]])
-        assert open_statistic([1, 1], gaussians) == pytest.approx(0.125, abs=1e-16)
-
     def test_all_zero_gaussians_score_zero(self):
-        # Test double: a detector fed all-zero key material must sit exactly
-        # at the null center and never fire.
-        tokens = np.arange(50) % 8
-        z = open_statistic(tokens, np.zeros((50, 8)))
-        assert z == 0.0
-        assert z < open_threshold(50, 0.05, 0.5)
-        assert open_p_value(z, 50, 0.5) == 0.5
-
-    def test_material_shorter_than_text_rejected(self):
-        with pytest.raises(InvalidInputError):
-            closed_statistic([0, 1, 0], np.ones((2, 2), dtype=np.int8), np.ones(2, dtype=np.int8))
-        with pytest.raises(InvalidInputError):
-            open_statistic([0, 1, 0], np.zeros((2, 2)))
+        # All-zero Gaussian material scores exactly 0.0, the null center,
+        # where the open detector must never fire.
+        assert 0.0 < open_threshold(50, 0.05, 0.5)
+        assert open_p_value(0.0, 50, 0.5) == 0.5
 
 
 class TestEndToEnd:
@@ -256,10 +233,15 @@ class TestReport:
         ("verdict", "no"), ("verdict", 1), ("n_tokens", 2.9), ("n_tokens", True),
         ("statistic", "0.5"), ("threshold", None), ("delta", float("nan")),
         ("p_value", [0.5]), ("scheme", "alien"), ("scheme", None),
+        ("n_tokens", -3), ("n_tokens", 0), ("delta", 7.0), ("delta", 0.0), ("delta", 1.0),
+        ("p_value", 2.5), ("p_value", -0.1), ("verdict", True), ("statistic", 0.7),
+        ("threshold", -1.0),
     ])
     def test_lax_fields_rejected(self, name, value):
         # "verdict": "no" once loaded as True, n_tokens 2.9 as 2 and
-        # statistic "0.5" as 0.5.
+        # statistic "0.5" as 0.5. The report's verdict is False (statistic
+        # -0.043 < threshold 0.612), so a True verdict, a statistic of 0.7
+        # or a threshold of -1.0 contradicts it.
         report = detect_open(OPEN_KEY, [1, 2, 3, 4])
         assert DetectionReport.from_dict(report.to_dict()) == report
         with pytest.raises(InvalidInputError, match=name):

@@ -149,8 +149,8 @@ def test_generate_is_the_one_text_case():
 
 
 def test_rows_are_successive_texts():
-    # Many memoryless texts sample step by step and one text all steps at
-    # once; both orientations draw the same tokens from the same uniforms.
+    # Row i of a many-text call is the text a one-text call draws from the
+    # rng's next uniforms, whatever the source and key.
     for model, key in ((markov8(), CLOSED8), (markov7(), PADDED8), (markov8(), OPEN8),
                        (markov8(), None), (iid_source(P8), CLOSED8),
                        (powerlaw_source(8, 0.9), OPEN8)):
