@@ -33,21 +33,25 @@ PROB_SUM_TOL = 1e-12
 RandomStream = np.random.Generator
 
 
+def _vector(values, d: int | None, what: str) -> np.ndarray:
+    """``values`` as a float64 array after checking it is 1-d with at least
+    two entries (``d`` of them when given), all finite."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or arr.size < 2 or (d is not None and arr.size != d):
+        size = "at least 2" if d is None else d
+        raise InvalidInputError(f"{what} must be 1-d with {size} entries, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"{what} has non-finite entries")
+    return arr
+
+
 def as_probs(p, d: int | None = None) -> np.ndarray:
     """Validate and return a probability vector as a float64 array.
 
     Requires at least two entries, all entries >= 0 and finite, and a total
     within ``PROB_SUM_TOL`` of 1. Raises InvalidInputError otherwise.
     """
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InvalidInputError(f"probability vector must be 1-d, got shape {arr.shape}")
-    if arr.size < 2:
-        raise InvalidInputError("dictionary size must be at least 2")
-    if d is not None and arr.size != d:
-        raise InvalidInputError(f"expected dictionary size {d}, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("probability vector has non-finite entries")
+    arr = _vector(p, d, "probability vector")
     if np.any(arr < 0):
         raise InvalidInputError("probability vector has negative entries")
     total = float(arr.sum())
@@ -58,16 +62,7 @@ def as_probs(p, d: int | None = None) -> np.ndarray:
 
 def as_logits(values, d: int | None = None) -> np.ndarray:
     """Validate and return a logit vector as a float64 array (all finite)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InvalidInputError(f"logits must be 1-d, got shape {arr.shape}")
-    if arr.size < 2:
-        raise InvalidInputError("dictionary size must be at least 2")
-    if d is not None and arr.size != d:
-        raise InvalidInputError(f"expected dictionary size {d}, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("logits must be finite")
-    return arr
+    return _vector(values, d, "logit vector")
 
 
 def softmax(logits) -> np.ndarray:

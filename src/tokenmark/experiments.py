@@ -15,6 +15,7 @@ import concurrent.futures
 import hashlib
 import importlib.metadata
 import json
+import math
 import platform
 import re
 from pathlib import Path
@@ -27,7 +28,8 @@ from .detector import (closed_statistics, closed_threshold, open_statistics,
 from .errors import InvalidInputError
 from .keystream import CLOSED, FRESH_SUPPORT, OPEN, WatermarkKey
 from .seeds import derive_master_seed, derive_seed, rng_for
-from .sparsemean import POWER_CSV_HEADER, SCAN_TEST, THRESHOLD_TEST, power_point, wilson_interval
+from .sparsemean import (POWER_CSV_HEADER, SCAN_BUDGET, SCAN_TEST, THRESHOLD_TEST, power_point,
+                         wilson_interval)
 from .textgen import GenerationRecord, condition_lhs, generate_many, uniform_source
 
 try:
@@ -89,8 +91,32 @@ def validate_config(config: dict) -> None:
         try:
             for key, check in _FIELDS.items():
                 field(exp, key, check, ... if key in required else None)
+            _check_values(exp)
         except InvalidInputError as exc:
             raise InvalidInputError(f"experiment {name!r}: {exc}") from exc
+
+
+# The open interval each number, or each entry of a list, must lie in where
+# a runner reads it; k's is (0, d + 1), and a closed d must also be even.
+_RANGES = {**dict.fromkeys(("n", "n_grid", "texts", "trials", "epsilon"), (0, math.inf)),
+           **dict.fromkeys(("delta", "deltas", "alpha"), (0, 1))}
+
+
+def _check_values(exp: dict) -> None:
+    """Raise unless each value the experiment's runner reads lies in its range."""
+    kind, d, k = exp["type"], exp["d"], exp.get("k")
+    reads = _REQUIRED[kind] + (("epsilon", "k") if kind.startswith("open") else ())
+    if not all(exp[name] for name in ("n_grid", "tests") if name in reads):
+        # A grid with no point makes only a detector's key.
+        reads = () if kind == "sparse-power" else set(reads) & {"d", "epsilon", "k"}
+    ranges = {**_RANGES, "d": (0 if kind == "sparse-power" else 1, math.inf), "k": (0, d + 1)}
+    for name, (lo, hi) in ranges.items():
+        if name in reads and name in exp and not all(lo < v < hi for v in np.ravel(exp[name])):
+            raise InvalidInputError(f"{name} must lie in ({lo}, {hi}), got {exp[name]!r}")
+    if kind.startswith("closed") and d % 2:
+        raise InvalidInputError(f"d must be even for the closed scheme, got {d}")
+    if "tests" in reads and SCAN_TEST in exp["tests"] and math.comb(d, k) > SCAN_BUDGET:
+        raise InvalidInputError(f"k must keep C({d}, k) <= {SCAN_BUDGET} scan supports, got {k}")
 
 
 def _key(exp: dict, root, scheme: str, d: int) -> WatermarkKey:
@@ -136,7 +162,7 @@ def _completeness(exp: dict, root, scheme: str) -> tuple[list[str], list[list]]:
         rate = _rate(key, _statistics(key, tokens), n, delta)
         if scheme == CLOSED:
             record = GenerationRecord(tokens=tokens[0], per_step_pstar=np.full(n, 1.0 / d),
-                                      watermarked=True, scheme=CLOSED, d=d)
+                                      scheme=CLOSED, d=d)
             rows.append([CLOSED, n, d, delta, texts, condition_lhs(record, delta), *rate])
         else:
             rows.append([OPEN, n, d, key.epsilon, key.k, delta, texts, *rate])

@@ -150,6 +150,16 @@ def scan_statistic(data: np.ndarray, k: int) -> float:
 # Calibrated tests
 
 
+def _statistic(test: str):
+    """The statistic function of ``test``, read from the module at call time
+    so that a rebound module attribute is the one called."""
+    if test == THRESHOLD_TEST:
+        return threshold_statistic
+    if test == SCAN_TEST:
+        return scan_statistic
+    raise InvalidInputError(f"unknown test {test!r}")
+
+
 @functools.lru_cache(maxsize=64)
 def null_quantile(test: str, n: int, d: int, k: int, epsilon: float, alpha: float,
                   draws: int = NULL_DRAWS, seed: int = 0) -> float:
@@ -162,49 +172,38 @@ def null_quantile(test: str, n: int, d: int, k: int, epsilon: float, alpha: floa
         raise InvalidInputError("alpha must lie strictly between 0 and 1")
     if draws < 100:
         raise InvalidInputError("quantile simulation needs at least 100 draws")
+    statistic = _statistic(test)
     rng = np.random.default_rng(derive_seed(seed, "null-calibration", test,
                                             n, d, k, epsilon, draws))
     stats = np.empty(draws)
-    if test == THRESHOLD_TEST:
-        for i in range(draws):
-            stats[i] = threshold_statistic(epsilon * rng.standard_normal((n, d)), k)
-    elif test == SCAN_TEST:
-        for i in range(draws):
-            stats[i] = scan_statistic(epsilon * rng.standard_normal((n, d)), k)
-    else:
-        raise InvalidInputError(f"unknown test {test!r}")
+    for i in range(draws):
+        stats[i] = statistic(epsilon * rng.standard_normal((n, d)), k)
     return float(np.quantile(stats, 1.0 - alpha, method="higher"))
+
+
+def run_test(test: str, data, k: int, epsilon: float, alpha: float, *,
+             calibration_seed: int = 0) -> bool:
+    """Reject H0 when ``test``'s statistic of ``data`` exceeds its simulated
+    null quantile."""
+    data = np.asarray(data, dtype=np.float64)
+    stat = _statistic(test)(data, k)
+    q = null_quantile(test, data.shape[0], data.shape[1], k, epsilon,
+                      alpha, seed=calibration_seed)
+    return stat > q
 
 
 def threshold_test(data, k: int, epsilon: float, alpha: float, *,
                    calibration_seed: int = 0) -> bool:
     """Polynomial-time detector: reject H0 when the top-k second-moment sum
     exceeds its simulated null quantile."""
-    data = np.asarray(data, dtype=np.float64)
-    stat = threshold_statistic(data, k)
-    q = null_quantile(THRESHOLD_TEST, data.shape[0], data.shape[1], k, epsilon,
-                      alpha, seed=calibration_seed)
-    return stat > q
+    return run_test(THRESHOLD_TEST, data, k, epsilon, alpha, calibration_seed=calibration_seed)
 
 
 def scan_test(data, k: int, epsilon: float, alpha: float, *,
               calibration_seed: int = 0) -> bool:
     """Exhaustive detector: reject H0 when the best support alignment exceeds
     its simulated null quantile."""
-    data = np.asarray(data, dtype=np.float64)
-    stat = scan_statistic(data, k)
-    q = null_quantile(SCAN_TEST, data.shape[0], data.shape[1], k, epsilon,
-                      alpha, seed=calibration_seed)
-    return stat > q
-
-
-def run_test(test: str, data, k: int, epsilon: float, alpha: float, *,
-             calibration_seed: int = 0) -> bool:
-    if test == THRESHOLD_TEST:
-        return threshold_test(data, k, epsilon, alpha, calibration_seed=calibration_seed)
-    if test == SCAN_TEST:
-        return scan_test(data, k, epsilon, alpha, calibration_seed=calibration_seed)
-    raise InvalidInputError(f"unknown test {test!r}")
+    return run_test(SCAN_TEST, data, k, epsilon, alpha, calibration_seed=calibration_seed)
 
 
 # --------------------------------------------------------------------------

@@ -43,7 +43,8 @@ class SourceModel:
     row-stochastic transition matrix from an initial law, and
     ``powerlaw-logits`` is a fixed logit vector ``l(i) = -s * ln(i + 1)``
     (so probabilities decay like ``(i+1)**-s``). Build via the factory
-    functions below rather than directly.
+    functions below rather than directly; generation reads a source as its
+    table of state laws (``_state_laws``).
     """
 
     kind: str
@@ -52,29 +53,6 @@ class SourceModel:
     transition: np.ndarray | None = None
     initial: np.ndarray | None = None
     logits: np.ndarray | None = None
-
-    @property
-    def memoryless(self) -> bool:
-        return self.kind != MARKOV
-
-    def fixed_probs(self) -> np.ndarray:
-        """The single per-step distribution of a memoryless source."""
-        if self.kind == IID:
-            return self.probs
-        if self.kind == POWERLAW:
-            return softmax(self.logits)
-        raise InvalidInputError("markov sources have no fixed per-step law")
-
-    def fixed_logits(self) -> np.ndarray:
-        """Logits of a memoryless source; iid sources must be strictly
-        positive for this to exist."""
-        if self.kind == POWERLAW:
-            return self.logits
-        if self.kind == IID:
-            if (self.probs <= 0).any():
-                raise InvalidInputError("logit-space sampling needs strictly positive probabilities")
-            return np.log(self.probs)
-        raise InvalidInputError("markov sources have no fixed logits")
 
 
 def iid_source(p) -> SourceModel:
@@ -116,7 +94,6 @@ class GenerationRecord:
 
     tokens: np.ndarray          # (n,) int64
     per_step_pstar: np.ndarray  # (n,) float64
-    watermarked: bool
     scheme: str                 # "closed" | "open" | "none"
     d: int
 
@@ -125,6 +102,10 @@ class GenerationRecord:
             raise InvalidInputError("tokens and per_step_pstar lengths differ")
         if self.scheme not in (CLOSED, OPEN, UNWATERMARKED):
             raise InvalidInputError(f"unknown scheme tag {self.scheme!r}")
+
+    @property
+    def watermarked(self) -> bool:
+        return self.scheme != UNWATERMARKED
 
 
 # --------------------------------------------------------------------------
@@ -152,16 +133,16 @@ def _state_laws(model: SourceModel, key: WatermarkKey | None) -> np.ndarray:
     moves to state ``token + 1``."""
     padded = key is not None and check_key_d(model.d, key)
     logits = key is not None and key.scheme == OPEN
-    if model.memoryless:
-        if logits:
-            return model.fixed_logits()[None]
-        laws = model.fixed_probs()[None]
-    else:
+    if model.kind == POWERLAW and logits:
+        return model.logits[None]
+    if model.kind == MARKOV:
         laws = np.vstack([model.initial, model.transition])
-        if logits:
-            if (laws <= 0).any():
-                raise InvalidInputError("logit-space sampling needs strictly positive rows")
-            return np.log(laws)
+    else:
+        laws = (model.probs if model.kind == IID else softmax(model.logits))[None]
+    if logits:
+        if (laws <= 0).any():
+            raise InvalidInputError("logit-space sampling needs strictly positive state laws")
+        return np.log(laws)
     return np.pad(laws, ((0, 0), (0, 1))) if padded else laws
 
 
@@ -204,10 +185,11 @@ def _chain_tokens(laws: np.ndarray, key: WatermarkKey | None, u: np.ndarray) -> 
 def _pstar_series(model: SourceModel, tokens: np.ndarray) -> np.ndarray:
     """Exact per-step top probability of the source law (not the watermarked
     one: the guarantees are stated in terms of the model's own entropy)."""
+    laws = _state_laws(model, None)
     states = np.zeros(tokens.size, dtype=np.int64)
-    if not model.memoryless:
+    if laws.shape[0] > 1:
         states[1:] = tokens[:-1] + 1
-    return _state_laws(model, None).max(axis=1)[states]
+    return laws.max(axis=1)[states]
 
 
 def generate(model: SourceModel, n: int, key: WatermarkKey | None,
@@ -223,7 +205,6 @@ def generate(model: SourceModel, n: int, key: WatermarkKey | None,
     return GenerationRecord(
         tokens=tokens,
         per_step_pstar=pstar,
-        watermarked=key is not None,
         scheme=UNWATERMARKED if key is None else key.scheme,
         d=model.d,
     )
@@ -242,7 +223,7 @@ def generate_many(model: SourceModel, n: int, key: WatermarkKey | None,
         raise InvalidInputError("need at least one text and one step")
     laws = _state_laws(model, key)
     u = rng.random((texts, n))
-    if model.memoryless and key is None:
+    if laws.shape[0] == 1 and key is None:
         return sample_tokens(laws[0], u)
     return _chain_tokens(laws, key, u)
 
@@ -302,12 +283,10 @@ def record_from_dict(obj: dict) -> GenerationRecord:
     """Parse a text record. ``d`` and the tokens must be integers and the
     ``pstar`` entries numbers: booleans, strings and fractions are rejected."""
     try:
-        scheme = obj["scheme"]
         return GenerationRecord(
             tokens=array_field(obj, "tokens", is_int, np.int64),
             per_step_pstar=array_field(obj, "pstar", is_number, np.float64),
-            watermarked=scheme != UNWATERMARKED,
-            scheme=scheme,
+            scheme=obj["scheme"],
             d=field(obj, "d", is_int),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -16,6 +16,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,8 @@ FPR = {"name": "fpr", "type": "closed-soundness", "d": 8, "n": 50, "texts": 40,
        "deltas": [0.05]}
 POWER = {"name": "power", "type": "closed-completeness", "d": 8, "n_grid": [200.7],
          "texts": 10, "delta": 0.05}
+SPARSE = {"name": "sparse", "type": "sparse-power", "d": 4, "k": 2, "epsilon": 1.0,
+          "alpha": 0.05, "n_grid": [5], "trials": 2, "tests": ["threshold"]}
 
 
 def run_cli(*argv):
@@ -434,6 +437,48 @@ class TestExperiment:
         assert rc == 2
         assert "deltas" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("second, name, value", [
+        ({**FPR, "d": 1}, "d", 1), ({**FPR, "d": 7}, "d", 7), ({**FPR, "texts": 0}, "texts", 0),
+        ({**FPR, "n": 0}, "n", 0), ({**POWER, "n_grid": [0]}, "n_grid", [0]),
+        ({**FPR, "deltas": [1.5]}, "deltas", [1.5]),
+        ({**FPR, "type": "open-soundness", "k": 99}, "k", 99),
+        ({**FPR, "type": "open-soundness", "epsilon": -1}, "epsilon", -1),
+        ({**SPARSE, "k": 9}, "k", 9), ({**SPARSE, "alpha": 1.5}, "alpha", 1.5),
+        ({**SPARSE, "d": 40, "k": 8, "tests": ["scan"]}, "k", 8),
+    ], ids=["d-1", "closed-d-7", "texts-0", "n-0", "n_grid-0", "deltas-1.5", "open-k-99",
+            "open-epsilon-neg", "sparse-k-9", "sparse-alpha-1.5", "scan-budget"])
+    def test_value_out_of_range_in_later_experiment(self, tmp_path, capsys, second, name, value):
+        # Value ranges were once checked only as each experiment ran, by when
+        # the first one's CSV was written and no manifest followed.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"root_seed": 99,
+                                      "experiments": [FPR, {**second, "name": "b"}]}))
+        out_dir = tmp_path / "results"
+        rc = run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{name} must" in err and f"got {value}" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("experiment, warns", [
+        ({**SPARSE, "d": 1, "k": 1, "tests": ["threshold", "scan"]}, False),
+        ({**FPR, "type": "open-soundness", "epsilon": 0.9}, True),
+        ({**POWER, "n_grid": [], "texts": 0, "delta": 1.5, "k": 99}, False),
+        ({**SPARSE, "tests": [], "alpha": 1.5}, False),
+    ], ids=["sparse-d-k-1", "open-epsilon-0.9", "empty-n_grid", "no-tests"])
+    def test_value_range_ends_run(self, tmp_path, capsys, experiment, warns):
+        # An epsilon above 0.5 only warns, and a grid with no point reads
+        # only a detector's key values.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"root_seed": 99, "experiments": [experiment]}))
+        out_dir = tmp_path / "results"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir))
+        assert rc == 0
+        assert (out_dir / f"{experiment['name']}.csv").exists()
+        assert bool(caught) == warns
 
     def test_missing_config(self, tmp_path, capsys):
         rc = run_cli("experiment", "--config", str(tmp_path / "nope.json"),

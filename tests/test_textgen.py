@@ -21,6 +21,7 @@ from tokenmark.keystream import (
 from tokenmark.open_scheme import perturbations_for, watermarked_softmax
 from tokenmark.textgen import (
     GenerationRecord,
+    _state_laws,
     condition_lhs,
     generate,
     generate_many,
@@ -56,15 +57,14 @@ def circulant_transition(base):
 class TestSources:
     def test_uniform(self):
         model = uniform_source(6)
-        np.testing.assert_allclose(model.fixed_probs(), np.full(6, 1 / 6), atol=0)
-        assert model.memoryless
+        np.testing.assert_allclose(_state_laws(model, None), np.full((1, 6), 1 / 6), atol=0)
 
     def test_powerlaw_logit_formula(self):
         model = powerlaw_source(5, s=1.5)
         expected = -1.5 * np.log(np.arange(1, 6))
         np.testing.assert_array_equal(model.logits, expected)
         # Probabilities decay like (i+1)^-s.
-        p = model.fixed_probs()
+        p = _state_laws(model, None)[0]
         np.testing.assert_allclose(p[1] / p[0], 2.0**-1.5, rtol=1e-12)
 
     def test_powerlaw_scale(self):
@@ -82,16 +82,16 @@ class TestSources:
 
     def test_iid_fixed_logits_requires_positive(self):
         with pytest.raises(InvalidInputError):
-            iid_source([0.5, 0.5, 0.0]).fixed_logits()
-        logits = iid_source([0.25, 0.75]).fixed_logits()
-        np.testing.assert_allclose(logits, np.log([0.25, 0.75]), atol=0)
+            generate(iid_source([0.5, 0.5, 0.0]), 5, open_key(3), np.random.default_rng(0))
+        logits = _state_laws(iid_source([0.25, 0.75]), open_key(2))
+        np.testing.assert_allclose(logits, np.log([[0.25, 0.75]]), atol=0)
 
     def test_markov_has_no_fixed_law(self):
-        model = markov_source(np.full((3, 3), 1 / 3), np.full(3, 1 / 3))
-        with pytest.raises(InvalidInputError):
-            model.fixed_probs()
-        with pytest.raises(InvalidInputError):
-            model.fixed_logits()
+        # A Markov source has d + 1 states: its initial law, then one per token.
+        transition = circulant_transition([0.5, 0.3, 0.2])
+        model = markov_source(transition, [0.1, 0.1, 0.8])
+        np.testing.assert_array_equal(_state_laws(model, None),
+                                      np.vstack([[0.1, 0.1, 0.8], transition]))
 
     def test_factory_validation(self):
         with pytest.raises(InvalidInputError):
@@ -109,7 +109,7 @@ class TestModelFromDict:
         markov = model_from_dict(
             {"kind": "markov", "transition": [[0.5, 0.5], [0.5, 0.5]], "initial": [1.0, 0.0]}
         )
-        assert not markov.memoryless
+        assert _state_laws(markov, None).shape == (3, 2)
         power = model_from_dict({"kind": "powerlaw-logits", "d": 16, "s": 1.2})
         assert power.d == 16
 
@@ -222,6 +222,14 @@ class TestGenerate:
         record = generate(model, 120, key, np.random.default_rng(7))
         assert record.scheme == "open"
         assert record.tokens.shape == (120,)
+
+    @pytest.mark.parametrize("model", [
+        iid_source([0.5, 0.0, 0.5]),
+        markov_source(circulant_transition([0.5, 0.5, 0.0]), np.full(3, 1 / 3)),
+    ], ids=["iid", "markov"])
+    def test_logit_sampling_refuses_zero_probability(self, model):
+        with pytest.raises(InvalidInputError, match="strictly positive"):
+            generate(model, 5, open_key(3, k=1), np.random.default_rng(0))
 
 
     def test_markov_steps_follow_single_step_laws(self):
@@ -386,7 +394,6 @@ class TestConditionLhs:
         record = GenerationRecord(
             tokens=np.zeros(1000, dtype=np.int64),
             per_step_pstar=np.ones(1000),
-            watermarked=False,
             scheme="none",
             d=4,
         )
@@ -397,7 +404,6 @@ class TestConditionLhs:
             return GenerationRecord(
                 tokens=np.zeros(n, dtype=np.int64),
                 per_step_pstar=np.full(n, 0.5),
-                watermarked=False,
                 scheme="none",
                 d=4,
             )
@@ -433,6 +439,17 @@ class TestFiles:
         json.dumps(obj)  # plain types only
         again = record_from_dict(obj)
         assert not again.watermarked
+
+    def test_watermarked_is_the_scheme(self):
+        # A record once took watermarked=True beside scheme "none" and read
+        # back unwatermarked after a save and load.
+        tokens, pstar = np.zeros(3, dtype=np.int64), np.full(3, 0.5)
+        for scheme, marked in (("none", False), ("closed", True), ("open", True)):
+            record = GenerationRecord(tokens=tokens, per_step_pstar=pstar, scheme=scheme, d=4)
+            assert record.watermarked is marked
+        with pytest.raises(TypeError):
+            GenerationRecord(tokens=tokens, per_step_pstar=pstar, watermarked=True,
+                             scheme="none", d=4)
 
     def test_malformed_record(self):
         with pytest.raises(InvalidInputError):
