@@ -28,8 +28,8 @@ from .detector import (closed_statistics, closed_threshold, open_statistics,
 from .errors import InvalidInputError
 from .keystream import CLOSED, FRESH_SUPPORT, OPEN, WatermarkKey
 from .seeds import derive_master_seed, derive_seed, rng_for
-from .sparsemean import (POWER_CSV_HEADER, SCAN_BUDGET, SCAN_TEST, THRESHOLD_TEST, power_point,
-                         wilson_interval)
+from .sparsemean import (POWER_CSV_HEADER, SCAN_TEST, THRESHOLD_TEST, power_point,
+                         scan_budget_error, wilson_interval)
 from .textgen import GenerationRecord, condition_lhs, generate_many, uniform_source
 
 try:
@@ -115,8 +115,10 @@ def _check_values(exp: dict) -> None:
             raise InvalidInputError(f"{name} must lie in ({lo}, {hi}), got {exp[name]!r}")
     if kind.startswith("closed") and d % 2:
         raise InvalidInputError(f"d must be even for the closed scheme, got {d}")
-    if "tests" in reads and SCAN_TEST in exp["tests"] and math.comb(d, k) > SCAN_BUDGET:
-        raise InvalidInputError(f"k must keep C({d}, k) <= {SCAN_BUDGET} scan supports, got {k}")
+    if "tests" in reads and SCAN_TEST in exp["tests"]:
+        refusal = scan_budget_error(d, k)
+        if refusal:
+            raise InvalidInputError(f"k must keep the scan within its budgets, got {k}: {refusal}")
 
 
 def _key(exp: dict, root, scheme: str, d: int) -> WatermarkKey:

@@ -203,10 +203,11 @@ class OpenStepBatch:
 # PRF stream plumbing
 
 # Batches of fewer rows take the Python-list Fisher-Yates in
-# ``_coloring_matrix``. Its cost grows with count x d, while one numpy call
-# per swap round costs nearly the same for any row count below a few
-# hundred; the two cost the same at about 64 rows for d from 512 to 8192.
-_ROW_LOOP_MAX_COUNT = 64
+# ``_coloring_matrix``. Its cost grows with count x d, while the transposed
+# loop's few numpy calls per swap round cost nearly the same for any row
+# count below a few dozen; the two cost the same at about 16 rows for d
+# from 512 to 32768.
+_ROW_LOOP_MAX_COUNT = 16
 
 # Step indices must stay below this: the step field is 8 bytes.
 _STEP_LIMIT = 2 ** 64
@@ -229,20 +230,27 @@ def _shake256_blocks(inputs: list[bytes], nbytes: int) -> list[bytes]:
 _BLOCK_FUNCTIONS = {1: (_sha256_blocks, 32), 2: (_shake256_blocks, 1024)}
 
 
-def _word_matrix(key: WatermarkKey, lane: int, start: int, count: int,
-                 nwords: int) -> np.ndarray:
-    """Words for ``count`` consecutive steps, shape (count, nwords)."""
+def _step_words(key: WatermarkKey, lane: int, start: int, count: int, nwords: int):
+    """Yield the first ``nwords`` words of each of ``count`` consecutive
+    steps, one (nwords,) big-endian uint64 array per step."""
     blocks, block_bytes = _BLOCK_FUNCTIONS[key.version]
     nblocks = -(-8 * nwords // block_bytes)
     nbytes = min(block_bytes, 8 * nwords)  # a one-block lane squeezes only its words
     lane_prefix = key.master_seed + bytes([lane])
     counters = [c.to_bytes(8, "big") for c in range(nblocks)]
-    chunks = []
     for step in range(start, start + count):
         prefix = lane_prefix + step.to_bytes(8, "big")
-        chunks.append(b"".join(blocks([prefix + c for c in counters], nbytes)))
-    flat = np.frombuffer(b"".join(chunks), dtype=">u8").astype(np.uint64)
-    return flat.reshape(count, -1)[:, :nwords]
+        data = b"".join(blocks([prefix + c for c in counters], nbytes))
+        yield np.frombuffer(data, dtype=">u8", count=nwords)
+
+
+def _word_matrix(key: WatermarkKey, lane: int, start: int, count: int,
+                 nwords: int) -> np.ndarray:
+    """Words for ``count`` consecutive steps, shape (count, nwords)."""
+    out = np.empty((count, nwords), dtype=np.uint64)
+    for row, words in zip(out, _step_words(key, lane, start, count, nwords)):
+        row[:] = words
+    return out
 
 
 def _sign_words(key: WatermarkKey, lane: int, start: int, count: int) -> np.ndarray:
@@ -251,17 +259,22 @@ def _sign_words(key: WatermarkKey, lane: int, start: int, count: int) -> np.ndar
 
 
 def _coloring_matrix(key: WatermarkKey, start: int, count: int) -> np.ndarray:
-    """Balanced colorings for consecutive steps via per-step Fisher-Yates.
+    """Balanced colorings for consecutive steps via per-step Fisher-Yates,
+    shape (count, d).
 
     Below ``_ROW_LOOP_MAX_COUNT`` rows each row is shuffled on a Python
-    list; larger batches swap one column of every row per numpy call. Both
-    loops perform the same swaps, so the output is identical.
+    list. Larger batches reduce each step's words to swap positions as soon
+    as they are hashed, into a (d - 1, count) array, and run the rounds on
+    a transposed (d, count) int8 array, one column per step: round ``i``
+    swaps the contiguous row ``i`` with one entry of each column, a few
+    numpy calls for every step at once. Both loops perform the same swaps,
+    so the output is identical.
     """
     d = key.d
-    words = _word_matrix(key, LANE_COLORING, start, count, d - 1)
-    perm = np.empty((count, d), dtype=np.int8)
+    moduli = np.arange(d, 1, -1, dtype=np.uint64)
     if count < _ROW_LOOP_MAX_COUNT:
-        positions = (words % np.arange(d, 1, -1, dtype=np.uint64)).tolist()
+        positions = (_word_matrix(key, LANE_COLORING, start, count, d - 1) % moduli).tolist()
+        perm = np.empty((count, d), dtype=np.int8)
         signs = [1] * (d // 2) + [-1] * (d // 2)
         for row, row_positions in enumerate(positions):
             a = signs.copy()
@@ -269,15 +282,25 @@ def _coloring_matrix(key: WatermarkKey, start: int, count: int) -> np.ndarray:
                 a[i], a[pos] = a[pos], a[i]
             perm[row] = a
         return perm
-    perm[:, : d // 2] = 1
-    perm[:, d // 2:] = -1
-    rows = np.arange(count)
+    # flat[t, c]: the entry of the flattened (d, count) array that round
+    # i = d-1-t of step start+c swaps with entry (i, c).
+    flat = np.empty((d - 1, count), dtype=np.intp)
+    reduced = np.empty(d - 1, dtype=np.uint64)
+    for c, words in enumerate(_step_words(key, LANE_COLORING, start, count, d - 1)):
+        np.remainder(words, moduli, out=reduced)
+        reduced *= np.uint64(count)
+        reduced += np.uint64(c)
+        flat[:, c] = reduced
+    columns = np.empty((d, count), dtype=np.int8)
+    columns[: d // 2] = 1
+    columns[d // 2:] = -1
+    entries = columns.reshape(-1)
     for t, i in enumerate(range(d - 1, 0, -1)):
-        pos = (words[:, t] % np.uint64(i + 1)).astype(np.intp)
-        tmp = perm[rows, i].copy()
-        perm[rows, i] = perm[rows, pos]
-        perm[rows, pos] = tmp
-    return perm
+        row = columns[i].copy()
+        columns[i] = entries.take(flat[t])
+        entries.put(flat[t], row)
+    del flat
+    return np.ascontiguousarray(columns.T)
 
 
 def _box_muller(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

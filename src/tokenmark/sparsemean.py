@@ -33,6 +33,8 @@ THRESHOLD_TEST = "threshold"
 SCAN_TEST = "scan"
 
 SCAN_BUDGET = 1_000_000
+# Bytes the scan's dense (d, C(d, k)) float64 direction matrix may take.
+SCAN_MATRIX_BYTES = 256 << 20
 NULL_DRAWS = 2000
 _SCAN_CHUNK = 8192
 
@@ -111,6 +113,21 @@ def threshold_statistic(data: np.ndarray, k: int) -> float:
     return float(np.partition(second, second.size - k)[-k:].sum())
 
 
+def scan_budget_error(d: int, k: int) -> str | None:
+    """Why an exhaustive scan over the k-subsets of d coordinates is
+    refused, or None when it fits both budgets: ``SCAN_BUDGET`` supports
+    and ``SCAN_MATRIX_BYTES`` for its direction matrix."""
+    n_subsets = math.comb(d, k)
+    if n_subsets > SCAN_BUDGET:
+        return (f"scan over C({d}, {k}) = {n_subsets} supports exceeds the "
+                f"{SCAN_BUDGET} enumeration budget")
+    nbytes = 8 * d * n_subsets
+    if nbytes > SCAN_MATRIX_BYTES:
+        return (f"scan over C({d}, {k}) = {n_subsets} supports needs a {nbytes / 2**30:.1f} GiB "
+                f"direction matrix, over the {SCAN_MATRIX_BYTES >> 20} MiB budget")
+    return None
+
+
 @functools.lru_cache(maxsize=4)
 def _subset_directions(d: int, k: int) -> np.ndarray:
     """All C(d, k) unit vectors k**-0.5 * 1_T as columns, shape (d, C)."""
@@ -125,22 +142,20 @@ def _subset_directions(d: int, k: int) -> np.ndarray:
 
 def scan_statistic(data: np.ndarray, k: int) -> float:
     """Exhaustive support scan: max over all k-subsets T of the mean absolute
-    alignment (1/n) sum_j |<X_j, mu_T>|. Cost grows with C(d, k); refuses to
-    run past the enumeration budget."""
+    alignment (1/n) sum_j |<X_j, mu_T>|. Cost grows with C(d, k) and memory
+    with d x C(d, k); refuses to run past either budget."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise InvalidInputError("data must be an (n, d) matrix")
     d = data.shape[1]
     if not 1 <= k <= d:
         raise InvalidInputError("need 1 <= k <= d")
-    n_subsets = math.comb(d, k)
-    if n_subsets > SCAN_BUDGET:
-        raise ScanBudgetError(
-            f"scan over C({d}, {k}) = {n_subsets} supports exceeds the "
-            f"{SCAN_BUDGET} enumeration budget")
+    refusal = scan_budget_error(d, k)
+    if refusal:
+        raise ScanBudgetError(refusal)
     directions = _subset_directions(d, k)
     best = -math.inf
-    for lo in range(0, n_subsets, _SCAN_CHUNK):
+    for lo in range(0, directions.shape[1], _SCAN_CHUNK):
         block = np.abs(data @ directions[:, lo:lo + _SCAN_CHUNK]).mean(axis=0)
         best = max(best, float(block.max()))
     return best

@@ -30,9 +30,18 @@ MARKOV = "markov"
 POWERLAW = "powerlaw-logits"
 UNWATERMARKED = "none"
 
-# Steps per key-derivation block of the generation loop; bounds the key
-# material held at ~chunk * d entries regardless of text length.
-_CHUNK = 1 << 16
+# Key material the generation loop derives at a time, in bytes. A chunk is
+# as many steps as fit at the scheme's bytes per (step, token) entry, and
+# at least one, so its size depends on d but not on the text length.
+_CHUNK_BYTES = 16 << 20
+# Bytes per entry. Closed: the intp swap positions of the batch
+# Fisher-Yates, its largest array (an int8 work array adds 1 B, and the
+# derive_closed_steps cache keeps 8 chunks of 1 B colorings). Open: the
+# derive_open_steps cache keeps 8 chunks of 8 B Gaussians, and building a
+# chunk's perturbations (Gaussians, mean vectors, their scaled copy, the
+# sum, Box-Muller temporaries) peaks at 40 B. Either way generation holds
+# under 2.5 x ``_CHUNK_BYTES`` of key material, whatever the text length.
+_ENTRY_BYTES = {CLOSED: 8, OPEN: 64}
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,8 +168,9 @@ def _chain_tokens(laws: np.ndarray, key: WatermarkKey | None, u: np.ndarray) -> 
         orders = rank_order(laws)  # each state's law is sorted once
     tokens = np.empty(u.shape, dtype=np.int64)
     states = np.zeros(texts, dtype=np.int64)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
+    chunk = n if key is None else max(1, _CHUNK_BYTES // (key.d * _ENTRY_BYTES[key.scheme]))
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
         if closed:
             batch = keystream.derive_closed_steps(key, hi - lo, lo)
             signs = batch.colorings * batch.flips[:, None]

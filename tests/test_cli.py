@@ -446,8 +446,10 @@ class TestExperiment:
         ({**FPR, "type": "open-soundness", "epsilon": -1}, "epsilon", -1),
         ({**SPARSE, "k": 9}, "k", 9), ({**SPARSE, "alpha": 1.5}, "alpha", 1.5),
         ({**SPARSE, "d": 40, "k": 8, "tests": ["scan"]}, "k", 8),
+        ({**SPARSE, "d": 1414, "k": 2, "tests": ["scan"]}, "k", 2),
     ], ids=["d-1", "closed-d-7", "texts-0", "n-0", "n_grid-0", "deltas-1.5", "open-k-99",
-            "open-epsilon-neg", "sparse-k-9", "sparse-alpha-1.5", "scan-budget"])
+            "open-epsilon-neg", "sparse-k-9", "sparse-alpha-1.5", "scan-budget",
+            "scan-matrix-bytes"])
     def test_value_out_of_range_in_later_experiment(self, tmp_path, capsys, second, name, value):
         # Value ranges were once checked only as each experiment ran, by when
         # the first one's CSV was written and no manifest followed.

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from tokenmark import keystream
 from tokenmark.cli import main
 from tokenmark.closed_scheme import closed_step
 from tokenmark.detector import detect_closed, detect_open
@@ -328,13 +329,30 @@ class TestDerivationProperties:
         assert a.flip == b.flip
 
     def test_single_matches_batch_row(self):
-        # 70 rows take the batch column loop; single steps take the row loop.
+        # 70 rows take the transposed batch loop; single steps take the row loop.
         key = closed_key(16)
         batch = derive_closed_steps(key, 70, start=7)
         for offset in range(70):
             single = derive_closed_step(key, 7 + offset)
             np.testing.assert_array_equal(batch.colorings[offset], single.coloring)
             assert int(batch.flips[offset]) == single.flip
+
+    def test_transposed_batch_matches_single_steps_d32768(self):
+        """The smallest batch that takes the transposed Fisher-Yates, from a
+        step past 0 and at a d the d = 4/8 golden vectors do not reach:
+        every row equals single-step derivation and every scored entry the
+        per-token reader, for both key versions."""
+        d, count, start = 32768, keystream._ROW_LOOP_MAX_COUNT, 9
+        tokens = np.random.default_rng(6).integers(0, d, count)
+        for version in (1, 2):
+            key = closed_key(d, version)
+            colorings = keystream._coloring_matrix(key, start, count)
+            singles = [derive_closed_step(key, start + row) for row in range(count)]
+            for row, single in enumerate(singles):
+                np.testing.assert_array_equal(colorings[row], single.coloring)
+            flips = np.array([single.flip for single in singles], dtype=np.int8)
+            np.testing.assert_array_equal(closed_token_colors(key, tokens, start),
+                                          colorings[np.arange(count), tokens] * flips)
 
     def test_open_single_matches_batch_row(self):
         key = open_key(d=10, epsilon=0.4, k=3, mode=FRESH_SUPPORT)

@@ -14,6 +14,7 @@ from tokenmark.sparsemean import (
     NULL_DRAWS,
     POWER_CSV_HEADER,
     SCAN_BUDGET,
+    SCAN_MATRIX_BYTES,
     SCAN_TEST,
     THRESHOLD_TEST,
     SparseMeanInstance,
@@ -22,6 +23,7 @@ from tokenmark.sparsemean import (
     rejection_rate,
     run_test,
     sample_instance,
+    scan_budget_error,
     scan_statistic,
     scan_test,
     threshold_statistic,
@@ -138,6 +140,17 @@ class TestStatistics:
         with pytest.raises(ScanBudgetError):
             scan_statistic(np.zeros((5, 40)), 8)
         assert math.comb(40, 8) > SCAN_BUDGET
+
+    def test_scan_matrix_bytes_refused_before_any_work(self):
+        # C(1414, 2) = 998991 supports fit the enumeration budget, but their
+        # (d, C) float64 direction matrix would take 11.3 GB.
+        assert math.comb(1414, 2) <= SCAN_BUDGET
+        assert 8 * 1414 * math.comb(1414, 2) > SCAN_MATRIX_BYTES
+        with pytest.raises(ScanBudgetError, match="GiB direction matrix"):
+            scan_statistic(np.zeros((2, 1414)), 2)
+        # The scans the experiments run still fit: d = 32, k = 4 (9.2 MB)
+        # and d = 24, k = 3.
+        assert scan_budget_error(32, 4) is None and scan_budget_error(24, 3) is None
 
     def test_scan_budget_boundary(self):
         # C(20, 10) = 184756 fits comfortably inside the budget.

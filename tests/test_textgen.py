@@ -8,15 +8,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from tokenmark import textgen
 from tokenmark.closed_scheme import watermark_distribution, watermark_distributions
 from tokenmark.core import sample_tokens
 from tokenmark.detector import closed_statistics, detect_closed
 from tokenmark.errors import InvalidInputError, SchemeMismatchError
 from tokenmark.keystream import (
     CLOSED,
+    FRESH_SUPPORT,
     OPEN,
     WatermarkKey,
     derive_closed_steps,
+    derive_open_steps,
 )
 from tokenmark.open_scheme import perturbations_for, watermarked_softmax
 from tokenmark.textgen import (
@@ -257,20 +260,78 @@ class TestGenerate:
                 row = model.transition[token]
 
 
-class TestRuntime:
-    def test_closed_generate_memory_d4096(self):
-        """One closed text at d = 4096 and n = 512, key derivation included,
-        peaks under 30 B per n * d entry: it holds one step's watermarked law
-        at a time, not (n, d) float64 laws, shifts and cdfs."""
-        d, n = 4096, 512
+def markov_model(d):
+    rng = np.random.default_rng(d)
+    return markov_source(rng.dirichlet(np.ones(d), size=d), rng.dirichlet(np.ones(d)))
+
+
+# (model, key) pairs whose tokens must not depend on the chunk size.
+CHUNK_CASES = {
+    "closed": (powerlaw_source(16, 1.1), closed_key(16)),
+    "closed-padded": (powerlaw_source(7, 1.1),
+                      WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED, padded=True)),
+    "open-fixed": (powerlaw_source(16, 1.1), open_key(16, k=3)),
+    "open-fresh": (powerlaw_source(16, 1.1),
+                   WatermarkKey(master_seed=SEED, d=16, scheme=OPEN, epsilon=0.5, k=3,
+                                support_mode=FRESH_SUPPORT)),
+    "markov-closed": (markov_model(8), closed_key(8)),
+    "markov-open": (markov_model(8), open_key(8, k=3)),
+}
+
+
+class TestChunkBudget:
+    @pytest.mark.parametrize("case", CHUNK_CASES)
+    def test_tokens_do_not_depend_on_chunk_size(self, monkeypatch, case):
+        # Generation derives key material in chunks of _CHUNK_BYTES; a text
+        # of 23 steps split into chunks of 1, 7 or 23 steps gets the same
+        # tokens as with the shipped budget.
+        model, key = CHUNK_CASES[case]
+        n = 23
+        expected = generate_many(model, n, key, 3, np.random.default_rng(21))
+        for steps in (1, 7, n):
+            monkeypatch.setattr(textgen, "_CHUNK_BYTES",
+                                steps * key.d * textgen._ENTRY_BYTES[key.scheme])
+            got = generate_many(model, n, key, 3, np.random.default_rng(21))
+            np.testing.assert_array_equal(got, expected, err_msg=f"{steps} steps per chunk")
+
+
+# Key material generation may hold, whatever the text length: one chunk's
+# transients (at most 9/8 of the budget: closed holds 8 B intp positions and
+# a 1 B work array per entry, open at most 40 of its 64 B) plus the 8 chunks
+# the derive_* caches keep (closed 8 x 1 B, open 8 x 8 B per entry: one
+# budget), plus room for the vectors of length n or d.
+GENERATE_CEILING = 5 * textgen._CHUNK_BYTES // 2
+
+
+def generate_peaks(key, lengths):
+    """tracemalloc peak of one ``generate`` call with ``key`` at each length,
+    derivation caches cleared first."""
+    peaks = []
+    for n in lengths:
         derive_closed_steps.cache_clear()
+        derive_open_steps.cache_clear()
         tracemalloc.start()
         try:
-            generate(powerlaw_source(d, 1.1), n, closed_key(d), np.random.default_rng(0))
-            peak = tracemalloc.get_traced_memory()[1]
+            generate(powerlaw_source(key.d, 1.1), n, key, np.random.default_rng(0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak < 30 * n * d, f"closed generate peaked at {peak / (n * d):.1f} B per entry"
+    return peaks
+
+
+class TestRuntime:
+    def test_closed_generate_memory_d4096(self):
+        """Closed texts of 256 and 2048 steps at d = 4096, key derivation
+        included, peak under one ceiling that does not grow with n."""
+        for n, peak in zip((256, 2048), generate_peaks(closed_key(4096), (256, 2048))):
+            assert peak < GENERATE_CEILING, f"n={n} peaked at {peak / 2**20:.1f} MiB"
+
+    def test_open_generate_memory_d4096(self):
+        """The same for open texts: at d = 4096 one chunk is 64 steps, so
+        n = 2048 runs through 32 chunks and fills the derivation cache."""
+        key = open_key(4096, k=64)
+        for n, peak in zip((256, 2048), generate_peaks(key, (256, 2048))):
+            assert peak < GENERATE_CEILING, f"n={n} peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestGenerateMany:
