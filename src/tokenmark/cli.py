@@ -17,7 +17,7 @@ import numpy as np
 from . import keystream, oracles, textgen
 from .core import json_text, parse_json, read_json, read_text
 from .detector import detect
-from .errors import TokenmarkError
+from .errors import InvalidInputError, TokenmarkError
 from .experiments import load_config, run_experiments
 from .keystream import CLOSED, OPEN, WatermarkKey
 
@@ -89,6 +89,8 @@ def _load_model(args) -> textgen.SourceModel:
 
 
 def cmd_generate(args) -> int:
+    if args.seed < 0:
+        raise InvalidInputError(f"--seed must be a non-negative integer, got {args.seed}")
     model = _load_model(args)
     key = keystream.load_key(args.key) if args.key else None
     rng = np.random.default_rng(args.seed)

@@ -14,50 +14,55 @@ from __future__ import annotations
 import numpy as np
 
 from . import keystream
-from .core import as_logits, sample_rows, softmax, softmax_rows
+from .core import as_logits, is_int, is_number, sample_rows, softmax, softmax_rows
 from .errors import InvalidInputError
 from .keystream import WatermarkKey
 
 
-def _mean_vectors(supports: np.ndarray, d: int) -> np.ndarray:
-    """Unit vectors with mass ``k**-0.5`` on each row's k support tokens,
-    shape (n, d) from (n, k) supports."""
-    n, k = supports.shape
-    mu = np.zeros((n, d))
-    mu[np.arange(n)[:, None], supports] = 1.0 / np.sqrt(k)
-    return mu
-
-
-def _perturbations(gaussians: np.ndarray, mean_vectors: np.ndarray,
+def _perturbations(gaussians: np.ndarray, supports: np.ndarray,
                    directions: np.ndarray, epsilon: float) -> np.ndarray:
-    """Rows ``gaussian + direction * epsilon * mean_vector``, shape (n, d)."""
-    return gaussians + directions[:, None] * epsilon * mean_vectors
+    """Rows ``gaussian + direction * epsilon * mu``, shape (n, d): a copy of
+    the Gaussians plus ``direction * epsilon * k**-0.5`` at each row's k
+    distinct entries of the (n, k) supports; no dense ``mu`` is built."""
+    n, k = supports.shape
+    # float(): int8 directions times a large integer epsilon would overflow.
+    shifts = (directions * float(epsilon)) * (1 / np.sqrt(k))
+    deltas = np.array(gaussians, dtype=np.float64)
+    deltas[np.arange(n)[:, None], supports] += shifts[:, None]
+    return deltas
 
 
 def mean_vector(support, d: int) -> np.ndarray:
-    """Unit vector with mass ``k**-0.5`` on each of the k support tokens."""
-    support = np.asarray(support, dtype=np.int64)
-    if support.ndim != 1 or support.size == 0:
+    """Unit vector with mass ``k**-0.5`` on each of the k support tokens, as
+    a dense (d,) reference; sampling adds the shift sparsely."""
+    entries = np.asarray(support, dtype=object)
+    if entries.ndim != 1 or entries.size == 0:
         raise InvalidInputError("support must be a non-empty 1-d index array")
-    if support.min() < 0 or support.max() >= d or np.unique(support).size != support.size:
+    entries = entries.tolist()
+    if not all(is_int(t) for t in entries):
+        raise InvalidInputError("support entries must be integers")
+    if min(entries) < 0 or max(entries) >= d or len(set(entries)) != len(entries):
         raise InvalidInputError(f"support must be distinct indices in [0, {d})")
-    return _mean_vectors(support[None], d)[0]
+    mu = np.zeros(d)
+    mu[entries] = 1 / np.sqrt(len(entries))
+    return mu
 
 
 def build_perturbation(gaussian, mean_vec, direction: int, epsilon: float) -> np.ndarray:
-    """The step's logit perturbation ``gaussian + direction * epsilon * mean_vec``.
+    """The step's logit perturbation ``gaussian + direction * epsilon * mean_vec``,
+    the dense reference of what sampling builds.
 
     ``gaussian`` is already scaled to N(0, epsilon^2) per entry; ``epsilon``
     here sets the length of the directional component."""
-    if direction not in (1, -1):
+    if not is_int(direction) or direction not in (1, -1):
         raise InvalidInputError("direction must be +1 or -1")
-    if epsilon <= 0:
-        raise InvalidInputError("epsilon must be positive")
+    if not is_number(epsilon) or epsilon <= 0:
+        raise InvalidInputError("epsilon must be a finite number > 0")
     gaussian = np.asarray(gaussian, dtype=np.float64)
     mean_vec = np.asarray(mean_vec, dtype=np.float64)
     if gaussian.shape != mean_vec.shape:
         raise InvalidInputError("gaussian and mean vector must have the same shape")
-    return _perturbations(gaussian[None], mean_vec[None], np.array([direction]), epsilon)[0]
+    return gaussian + direction * epsilon * mean_vec
 
 
 def watermarked_softmax(logits, delta) -> np.ndarray:
@@ -75,7 +80,7 @@ def open_step(key: WatermarkKey, step: int, logits, rng: np.random.Generator) ->
     of one."""
     logits = as_logits(logits, key.d)
     sk = keystream.derive_open_step(key, step)
-    delta = _perturbations(sk.gaussian[None], _mean_vectors(sk.support[None], key.d),
+    delta = _perturbations(sk.gaussian[None], sk.support[None],
                            np.array([sk.direction]), key.epsilon)
     return int(sample_rows(softmax_rows(logits + delta), rng)[0])
 
@@ -83,6 +88,5 @@ def open_step(key: WatermarkKey, step: int, logits, rng: np.random.Generator) ->
 def perturbations_for(key: WatermarkKey, count: int, start: int = 0) -> np.ndarray:
     """Logit perturbations for ``count`` consecutive steps, shape (count, d)."""
     batch = keystream.derive_open_steps(key, count, start)
-    return _perturbations(batch.gaussians, _mean_vectors(batch.supports, key.d),
-                          batch.directions, key.epsilon)
+    return _perturbations(batch.gaussians, batch.supports, batch.directions, key.epsilon)
 

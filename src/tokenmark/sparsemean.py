@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ScanBudgetError
+from .open_scheme import _perturbations
 from .seeds import derive_seed
 
 H0 = "H0"
@@ -76,7 +77,8 @@ def sample_instance(n: int, d: int, k: int, epsilon: float, hypothesis: str,
                     seed, *, force_positive_signs: bool = False) -> SparseMeanInstance:
     """Draw one dataset: under H0 rows are N(0, epsilon^2 I); under Ha each
     row additionally gets ``sign * epsilon * mu`` for a common uniformly
-    drawn k-sparse unit ``mu`` and independent Rademacher signs.
+    drawn k-sparse unit ``mu`` and independent Rademacher signs, which is
+    the open scheme's perturbation with a fixed support, built by its builder.
 
     ``force_positive_signs`` pins every sign to +1, a diagnostic mode that
     makes the planted mean visible to first-moment checks."""
@@ -93,9 +95,7 @@ def sample_instance(n: int, d: int, k: int, epsilon: float, hypothesis: str,
         signs = np.ones(n, dtype=np.int8)
     else:
         signs = (rng.integers(0, 2, n) * 2 - 1).astype(np.int8)
-    mu = np.zeros(d)
-    mu[support] = 1.0 / math.sqrt(k)
-    data += signs[:, None] * (epsilon * mu)
+    data = _perturbations(data, np.broadcast_to(support, (n, k)), signs, epsilon)
     return SparseMeanInstance(data=data, epsilon=epsilon, k=k, truth=HA,
                               planted_support=support, planted_signs=signs)
 
@@ -109,6 +109,8 @@ def threshold_statistic(data: np.ndarray, k: int) -> float:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise InvalidInputError("data must be an (n, d) matrix")
+    if not 1 <= k <= data.shape[1]:
+        raise InvalidInputError("need 1 <= k <= d")
     second = (data * data).mean(axis=0)
     return float(np.partition(second, second.size - k)[-k:].sum())
 

@@ -37,10 +37,11 @@ _CHUNK_BYTES = 16 << 20
 # Bytes per entry. Closed: the intp swap positions of the batch
 # Fisher-Yates, its largest array (an int8 work array adds 1 B, and the
 # derive_closed_steps cache keeps 8 chunks of 1 B colorings). Open: the
-# derive_open_steps cache keeps 8 chunks of 8 B Gaussians, and building a
-# chunk's perturbations (Gaussians, mean vectors, their scaled copy, the
-# sum, Box-Muller temporaries) peaks at 40 B. Either way generation holds
-# under 2.5 x ``_CHUNK_BYTES`` of key material, whatever the text length.
+# derive_open_steps cache keeps 8 chunks of 8 B Gaussians, and deriving a
+# chunk peaks at 40 B, the float64 temporaries of _gaussian_matrix's
+# Box-Muller; the perturbations are one 8 B copy of the Gaussians with the
+# shift added at the support entries. Either way generation holds under
+# 2.5 x ``_CHUNK_BYTES`` of key material, whatever the text length.
 _ENTRY_BYTES = {CLOSED: 8, OPEN: 64}
 
 

@@ -166,6 +166,14 @@ class TestGenerate:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "t.json").exists()
 
+    def test_negative_seed(self, tmp_path, capsys):
+        # A negative seed ended in numpy's ValueError traceback with exit 1.
+        rc = run_cli("generate", "--model", UNIFORM64, "--n", "5", "--seed", "-1",
+                     "--out", str(tmp_path / "r.json"))
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_model_and_model_file_conflict(self, tmp_path):
         model = tmp_path / "model.json"
         model.write_text(UNIFORM64)

@@ -1,6 +1,7 @@
 """Open scheme: perturbation assembly, softmax sampling, null behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy import stats
 from tokenmark.core import softmax
 from tokenmark.errors import InvalidInputError
 from tokenmark.keystream import (
+    FIXED_SUPPORT,
     FRESH_SUPPORT,
     OPEN,
     WatermarkKey,
@@ -44,12 +46,19 @@ class TestMeanVector:
         np.testing.assert_allclose(mu, np.full(5, 5**-0.5), atol=1e-16)
 
     def test_rejects_duplicates_and_range(self):
-        with pytest.raises(InvalidInputError):
-            mean_vector([0, 0], d=4)
-        with pytest.raises(InvalidInputError):
-            mean_vector([0, 4], d=4)
-        with pytest.raises(InvalidInputError):
-            mean_vector([], d=4)
+        # Fractional entries were truncated ([0.5, 1.7] became tokens 0 and 1)
+        # and True was taken as token 1.
+        for support in ([0, 0], [0, 4], [-1, 2], [], [[0, 1]], [0.5, 1.7], [0.0, 1.0],
+                        np.array([0.5, 1.7]), [True], [0, True], np.array([True, False]),
+                        ["1"]):
+            with pytest.raises(InvalidInputError):
+                mean_vector(support, d=4)
+
+    def test_accepts_integer_arrays(self):
+        expected = mean_vector([1, 3], d=4)
+        for support in (np.array([1, 3], dtype=np.int8), np.array([3, 1], dtype=np.uint64),
+                        range(1, 4, 2)):
+            np.testing.assert_array_equal(mean_vector(support, d=4), expected)
 
 
 class TestBuildPerturbation:
@@ -65,13 +74,14 @@ class TestBuildPerturbation:
         np.testing.assert_allclose(delta, [0, 0.25, 0], atol=0)
 
     def test_rejects_bad_arguments(self):
+        # A NaN or infinite epsilon returned NaN entries.
         mu = mean_vector([0], d=2)
-        with pytest.raises(InvalidInputError):
-            build_perturbation(np.zeros(2), mu, 0, 0.5)
-        with pytest.raises(InvalidInputError):
-            build_perturbation(np.zeros(2), mu, 1, 0.0)
-        with pytest.raises(InvalidInputError):
-            build_perturbation(np.zeros(3), mu, 1, 0.5)
+        for size, direction, epsilon in [
+            (2, 0, 0.5), (2, True, 0.5), (2, 1.0, 0.5), (2, 1, 0.0), (2, 1, -0.5),
+            (2, 1, math.nan), (2, 1, math.inf), (2, 1, True), (2, 1, "0.5"), (3, 1, 0.5),
+        ]:
+            with pytest.raises(InvalidInputError):
+                build_perturbation(np.zeros(size), mu, direction, epsilon)
 
 
 class TestWatermarkedSoftmax:
@@ -104,17 +114,36 @@ class TestWatermarkedSoftmax:
 
 class TestPerturbationsFor:
     def test_matches_stepwise_assembly(self):
-        key = make_key(d=10, epsilon=0.4, k=3, mode=FRESH_SUPPORT)
-        batch = perturbations_for(key, 6)
-        steps = derive_open_steps(key, 6)
-        for j in range(6):
-            expected = build_perturbation(
-                steps.gaussians[j],
-                mean_vector(steps.supports[j], key.d),
-                int(steps.directions[j]),
-                key.epsilon,
-            )
-            np.testing.assert_allclose(batch[j], expected, atol=1e-16)
+        # The sparse shift gives the dense reference's bits exactly.
+        for d, k, epsilon, count, start in [(10, 3, 0.4, 6, 0), (32768, 64, 0.25, 5, 1000)]:
+            for mode in (FIXED_SUPPORT, FRESH_SUPPORT):
+                key = make_key(d=d, epsilon=epsilon, k=k, mode=mode)
+                batch = perturbations_for(key, count, start)
+                steps = derive_open_steps(key, count, start)
+                for j in range(count):
+                    expected = build_perturbation(
+                        steps.gaussians[j],
+                        mean_vector(steps.supports[j], key.d),
+                        int(steps.directions[j]),
+                        key.epsilon,
+                    )
+                    np.testing.assert_array_equal(batch[j], expected)
+
+    def test_cached_chunk_memory_d4096(self):
+        """On a chunk already in the derivation cache, the perturbations
+        cost one 8 B copy of the Gaussians per (step, token) entry; a dense
+        (count, d) mean-vector matrix and its scaled copy would pass 12 B."""
+        key = make_key(d=4096, epsilon=0.5, k=64, mode=FRESH_SUPPORT)
+        count = 64
+        derive_open_steps(key, count, 0)  # the cache entry perturbations_for reads
+        tracemalloc.start()
+        try:
+            perturbations_for(key, count, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_entry = peak / (count * key.d)
+        assert per_entry < 12, f"perturbations_for peaked at {per_entry:.1f} B per entry"
 
     def test_small_epsilon_limit(self):
         # As epsilon shrinks the watermarked law collapses onto the model's.

@@ -1,5 +1,6 @@
 """Sparse-mean testbed: instances, statistics, calibration, power sweeps."""
 
+import hashlib
 import itertools
 import math
 
@@ -8,6 +9,8 @@ import pytest
 from scipy import stats
 
 from tokenmark.errors import InvalidInputError, ScanBudgetError
+from tokenmark.open_scheme import build_perturbation, mean_vector
+from tokenmark.seeds import derive_seed
 from tokenmark.sparsemean import (
     H0,
     HA,
@@ -88,6 +91,41 @@ class TestSampleInstance:
         c = sample_instance(20, 6, 2, 1.0, H0, seed=7)
         assert not np.array_equal(a.data, c.data)
 
+    def test_ha_data_pinned(self):
+        # SHA-256 of the Ha data over 6 shapes, 5 seeds, both sign modes and
+        # two epsilons, as the dense planting gave it before the alternative
+        # was built by the open scheme's perturbation builder.
+        shapes = [(40, 24, 3), (160, 32, 4), (10, 1000, 17), (5, 4, 4), (7, 9, 1), (33, 64, 8)]
+        digest = hashlib.sha256()
+        for n, d, k in shapes:
+            for seed in range(5):
+                for force in (False, True):
+                    for epsilon in (0.7, 2.5):
+                        inst = sample_instance(n, d, k, epsilon, HA, seed,
+                                               force_positive_signs=force)
+                        digest.update(inst.data.tobytes())
+        assert digest.hexdigest() == (
+            "10e23af317b89348b49cc7398c58f583066ef10db759c7da0ede4219414873dd")
+
+    def test_ha_rows_are_open_perturbations(self):
+        # Each Ha row is the open scheme's dense perturbation of the row's
+        # N(0, epsilon^2) draw, with the planted support and the row's sign.
+        n, d, k, epsilon = 12, 20, 3, 0.6
+        inst = sample_instance(n, d, k, epsilon, HA, seed=8)
+        rng = np.random.default_rng(derive_seed(8, "instance", HA, n, d, k))
+        gaussians = epsilon * rng.standard_normal((n, d))
+        mu = mean_vector(inst.planted_support, d)
+        for j in range(n):
+            np.testing.assert_array_equal(
+                inst.data[j],
+                build_perturbation(gaussians[j], mu, int(inst.planted_signs[j]), epsilon))
+
+    def test_integer_epsilon(self):
+        # The int8 signs times a large integer epsilon must not overflow.
+        a = sample_instance(6, 5, 2, 200, HA, seed=9)
+        b = sample_instance(6, 5, 2, 200.0, HA, seed=9)
+        np.testing.assert_array_equal(a.data, b.data)
+
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             sample_instance(0, 6, 2, 1.0, H0, seed=0)
@@ -163,6 +201,15 @@ class TestStatistics:
             threshold_statistic(np.zeros(5), 1)
         with pytest.raises(InvalidInputError):
             scan_statistic(np.zeros((3, 4)), 5)
+        # k = d + 1 summed all d second moments; k <= 0 was a bare numpy
+        # "kth out of bounds" ValueError.
+        data = np.random.default_rng(0).standard_normal((3, 4))
+        for k in (5, 0, -1):
+            with pytest.raises(InvalidInputError):
+                threshold_statistic(data, k)
+            with pytest.raises(InvalidInputError):
+                scan_statistic(data, k)
+        assert threshold_statistic(data, 4) == pytest.approx((data**2).mean(axis=0).sum())
 
 
 class TestCalibration:
