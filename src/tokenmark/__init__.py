@@ -15,8 +15,7 @@ hardness gap the open scheme's unremovability rests on.
 from .closed_scheme import (PairedRanking, closed_step, rank_match,
                             watermark_distribution)
 from .detector import (DetectionReport, closed_p_value, closed_threshold,
-                       detect, detect_closed, detect_open, open_p_value,
-                       open_threshold)
+                       detect, open_p_value, open_threshold)
 from .errors import (CheckFailedError, CorruptTextError, InvalidInputError,
                      InvalidKeyError, ScanBudgetError, SchemeMismatchError,
                      TokenmarkError)
@@ -42,8 +41,8 @@ __all__ = [
     "SchemeMismatchError", "SourceModel", "SparseMeanInstance",
     "TokenmarkError", "WatermarkKey", "bias_bound_mc", "build_perturbation",
     "closed_p_value", "closed_step", "closed_threshold", "condition_lhs",
-    "derive_closed_step", "derive_open_step", "detect", "detect_closed",
-    "detect_open", "generate", "generate_many", "iid_source",
+    "derive_closed_step", "derive_open_step", "detect", "generate",
+    "generate_many", "iid_source",
     "lemma_maxima_exact", "lemma_maxima_mc", "load_key", "load_record",
     "markov_source", "mean_vector", "new_master_seed", "open_p_value",
     "open_step", "open_threshold", "power_curve", "powerlaw_source",

@@ -157,8 +157,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (TokenmarkError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TokenmarkError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -109,45 +109,32 @@ def open_p_value(z: float, n: int, epsilon: float) -> float:
     return 0.5 * math.erfc(math.sqrt(n) * max(z, 0.0) / (epsilon * math.sqrt(2.0)))
 
 
+def threshold(key: WatermarkKey, n: int, delta: float) -> float:
+    """The decision threshold of ``key``'s scheme for n scored tokens."""
+    if key.scheme == CLOSED:
+        return closed_threshold(n, delta)
+    return open_threshold(n, delta, key.epsilon)
+
+
 # --------------------------------------------------------------------------
 # End-to-end detection against a key
 
 
-def detect_closed(key: WatermarkKey, tokens, delta: float = 0.05,
-                  start: int = 0) -> DetectionReport:
-    """Score ``tokens`` (generated from step ``start`` onward) against a
-    closed key."""
-    tokens = validate_tokens(tokens, key.d)
-    _check_n(tokens.size)
-    _check_delta(delta)
-    z = float(keystream.closed_token_colors(key, tokens, start).astype(np.float64).mean())
-    t = closed_threshold(tokens.size, delta)
-    return DetectionReport(
-        scheme=CLOSED, n_tokens=tokens.size, statistic=z, threshold=t, delta=delta,
-        p_value=closed_p_value(z, tokens.size), verdict=z >= t,
-    )
-
-
-def detect_open(key: WatermarkKey, tokens, delta: float = 0.05,
-                start: int = 0) -> DetectionReport:
-    """Score ``tokens`` against an open key using only its Gaussian lane."""
-    tokens = validate_tokens(tokens, key.d)
-    _check_n(tokens.size)
-    _check_delta(delta)
-    z = float(keystream.open_gaussian_entries(key, tokens, start).mean())
-    t = open_threshold(tokens.size, delta, key.epsilon)
-    return DetectionReport(
-        scheme=OPEN, n_tokens=tokens.size, statistic=z, threshold=t, delta=delta,
-        p_value=open_p_value(z, tokens.size, key.epsilon), verdict=z >= t,
-    )
-
-
 def detect(key: WatermarkKey, tokens, delta: float = 0.05,
            start: int = 0) -> DetectionReport:
-    """Dispatch on the key's scheme."""
-    if key.scheme == CLOSED:
-        return detect_closed(key, tokens, delta, start)
-    return detect_open(key, tokens, delta, start)
+    """Score ``tokens`` (generated from step ``start`` onward) against
+    ``key``: the mean per-step score, each token's coloring entry times the
+    step's flip (closed) or its Gaussian entry (open), against the key's
+    threshold."""
+    tokens = validate_tokens(tokens, key.d)
+    n = tokens.size
+    t = threshold(key, n, delta)
+    scores = (keystream.closed_token_colors if key.scheme == CLOSED
+              else keystream.open_gaussian_entries)(key, tokens, start)
+    z = float(scores.mean())  # float64, exact for the closed +-1 sums
+    p_value = closed_p_value(z, n) if key.scheme == CLOSED else open_p_value(z, n, key.epsilon)
+    return DetectionReport(scheme=key.scheme, n_tokens=n, statistic=z, threshold=t,
+                           delta=delta, p_value=p_value, verdict=z >= t)
 
 
 # --------------------------------------------------------------------------

@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import field, is_int, is_number, json_text, read_json
-from .detector import (closed_statistics, closed_threshold, open_statistics,
-                       open_threshold)
+from .detector import closed_statistics, open_statistics, threshold
 from .errors import InvalidInputError
 from .keystream import CLOSED, FRESH_SUPPORT, OPEN, WatermarkKey
 from .seeds import derive_master_seed, derive_seed, rng_for
@@ -136,11 +135,7 @@ def _statistics(key: WatermarkKey, tokens: np.ndarray) -> np.ndarray:
 def _rate(key: WatermarkKey, z: np.ndarray, n: int, delta: float) -> list:
     """Share of the statistics ``z`` at or above the key's threshold, and
     its Wilson interval."""
-    if key.scheme == CLOSED:
-        threshold = closed_threshold(n, delta)
-    else:
-        threshold = open_threshold(n, delta, key.epsilon)
-    hits = int((z >= threshold).sum())
+    hits = int((z >= threshold(key, n, delta)).sum())
     return [hits / z.size, *wilson_interval(hits, z.size)]
 
 

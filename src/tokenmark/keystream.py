@@ -133,8 +133,9 @@ class WatermarkKey:
             raise InvalidKeyError(f"unsupported key file version {self.version!r}")
         if len(self.master_seed) != SEED_BYTES:
             raise InvalidKeyError(f"master seed must be {SEED_BYTES} bytes")
-        if self.d < 2:
-            raise InvalidKeyError("dictionary size must be at least 2")
+        if not is_int(self.d) or self.d < 2:
+            raise InvalidKeyError(f"dictionary size must be an integer >= 2, got {self.d!r}")
+        object.__setattr__(self, "d", int(self.d))
         if self.scheme == CLOSED:
             if self.d % 2 != 0:
                 raise InvalidKeyError("closed scheme needs even d; pad the dictionary first")
@@ -143,8 +144,11 @@ class WatermarkKey:
         elif self.scheme == OPEN:
             if not is_number(self.epsilon) or self.epsilon <= 0:
                 raise InvalidKeyError("open scheme requires a finite epsilon > 0")
-            if self.k is None or not 1 <= self.k <= self.d:
-                raise InvalidKeyError("open scheme requires 1 <= k <= d")
+            if not is_int(self.k) or not 1 <= self.k <= self.d:
+                raise InvalidKeyError(f"open scheme requires an integer 1 <= k <= d, "
+                                      f"got {self.k!r}")
+            object.__setattr__(self, "k", int(self.k))
+            object.__setattr__(self, "epsilon", float(self.epsilon))
             mode = self.support_mode if self.support_mode is not None else FIXED_SUPPORT
             if mode not in (FIXED_SUPPORT, FRESH_SUPPORT):
                 raise InvalidKeyError(f"unknown support mode {mode!r}")
@@ -499,12 +503,11 @@ def key_from_dict(obj: dict) -> WatermarkKey:
     integers, ``epsilon`` a finite number, ``padded`` a boolean, and the seed
     strict base64. Booleans, strings and fractions are never converted."""
     try:
-        epsilon = field(obj, "epsilon", lambda v: v is None or is_number(v), None)
         return WatermarkKey(
             master_seed=base64.b64decode(obj["master_seed_base64"], validate=True),
             d=field(obj, "d", is_int),
             scheme=obj["scheme"],
-            epsilon=None if epsilon is None else float(epsilon),
+            epsilon=field(obj, "epsilon", lambda v: v is None or is_number(v), None),
             k=field(obj, "k", lambda v: v is None or is_int(v), None),
             support_mode=obj.get("support_mode"),
             padded=field(obj, "padded", lambda v: isinstance(v, bool), False),

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import is_int
 from .errors import InvalidInputError, ScanBudgetError
 from .open_scheme import _perturbations
 from .seeds import derive_seed
@@ -104,13 +105,19 @@ def sample_instance(n: int, d: int, k: int, epsilon: float, hypothesis: str,
 # Test statistics
 
 
-def threshold_statistic(data: np.ndarray, k: int) -> float:
-    """Sum of the k largest per-coordinate second moments (1/n) sum_j X_j(i)^2."""
+def _check_data(data, k) -> np.ndarray:
+    """``data`` as a checked (n, d) float64 matrix, for an integer k in [1, d]."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise InvalidInputError("data must be an (n, d) matrix")
-    if not 1 <= k <= data.shape[1]:
-        raise InvalidInputError("need 1 <= k <= d")
+    if not is_int(k) or not 1 <= k <= data.shape[1]:
+        raise InvalidInputError(f"need an integer 1 <= k <= d, got k = {k!r}")
+    return data
+
+
+def threshold_statistic(data: np.ndarray, k: int) -> float:
+    """Sum of the k largest per-coordinate second moments (1/n) sum_j X_j(i)^2."""
+    data = _check_data(data, k)
     second = (data * data).mean(axis=0)
     return float(np.partition(second, second.size - k)[-k:].sum())
 
@@ -146,12 +153,8 @@ def scan_statistic(data: np.ndarray, k: int) -> float:
     """Exhaustive support scan: max over all k-subsets T of the mean absolute
     alignment (1/n) sum_j |<X_j, mu_T>|. Cost grows with C(d, k) and memory
     with d x C(d, k); refuses to run past either budget."""
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise InvalidInputError("data must be an (n, d) matrix")
+    data = _check_data(data, k)
     d = data.shape[1]
-    if not 1 <= k <= d:
-        raise InvalidInputError("need 1 <= k <= d")
     refusal = scan_budget_error(d, k)
     if refusal:
         raise ScanBudgetError(refusal)

@@ -52,22 +52,22 @@ class SourceModel:
     ``iid`` repeats one fixed distribution, ``markov`` follows a
     row-stochastic transition matrix from an initial law, and
     ``powerlaw-logits`` is a fixed logit vector ``l(i) = -s * ln(i + 1)``
-    (so probabilities decay like ``(i+1)**-s``). Build via the factory
-    functions below rather than directly; generation reads a source as its
-    table of state laws (``_state_laws``).
+    (so probabilities decay like ``(i+1)**-s``). ``laws`` is the source's
+    (states, d) table of state laws, built once by the factory functions
+    below: one row for a memoryless source; for a Markov source the initial
+    law (state 0) followed by the transition rows (state ``token + 1``). A
+    power law also keeps the ``logits`` that open sampling perturbs.
     """
 
     kind: str
     d: int
-    probs: np.ndarray | None = None
-    transition: np.ndarray | None = None
-    initial: np.ndarray | None = None
+    laws: np.ndarray
     logits: np.ndarray | None = None
 
 
 def iid_source(p) -> SourceModel:
     p = as_probs(p)
-    return SourceModel(kind=IID, d=p.size, probs=p)
+    return SourceModel(kind=IID, d=p.size, laws=p[None])
 
 
 def uniform_source(d: int) -> SourceModel:
@@ -83,8 +83,7 @@ def markov_source(transition, initial) -> SourceModel:
     d = transition.shape[0]
     for row in transition:
         as_probs(row, d)
-    initial = as_probs(initial, d)
-    return SourceModel(kind=MARKOV, d=d, transition=transition, initial=initial)
+    return SourceModel(kind=MARKOV, d=d, laws=np.vstack([as_probs(initial, d), transition]))
 
 
 def powerlaw_source(d: int, s: float, scale: float = 1.0) -> SourceModel:
@@ -95,7 +94,7 @@ def powerlaw_source(d: int, s: float, scale: float = 1.0) -> SourceModel:
     if s < 0 or scale <= 0:
         raise InvalidInputError("exponent must be >= 0 and scale positive")
     logits = -scale * s * np.log(np.arange(1, d + 1, dtype=np.float64))
-    return SourceModel(kind=POWERLAW, d=d, logits=logits)
+    return SourceModel(kind=POWERLAW, d=d, laws=softmax(logits)[None], logits=logits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,24 +135,17 @@ def check_key_d(d: int, key: WatermarkKey) -> bool:
 
 
 def _state_laws(model: SourceModel, key: WatermarkKey | None) -> np.ndarray:
-    """The law of each source state, one row per state, as sampling under
-    ``key`` takes it: logits for an open key, otherwise probabilities, with
-    a zero for the padding token of a padded closed key. A memoryless source
-    has one state; a Markov source starts in state 0, its initial law, and
-    moves to state ``token + 1``."""
+    """The source's table of state laws as sampling under ``key`` takes it:
+    logits for an open key, otherwise probabilities, with a zero for the
+    padding token of a padded closed key."""
     padded = key is not None and check_key_d(model.d, key)
-    logits = key is not None and key.scheme == OPEN
-    if model.kind == POWERLAW and logits:
+    if key is None or key.scheme == CLOSED:
+        return np.pad(model.laws, ((0, 0), (0, 1))) if padded else model.laws
+    if model.logits is not None:
         return model.logits[None]
-    if model.kind == MARKOV:
-        laws = np.vstack([model.initial, model.transition])
-    else:
-        laws = (model.probs if model.kind == IID else softmax(model.logits))[None]
-    if logits:
-        if (laws <= 0).any():
-            raise InvalidInputError("logit-space sampling needs strictly positive state laws")
-        return np.log(laws)
-    return np.pad(laws, ((0, 0), (0, 1))) if padded else laws
+    if (model.laws <= 0).any():
+        raise InvalidInputError("logit-space sampling needs strictly positive state laws")
+    return np.log(model.laws)
 
 
 def _chain_tokens(laws: np.ndarray, key: WatermarkKey | None, u: np.ndarray) -> np.ndarray:
@@ -196,11 +188,10 @@ def _chain_tokens(laws: np.ndarray, key: WatermarkKey | None, u: np.ndarray) -> 
 def _pstar_series(model: SourceModel, tokens: np.ndarray) -> np.ndarray:
     """Exact per-step top probability of the source law (not the watermarked
     one: the guarantees are stated in terms of the model's own entropy)."""
-    laws = _state_laws(model, None)
     states = np.zeros(tokens.size, dtype=np.int64)
-    if laws.shape[0] > 1:
+    if model.laws.shape[0] > 1:
         states[1:] = tokens[:-1] + 1
-    return laws.max(axis=1)[states]
+    return model.laws.max(axis=1)[states]
 
 
 def generate(model: SourceModel, n: int, key: WatermarkKey | None,
@@ -321,7 +312,7 @@ def tokens_from_text(text: str, path) -> np.ndarray:
     """Token ids of ``text``, the contents of the bare token file ``path``."""
     try:
         return np.array([int(tok) for tok in text.split()], dtype=np.int64)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InvalidInputError(f"cannot read token file {path}: {exc}") from exc
 
 

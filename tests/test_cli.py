@@ -22,7 +22,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tokenmark.cli
 import tokenmark.closed_scheme
+import tokenmark.textgen
 from tokenmark.cli import main
 from tokenmark.keystream import CLOSED, OPEN, WatermarkKey, load_key, save_key
 from tokenmark.textgen import load_record, load_tokens
@@ -174,6 +176,19 @@ class TestGenerate:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_out_of_memory_is_an_error(self, tmp_path, monkeypatch, capsys):
+        # generate from a uniform source with a closed key at d = 2**40 ended
+        # in numpy's _ArrayMemoryError traceback with exit 1.
+        def no_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(tokenmark.textgen, "generate", no_memory)
+        rc = run_cli("generate", "--model", UNIFORM64, "--n", "5", "--seed", "1",
+                     "--out", str(tmp_path / "r.json"))
+        assert rc == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_model_and_model_file_conflict(self, tmp_path):
         model = tmp_path / "model.json"
         model.write_text(UNIFORM64)
@@ -263,6 +278,30 @@ class TestDetect:
         assert run_cli("detect", "--text", str(text),
                        "--key", str(key)) == 2
         capsys.readouterr()
+
+    def test_token_id_past_int64(self, tmp_path, capsys):
+        # A bare token file with id 2**63 ended in numpy's OverflowError
+        # traceback with exit 1; a text record with it already exited 2.
+        key = tmp_path / "key.json"
+        run_cli("keygen", "--scheme", "closed", "--d", "8", "--out", str(key))
+        text = tmp_path / "tokens.txt"
+        text.write_text(f"0 {2**63} 1\n")
+        assert run_cli("detect", "--text", str(text), "--key", str(key)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_out_of_memory_is_an_error(self, watermarked, monkeypatch, capsys):
+        # A closed key at d = 2**40 made detect end in numpy's
+        # _ArrayMemoryError traceback with exit 1.
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        key, record = watermarked
+        monkeypatch.setattr(tokenmark.cli, "detect", no_memory)
+        assert run_cli("detect", "--text", str(record), "--key", str(key)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: Unable to allocate 8.00 TiB\n"
+        assert captured.out == ""
 
     def test_missing_key_file(self, tmp_path, capsys):
         text = tmp_path / "tokens.txt"

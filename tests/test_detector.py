@@ -12,11 +12,10 @@ from tokenmark.detector import (
     closed_statistics,
     closed_threshold,
     detect,
-    detect_closed,
-    detect_open,
     open_p_value,
     open_statistics,
     open_threshold,
+    threshold,
 )
 from tokenmark.errors import CorruptTextError, InvalidInputError
 from tokenmark.keystream import CLOSED, OPEN, WatermarkKey, derive_closed_steps
@@ -55,6 +54,15 @@ class TestThresholds:
             closed_threshold(100, 1.0)
         with pytest.raises(InvalidInputError):
             open_threshold(100, 0.05, 0.0)
+
+    def test_key_threshold_is_its_schemes(self):
+        for n, delta in ((1, 0.5), (100, 0.05), (5000, 0.01)):
+            assert threshold(CLOSED_KEY, n, delta) == closed_threshold(n, delta)
+            assert threshold(OPEN_KEY, n, delta) == open_threshold(n, delta, OPEN_KEY.epsilon)
+        with pytest.raises(InvalidInputError):
+            threshold(OPEN_KEY, 0, 0.05)
+        with pytest.raises(InvalidInputError):
+            threshold(CLOSED_KEY, 100, 1.0)
 
 
 class TestPValues:
@@ -101,7 +109,7 @@ class TestEndToEnd:
         tokens = np.array(
             [int(np.nonzero(batch.colorings[j] == batch.flips[j])[0][0]) for j in range(200)]
         )
-        report = detect_closed(CLOSED_KEY, tokens)
+        report = detect(CLOSED_KEY, tokens)
         assert report.statistic == 1.0
         assert report.verdict is True
         assert report.p_value == pytest.approx(math.exp(-100), rel=1e-12)
@@ -113,7 +121,7 @@ class TestEndToEnd:
         tokens = np.array(
             [int(np.nonzero(batch.colorings[j] == batch.flips[j])[0][0]) for j in range(2)]
         )
-        report = detect_closed(CLOSED_KEY, tokens, delta=1 / math.e)
+        report = detect(CLOSED_KEY, tokens, delta=1 / math.e)
         assert report.threshold == 1.0
         assert report.statistic == 1.0
         assert report.verdict is True
@@ -124,15 +132,15 @@ class TestEndToEnd:
         # scores +1.
         key = WatermarkKey(master_seed=SEED, d=64, scheme=CLOSED)
         record = generate(uniform_source(64), 300, key, np.random.default_rng(0))
-        report = detect_closed(key, record.tokens)
+        report = detect(key, record.tokens)
         assert report.statistic == 1.0
         assert report.verdict is True
 
     def test_unwatermarked_text_not_flagged(self):
         rng = np.random.default_rng(1)
         tokens = rng.integers(0, 8, size=2000)
-        closed_report = detect_closed(CLOSED_KEY, tokens)
-        open_report = detect_open(OPEN_KEY, tokens)
+        closed_report = detect(CLOSED_KEY, tokens)
+        open_report = detect(OPEN_KEY, tokens)
         assert closed_report.verdict is False
         assert open_report.verdict is False
         assert closed_report.p_value > 0.05
@@ -149,20 +157,20 @@ class TestEndToEnd:
         key = WatermarkKey(master_seed=SEED, d=64, scheme=CLOSED)
         record = generate(uniform_source(64), 600, key, np.random.default_rng(2))
         tail = record.tokens[100:]
-        aligned = detect_closed(key, tail, start=100)
+        aligned = detect(key, tail, start=100)
         assert aligned.statistic == 1.0
-        misaligned = detect_closed(key, tail)
+        misaligned = detect(key, tail)
         assert misaligned.statistic < aligned.statistic
 
     def test_corrupt_tokens_rejected(self):
         with pytest.raises(CorruptTextError):
-            detect_closed(CLOSED_KEY, [0, 99])
+            detect(CLOSED_KEY, [0, 99])
         with pytest.raises(CorruptTextError):
-            detect_open(OPEN_KEY, [])
+            detect(OPEN_KEY, [])
 
     def test_delta_validated(self):
         with pytest.raises(InvalidInputError):
-            detect_closed(CLOSED_KEY, [0, 1], delta=1.5)
+            detect(CLOSED_KEY, [0, 1], delta=1.5)
 
 
 class TestBatchScoring:
@@ -172,7 +180,7 @@ class TestBatchScoring:
         zs = closed_statistics(CLOSED_KEY, texts)
         for i in range(20):
             assert zs[i] == pytest.approx(
-                detect_closed(CLOSED_KEY, texts[i]).statistic, abs=1e-15
+                detect(CLOSED_KEY, texts[i]).statistic, abs=1e-15
             )
 
     def test_open_rows_match_single_calls(self):
@@ -180,7 +188,7 @@ class TestBatchScoring:
         texts = rng.integers(0, 8, size=(20, 150))
         zs = open_statistics(OPEN_KEY, texts)
         for i in range(20):
-            assert zs[i] == pytest.approx(detect_open(OPEN_KEY, texts[i]).statistic, abs=1e-15)
+            assert zs[i] == pytest.approx(detect(OPEN_KEY, texts[i]).statistic, abs=1e-15)
 
     def test_token_matrix_validated(self):
         # Negative tokens would wrap around to the last columns.
@@ -203,18 +211,18 @@ class TestBatchScoring:
         zs = closed_statistics(CLOSED_KEY, texts, start=40)
         for i in range(5):
             assert zs[i] == pytest.approx(
-                detect_closed(CLOSED_KEY, texts[i], start=40).statistic, abs=1e-15
+                detect(CLOSED_KEY, texts[i], start=40).statistic, abs=1e-15
             )
 
 
 class TestReport:
     def test_round_trip(self):
-        report = detect_closed(CLOSED_KEY, [0, 3, 5, 1, 7] * 10)
+        report = detect(CLOSED_KEY, [0, 3, 5, 1, 7] * 10)
         again = DetectionReport.from_dict(report.to_dict())
         assert again == report
 
     def test_json_schema(self, tmp_path):
-        report = detect_open(OPEN_KEY, [1, 2, 3, 4])
+        report = detect(OPEN_KEY, [1, 2, 3, 4])
         path = tmp_path / "report.json"
         report.save(path)
         obj = json.loads(path.read_text())
@@ -242,7 +250,7 @@ class TestReport:
         # statistic "0.5" as 0.5. The report's verdict is False (statistic
         # -0.043 < threshold 0.612), so a True verdict, a statistic of 0.7
         # or a threshold of -1.0 contradicts it.
-        report = detect_open(OPEN_KEY, [1, 2, 3, 4])
+        report = detect(OPEN_KEY, [1, 2, 3, 4])
         assert DetectionReport.from_dict(report.to_dict()) == report
         with pytest.raises(InvalidInputError, match=name):
             DetectionReport.from_dict({**report.to_dict(), name: value})

@@ -23,7 +23,7 @@ from scipy import stats
 from tokenmark import keystream
 from tokenmark.cli import main
 from tokenmark.closed_scheme import closed_step
-from tokenmark.detector import detect_closed, detect_open
+from tokenmark.detector import detect
 from tokenmark.errors import InvalidInputError, InvalidKeyError, SchemeMismatchError
 from tokenmark.keystream import (
     CLOSED,
@@ -470,7 +470,7 @@ class TestTokenReaders:
             assert got.dtype == np.int8 and got.shape == (n,)
             np.testing.assert_array_equal(got, batch.colorings[steps, tokens] * batch.flips)
             score = batch.colorings[steps, tokens].astype(np.float64) * batch.flips
-            assert detect_closed(key, tokens, start=start).statistic == float(score.mean())
+            assert detect(key, tokens, start=start).statistic == float(score.mean())
             for j in range(0, n, 3 if d > 1000 else 1):
                 step = start + j
                 expected = (ref_coloring(SEED, step, d, version)[tokens[j]]
@@ -485,7 +485,7 @@ class TestTokenReaders:
             entries = gaussians[np.arange(n), tokens]
             assert got.shape == (n,)
             np.testing.assert_array_equal(got.view(np.uint64), entries.view(np.uint64))
-            assert detect_open(key, tokens, start=start).statistic == float(entries.mean())
+            assert detect(key, tokens, start=start).statistic == float(entries.mean())
             for j in range(0, n, 3 if d > 1000 else 1):
                 ref = ref_gaussian(SEED, start + j, d, 0.3, version)[tokens[j]]
                 assert got[j] == pytest.approx(ref, rel=1e-13, abs=1e-13), (
@@ -507,9 +507,9 @@ class TestTokenReaders:
             with pytest.raises(InvalidInputError):
                 open_gaussian_entries(open_key(), tokens, start)
             with pytest.raises(InvalidInputError):
-                detect_closed(closed_key(), tokens, start=start)
+                detect(closed_key(), tokens, start=start)
             with pytest.raises(InvalidInputError):
-                detect_open(open_key(), tokens, start=start)
+                detect(open_key(), tokens, start=start)
         with pytest.raises(SchemeMismatchError):
             closed_token_colors(open_key(), tokens)
         with pytest.raises(SchemeMismatchError):
@@ -537,7 +537,7 @@ class TestRuntime:
         d = 2**18
         key = open_key(d=d, epsilon=0.5, k=1)
         tokens = np.random.default_rng(3).integers(0, d, 2000)
-        elapsed, peak = time_and_peak(lambda: detect_open(key, tokens))
+        elapsed, peak = time_and_peak(lambda: detect(key, tokens))
         assert elapsed < 1.0, f"open detection took {elapsed:.2f}s >= 1s"
         assert peak < 4 * 2**20, f"open detection peaked at {peak / 2**20:.1f} MB >= 4 MB"
 
@@ -547,7 +547,7 @@ class TestRuntime:
         d = 32768
         key = closed_key(d)
         tokens = np.random.default_rng(4).integers(0, d, 64)
-        elapsed, peak = time_and_peak(lambda: detect_closed(key, tokens))
+        elapsed, peak = time_and_peak(lambda: detect(key, tokens))
         assert elapsed < 2.5, f"closed detection took {elapsed:.2f}s >= 2.5s"
         assert peak < 8 * 2**20, f"closed detection peaked at {peak / 2**20:.1f} MB >= 8 MB"
 
@@ -658,6 +658,25 @@ class TestKeyValidation:
         with pytest.raises(InvalidKeyError):
             WatermarkKey(master_seed=SEED, d=1, scheme=OPEN, epsilon=0.5, k=1)
 
+    def test_d_and_k_must_be_integers(self):
+        # d = 4.0, k = 2.5 and k = True were accepted, and save_key then
+        # wrote a file that load_key rejects.
+        for d in (4.0, 8.5, True, "8", None):
+            with pytest.raises(InvalidKeyError):
+                WatermarkKey(master_seed=SEED, d=d, scheme=CLOSED)
+            with pytest.raises(InvalidKeyError):
+                WatermarkKey(master_seed=SEED, d=d, scheme=OPEN, epsilon=0.5, k=1)
+        for k in (2.5, 2.0, True, "2"):
+            with pytest.raises(InvalidKeyError):
+                WatermarkKey(master_seed=SEED, d=8, scheme=OPEN, epsilon=0.5, k=k)
+
+    def test_numpy_parameters_are_stored_as_python_numbers(self):
+        key = WatermarkKey(master_seed=SEED, d=np.int64(8), scheme=OPEN,
+                           epsilon=np.float32(0.25), k=np.int32(2))
+        assert (type(key.d), type(key.k), type(key.epsilon)) == (int, int, float)
+        assert (key.d, key.k, key.epsilon) == (8, 2, float(np.float32(0.25)))
+        assert type(WatermarkKey(master_seed=SEED, d=np.uint16(8), scheme=CLOSED).d) is int
+
     def test_padded_only_for_closed(self):
         with pytest.raises(InvalidKeyError):
             WatermarkKey(master_seed=SEED, d=8, scheme=OPEN, epsilon=0.5, k=2, padded=True)
@@ -697,6 +716,18 @@ class TestKeyFiles:
         loaded = load_key(path)
         assert loaded == key
         assert loaded.support_mode == FRESH_SUPPORT
+
+    def test_numpy_parameters_round_trip(self, tmp_path):
+        # A numpy d or epsilon made save_key raise "not JSON serializable".
+        keys = (WatermarkKey(master_seed=SEED, d=np.int64(16), scheme=CLOSED),
+                WatermarkKey(master_seed=SEED, d=np.int64(16), scheme=OPEN,
+                             epsilon=np.float32(0.3), k=np.int64(3)),
+                WatermarkKey(master_seed=SEED, d=np.int32(16), scheme=OPEN,
+                             epsilon=np.float64(0.5), k=np.int16(16)))
+        for i, key in enumerate(keys):
+            path = tmp_path / f"key{i}.json"
+            save_key(key, path)
+            assert load_key(path) == key
 
     def test_padded_round_trip(self, tmp_path):
         key = WatermarkKey(master_seed=SEED, d=64, scheme=CLOSED, padded=True)

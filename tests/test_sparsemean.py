@@ -209,6 +209,15 @@ class TestStatistics:
                 threshold_statistic(data, k)
             with pytest.raises(InvalidInputError):
                 scan_statistic(data, k)
+        # k = True ran as k = 1; k = 2.5 passed the range check and ended in
+        # numpy's or itertools' bare TypeError.
+        for k in (True, 2.5, 2.0, "2", None):
+            with pytest.raises(InvalidInputError):
+                threshold_statistic(data, k)
+            with pytest.raises(InvalidInputError):
+                scan_statistic(data, k)
+        assert threshold_statistic(data, np.int64(2)) == threshold_statistic(data, 2)
+        assert scan_statistic(data, np.int64(2)) == scan_statistic(data, 2)
         assert threshold_statistic(data, 4) == pytest.approx((data**2).mean(axis=0).sum())
 
 

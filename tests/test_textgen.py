@@ -11,7 +11,7 @@ from scipy import stats
 from tokenmark import textgen
 from tokenmark.closed_scheme import watermark_distribution, watermark_distributions
 from tokenmark.core import sample_tokens
-from tokenmark.detector import closed_statistics, detect_closed
+from tokenmark.detector import closed_statistics, detect
 from tokenmark.errors import InvalidInputError, SchemeMismatchError
 from tokenmark.keystream import (
     CLOSED,
@@ -149,7 +149,7 @@ class TestModelFromDict:
         power = model_from_dict({"kind": "powerlaw-logits", "d": 8192, "s": 1, "scale": 2})
         np.testing.assert_array_equal(power.logits, powerlaw_source(8192, 2.0).logits)
         iid = model_from_dict({"kind": "iid", "probs": [1, 0]})
-        np.testing.assert_array_equal(iid.probs, [1.0, 0.0])
+        np.testing.assert_array_equal(iid.laws, [[1.0, 0.0]])
 
 
 class TestGenerate:
@@ -211,7 +211,7 @@ class TestGenerate:
         key = WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED, padded=True)
         record = generate(model, 400, key, np.random.default_rng(6))
         assert record.tokens.max() < 7
-        assert detect_closed(key, record.tokens).verdict is True
+        assert detect(key, record.tokens).verdict is True
 
     def test_padded_key_size_must_match(self):
         key = WatermarkKey(master_seed=SEED, d=10, scheme=CLOSED, padded=True)
@@ -254,10 +254,10 @@ class TestGenerate:
 
                 def law(row, j):
                     return watermarked_softmax(np.log(row), deltas[j])
-            row = model.initial
+            row = model.laws[0]
             for j, token in enumerate(tokens):
                 assert token == sample_tokens(law(row, j), u[j])
-                row = model.transition[token]
+                row = model.laws[token + 1]
 
 
 def markov_model(d):
@@ -332,6 +332,20 @@ class TestRuntime:
         key = open_key(4096, k=64)
         for n, peak in zip((256, 2048), generate_peaks(key, (256, 2048))):
             assert peak < GENERATE_CEILING, f"n={n} peaked at {peak / 2**20:.1f} MiB"
+
+
+    def test_unkeyed_markov_generate_copies_no_table(self):
+        """Unkeyed Markov generation reads the source's stored (d + 1, d)
+        table of state laws; it allocated a copy of it per call before."""
+        model = markov_model(1024)
+        table_bytes = 1025 * 1024 * 8
+        tracemalloc.start()
+        try:
+            generate(model, 200, None, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes / 4, f"peaked at {peak / 2**20:.2f} MiB"
 
 
 class TestGenerateMany:
