@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import keystream
-from .core import field, is_int, is_number, json_text, validate_token_matrix, validate_tokens
+from .core import field, is_int, is_number, validate_token_matrix, validate_tokens
 from .errors import InvalidInputError
 from .keystream import CLOSED, OPEN, WatermarkKey
 
@@ -63,9 +62,6 @@ class DetectionReport:
             raise InvalidInputError(f"malformed detection report: verdict {report.verdict} is "
                                     "not statistic >= threshold")
         return report
-
-    def save(self, path) -> None:
-        Path(path).write_text(json_text(self.to_dict()))
 
 
 def _check_delta(delta: float) -> None:

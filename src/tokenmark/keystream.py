@@ -348,8 +348,12 @@ def _require_scheme(key: WatermarkKey, scheme: str) -> None:
 
 
 def _check_step(start: int, count: int = 1) -> None:
-    """Reject a step range ``start .. start+count-1`` that the 8-byte step
-    field cannot encode."""
+    """Reject a step range ``start .. start+count-1`` that is not given by
+    integers (booleans are not) or that the 8-byte step field cannot
+    encode."""
+    if not (is_int(start) and is_int(count)):
+        raise InvalidInputError(
+            f"step index and count must be integers, got {start!r} and {count!r}")
     if count < 0:
         raise InvalidInputError("step count must be non-negative")
     if start < 0:
@@ -377,7 +381,7 @@ def derive_closed_step(key: WatermarkKey, step: int) -> ClosedStepKey:
     return ClosedStepKey(coloring=coloring, flip=flip)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8, typed=True)
 def derive_closed_steps(key: WatermarkKey, count: int, start: int = 0) -> ClosedStepBatch:
     """Closed key material for ``count`` steps from ``start``; cached because
     detection sweeps re-derive the same prefix for every text."""
@@ -399,7 +403,7 @@ def derive_open_step(key: WatermarkKey, step: int) -> OpenStepKey:
     return OpenStepKey(gaussian=gaussian, support=support, direction=direction)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8, typed=True)
 def derive_open_steps(key: WatermarkKey, count: int, start: int = 0) -> OpenStepBatch:
     """Open sampler material for ``count`` steps from ``start`` (cached)."""
     _require_scheme(key, OPEN)
@@ -414,7 +418,7 @@ def derive_open_steps(key: WatermarkKey, count: int, start: int = 0) -> OpenStep
     return OpenStepBatch(gaussians=gaussians, supports=supports, directions=directions)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8, typed=True)
 def derive_open_gaussians(key: WatermarkKey, count: int, start: int = 0) -> np.ndarray:
     """Detector-side material: only the Gaussian vectors, shape (count, d)."""
     _require_scheme(key, OPEN)

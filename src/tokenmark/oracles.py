@@ -6,10 +6,14 @@ balanced splits, exact undetectability by averaging the production
 watermarked distribution over the whole key space, the open scheme's bias
 and sub-exponential tail bounds by simulation, and the Gaussian
 total-variation formula the unremovability argument reduces to. The checks
-deliberately avoid sharing code with the sampling path (enumeration here,
-keyed PRF there), except ``undetectability_exact``, which must call the
-production ``watermark_distribution``: it certifies the one pairing kernel
-that every closed-scheme sampling path shifts mass with.
+deliberately avoid sharing code with the fast paths: enumeration and plain
+numpy draws here, keyed PRF streams and perturbation builders there. Two
+exceptions are deliberate. ``undetectability_exact`` calls the production
+``watermark_distribution``, so it certifies the one pairing kernel that
+every closed-scheme sampling path shifts mass with. The open-scheme bias
+and tail checks draw tokens through ``core.softmax_rows`` and
+``core.sample_rows``, so they exercise the one sampler every path draws
+with.
 
 ``verify_suite`` bundles the assertions into a machine-readable report;
 Monte-Carlo assertions uniformly use three standard errors of slack, so a
@@ -41,9 +45,29 @@ PSI1_CENTERED_SCALE = 8.4 * math.sqrt(10.0)
 BIAS_CONSTANT = 1.0 / 1200.0
 
 
-def _require_sorted(p: np.ndarray) -> None:
-    if (np.diff(p) > 0).any():
-        raise InvalidInputError("probability vector must be sorted non-increasing")
+def _streamed_mean(samples: int, draw) -> tuple[float, float]:
+    """Mean and standard error of ``samples`` values, where ``draw(m)``
+    returns the next ``m`` of them; drawn in chunks of ``_MC_CHUNK``."""
+    total = total_sq = 0.0
+    done = 0
+    while done < samples:
+        m = min(_MC_CHUNK, samples - done)
+        vals = draw(m)
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += m
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0) * samples / (samples - 1)
+    return mean, math.sqrt(var / samples)
+
+
+def _subset_rows(rng: np.random.Generator, m: int, d: int, k: int, fill) -> np.ndarray:
+    """``m`` rows of length ``d``, each ``fill`` on its own uniform random
+    k-subset of [d] and zero elsewhere."""
+    picks = np.argpartition(rng.random((m, d)), k - 1, axis=1)[:, :k]
+    rows = np.zeros((m, d), dtype=np.asarray(fill).dtype)
+    rows[np.arange(m)[:, None], picks] = fill
+    return rows
 
 
 @functools.lru_cache(maxsize=8)
@@ -69,20 +93,27 @@ def _pair_min_sums(p: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return np.minimum(w, wbar).sum(axis=1)
 
 
+def _lemma_probs(p) -> np.ndarray:
+    """``p`` checked as a probability vector that is sorted non-increasing
+    and has an even number of entries, as balanced splits need."""
+    p = as_probs(p)
+    if (np.diff(p) > 0).any():
+        raise InvalidInputError("probability vector must be sorted non-increasing")
+    if p.size % 2 != 0:
+        raise InvalidInputError("balanced splits need even d")
+    return p
+
+
 def lemma_maxima_exact(p) -> tuple[float, float, float]:
     """Exact expectation of the rank-pairing minima sum over a uniform
     balanced split, with the lower and upper tail-mass bounds it provably
     sits between. Raises if the bounds fail (they cannot, for a correct
     enumeration)."""
-    p = as_probs(p)
-    _require_sorted(p)
-    d = p.size
-    if d % 2 != 0:
-        raise InvalidInputError("balanced splits need even d")
-    if d > EXACT_ENUM_MAX_D:
+    p = _lemma_probs(p)
+    if p.size > EXACT_ENUM_MAX_D:
         raise InvalidInputError(
             f"enumeration capped at d={EXACT_ENUM_MAX_D}; use lemma_maxima_mc")
-    expectation = float(_pair_min_sums(p, _balanced_masks(d)).mean())
+    expectation = float(_pair_min_sums(p, _balanced_masks(p.size)).mean())
     tail = float(p[1:].sum())
     lower, upper = tail / 20.0, tail
     if not (lower - 1e-12 <= expectation <= upper + 1e-12):
@@ -95,29 +126,13 @@ def lemma_maxima_mc(p, samples: int, *, seed: int = 0) -> tuple[float, float]:
     """Monte-Carlo version of ``lemma_maxima_exact`` for large d: unbiased
     estimate and its standard error, with the same bounds asserted to within
     three standard errors."""
-    p = as_probs(p)
-    _require_sorted(p)
+    p = _lemma_probs(p)
     d = p.size
-    if d % 2 != 0:
-        raise InvalidInputError("balanced splits need even d")
     if samples < 10_000:
         raise InvalidInputError("need at least 1e4 samples for a meaningful check")
     rng = np.random.default_rng(derive_seed(seed, "lemma-mc", d, samples))
-    half = d // 2
-    total = total_sq = 0.0
-    done = 0
-    while done < samples:
-        m = min(_MC_CHUNK, samples - done)
-        picks = np.argpartition(rng.random((m, d)), half - 1, axis=1)[:, :half]
-        masks = np.zeros((m, d), dtype=bool)
-        masks[np.arange(m)[:, None], picks] = True
-        sums = _pair_min_sums(p, masks)
-        total += float(sums.sum())
-        total_sq += float((sums * sums).sum())
-        done += m
-    estimate = total / samples
-    var = max(total_sq / samples - estimate * estimate, 0.0) * samples / (samples - 1)
-    se = math.sqrt(var / samples)
+    estimate, se = _streamed_mean(
+        samples, lambda m: _pair_min_sums(p, _subset_rows(rng, m, d, d // 2, True)))
     tail = float(p[1:].sum())
     if not (tail / 20.0 - 3.0 * se <= estimate <= tail + 3.0 * se):
         raise CheckFailedError(
@@ -149,47 +164,38 @@ def undetectability_exact(p) -> float:
 # Open-scheme Monte-Carlo bounds
 
 
-def _gx_moments(logits: np.ndarray, epsilon: float, k: int, samples: int,
-                rng: np.random.Generator, transform=None) -> tuple[float, float]:
+def _gx_moments(logits, epsilon: float, k: int, samples: int, seed: int, *labels,
+                transform=None) -> tuple[float, float]:
     """Mean and standard error of ``transform(G(x))`` (identity by default)
-    under the watermarked softmax, streamed in chunks."""
+    under the watermarked softmax, from a stream seeded by ``seed``, the
+    ``labels``, d, k and ``samples``."""
+    logits = as_logits(logits)
     d = logits.size
-    total = total_sq = 0.0
-    done = 0
-    while done < samples:
-        m = min(_MC_CHUNK, samples - done)
-        gauss = epsilon * rng.standard_normal((m, d))
-        if k == 1:
-            cols = rng.integers(0, d, m)
-            mu = np.zeros((m, d))
-            mu[np.arange(m), cols] = 1.0
-        elif k == d:
-            mu = np.full((m, d), 1.0 / math.sqrt(d))
-        else:
-            picks = np.argpartition(rng.random((m, d)), k - 1, axis=1)[:, :k]
-            mu = np.zeros((m, d))
-            mu[np.arange(m)[:, None], picks] = 1.0 / math.sqrt(k)
-        r = rng.integers(0, 2, m) * 2 - 1
-        q = softmax_rows(logits + gauss + r[:, None] * epsilon * mu)
-        x = sample_rows(q, rng)
-        vals = gauss[np.arange(m), x]
-        if transform is not None:
-            vals = transform(vals)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += m
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0) * samples / (samples - 1)
-    return mean, math.sqrt(var / samples)
-
-
-def _check_mc_args(epsilon: float, k: int, d: int, samples: int) -> None:
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
     if not 1 <= k <= d:
         raise InvalidInputError("need 1 <= k <= d")
     if samples < 100_000:
         raise InvalidInputError("need at least 1e5 samples for a meaningful check")
+    rng = np.random.default_rng(derive_seed(seed, *labels, d, k, samples))
+
+    def draw(m: int) -> np.ndarray:
+        gauss = epsilon * rng.standard_normal((m, d))
+        # k = 1 and k = d draw their supports apart from the general case:
+        # each consumes the stream its own way.
+        if k == 1:
+            mu = np.zeros((m, d))
+            mu[np.arange(m), rng.integers(0, d, m)] = 1.0
+        elif k == d:
+            mu = np.full((m, d), 1.0 / math.sqrt(d))
+        else:
+            mu = _subset_rows(rng, m, d, k, 1.0 / math.sqrt(k))
+        r = rng.integers(0, 2, m) * 2 - 1
+        x = sample_rows(softmax_rows(logits + gauss + r[:, None] * epsilon * mu), rng)
+        vals = gauss[np.arange(m), x]
+        return vals if transform is None else transform(vals)
+
+    return _streamed_mean(samples, draw)
 
 
 def bias_bound_mc(logits, epsilon: float, samples: int, *, k: int = 1,
@@ -197,10 +203,7 @@ def bias_bound_mc(logits, epsilon: float, samples: int, *, k: int = 1,
     """Estimate the selection bias E G(x) of the watermarked softmax and
     assert the quadratic lower bound ``epsilon^2/1200 * (1 - p*)`` up to
     three standard errors. Returns (estimate, bound, se)."""
-    logits = as_logits(logits)
-    _check_mc_args(epsilon, k, logits.size, samples)
-    rng = np.random.default_rng(derive_seed(seed, "bias-mc", logits.size, k, samples))
-    estimate, se = _gx_moments(logits, epsilon, k, samples, rng)
+    estimate, se = _gx_moments(logits, epsilon, k, samples, seed, "bias-mc")
     bound = BIAS_CONSTANT * epsilon * epsilon * (1.0 - float(softmax(logits).max()))
     if estimate < bound - 3.0 * se:
         raise CheckFailedError(
@@ -215,19 +218,13 @@ def psi1_bound_mc(logits, epsilon: float, samples: int, *, k: int = 1,
     standard errors. With ``centered=True`` the check runs on
     ``G(x) - E G(x)`` (sample-mean centering) at the larger centered scale.
     Returns (mgf_estimate, se)."""
-    logits = as_logits(logits)
-    _check_mc_args(epsilon, k, logits.size, samples)
     label = "psi1-centered" if centered else "psi1"
-    rng = np.random.default_rng(derive_seed(seed, label, logits.size, k, samples))
+    shift = 0.0
     if centered:
-        shift, _ = _gx_moments(logits, epsilon, k, samples, np.random.default_rng(
-            derive_seed(seed, label, "mean-pass", logits.size, k, samples)))
-        tau = PSI1_CENTERED_SCALE * epsilon
-        transform = lambda v: np.exp(np.abs(v - shift) / tau)
-    else:
-        tau = PSI1_SCALE * epsilon
-        transform = lambda v: np.exp(np.abs(v) / tau)
-    estimate, se = _gx_moments(logits, epsilon, k, samples, rng, transform)
+        shift, _ = _gx_moments(logits, epsilon, k, samples, seed, label, "mean-pass")
+    tau = (PSI1_CENTERED_SCALE if centered else PSI1_SCALE) * epsilon
+    estimate, se = _gx_moments(logits, epsilon, k, samples, seed, label,
+                               transform=lambda v: np.exp(np.abs(v - shift) / tau))
     if estimate > 2.0 + 3.0 * se:
         raise CheckFailedError(
             f"exp-moment {estimate} +- {se} exceeds the sub-exponential cap 2")
@@ -253,10 +250,11 @@ def tv_gaussians(mean_sep: float, sigma: float) -> float:
 @dataclass(frozen=True)
 class CheckResult:
     """One verification check: a computed value, what bounded it, and the
-    outcome. ``se`` is None for exact (non-Monte-Carlo) checks."""
+    outcome. ``se`` is None for exact (non-Monte-Carlo) checks; ``value``
+    is None when the check's body raised CheckFailedError."""
 
     name: str
-    value: float
+    value: float | None
     bound: float | None
     se: float | None
     passed: bool
@@ -266,181 +264,144 @@ class CheckResult:
                 "se": self.se, "pass": self.passed}
 
 
-def _run(checks: list[CheckResult], name: str, fn) -> None:
-    """Run one check body, converting a CheckFailedError into a failed row
-    rather than aborting the suite."""
+# Each check below takes the suite seed and returns its row's
+# (value, bound, se, passed); the tables at the end name the rows.
+
+
+def _within(value: float, want: float, tol: float):
+    """The row of an exact check that ``value`` is within ``tol`` of ``want``."""
+    return value, want, None, abs(value - want) <= tol
+
+
+def _lemma_example(seed):
+    lo, expectation, hi = lemma_maxima_exact([0.4, 0.3, 0.2, 0.1])
+    ok = abs(expectation - 2.2 / 6.0) <= 1e-12 and (lo, hi) == (0.03, 0.6)
+    return expectation, 2.2 / 6.0, None, ok
+
+
+def _lemma_point_mass(seed):
+    _, expectation, hi = lemma_maxima_exact([1.0, 0.0, 0.0, 0.0])
+    return expectation, 0.0, None, expectation == 0.0 and hi == 0.0
+
+
+def _lemma_sweep(seed):
+    rng = np.random.default_rng(derive_seed(seed, "suite", "lemma-sweep"))
+    worst = math.inf
+    for d in (4, 6, 8, 10):
+        for _ in range(50):
+            p = np.sort(rng.dirichlet(np.ones(d)))[::-1]
+            lo, expectation, hi = lemma_maxima_exact(p)
+            worst = min(worst, expectation - lo, hi - expectation)
+    return worst, 0.0, None, worst >= -1e-12
+
+
+def _undetect_sweep(seed):
+    rng = np.random.default_rng(derive_seed(seed, "suite", "undetect-sweep"))
+    worst = 0.0
+    for d in (2, 4, 6, 8):
+        for _ in range(25):
+            worst = max(worst, undetectability_exact(rng.dirichlet(np.ones(d))))
+    return worst, 1e-12, None, worst <= 1e-12
+
+
+def _tv_surface(seed):
+    # The adversarial-mimicry analysis claims TV at least Phi(-1/4)
+    # (about 0.401) at separation eps/2 and noise eps, while the exact
+    # equal-covariance formula gives about 0.197. Both numbers are
+    # surfaced here; nothing is asserted beyond the formula itself.
+    claimed = 0.5 * math.erfc(0.25 / math.sqrt(2.0))
+    return tv_gaussians(0.5, 1.0), claimed, None, True
+
+
+def _lemma_mc_agreement(seed):
+    p = [0.4, 0.3, 0.2, 0.1]
+    _, exact, _ = lemma_maxima_exact(p)
+    estimate, se = lemma_maxima_mc(p, 1_000_000, seed=seed)
+    return abs(estimate - exact), 3.0 * se, se, abs(estimate - exact) <= 3.0 * se
+
+
+def _lemma_mc_large(seed):
+    rng = np.random.default_rng(derive_seed(seed, "suite", "lemma-mc-large"))
+    p = np.sort(rng.dirichlet(np.ones(100)))[::-1]
+    estimate, se = lemma_maxima_mc(p, 100_000, seed=seed)
+    return estimate, float(p[1:].sum()), se, True
+
+
+def _bias(logits, epsilon: float, samples: int):
+    def check(seed):
+        est, bound, se = bias_bound_mc(logits, epsilon, samples, seed=seed)
+        return est, bound, se, est >= bound - 3 * se
+    return check
+
+
+def _psi1(logits, epsilon: float, centered: bool = False):
+    def check(seed):
+        est, se = psi1_bound_mc(logits, epsilon, 100_000, centered=centered, seed=seed)
+        return est, 2.0, se, est <= 2.0 + 3 * se
+    return check
+
+
+def _psi1_small_eps(seed):
+    # The ratio |G(x)|/tau is scale-free, so epsilon -> 0 does not send
+    # the exp-moment to 1; it converges to the pure-Gaussian value
+    # 2*exp(1/(2a^2))*Phi(1/a) at a = PSI1_SCALE as the selection effect
+    # vanishes. Convergence to that limit is the sharp check.
+    est, se = psi1_bound_mc(np.zeros(16), 0.01, 100_000, seed=seed)
+    a = PSI1_SCALE
+    limit = math.exp(1.0 / (2.0 * a * a)) * math.erfc(-1.0 / (a * math.sqrt(2.0)))
+    return est, limit, se, abs(est - limit) <= 4.0 * se + 1e-3
+
+
+_POWER_LAW_D64 = -1.0 * np.log(np.arange(1, 65, dtype=float))
+_DETERMINISTIC_D8 = np.array([50.0] + [0.0] * 7)
+
+_QUICK = [
+    ("lemma-exact-example", _lemma_example),
+    ("lemma-exact-point-mass", _lemma_point_mass),
+    ("lemma-exact-uniform-d4", lambda seed: _within(lemma_maxima_exact([0.25] * 4)[1],
+                                                    0.5, 1e-12)),
+    ("lemma-exact-random-sweep", _lemma_sweep),
+    ("undetectability-sweep", _undetect_sweep),
+    ("undetectability-two-tokens",
+     lambda seed: _within(undetectability_exact([0.5, 0.5]), 0.0, 0.0)),
+    ("tv-zero-separation", lambda seed: _within(tv_gaussians(0.0, 1.0), 0.0, 0.0)),
+    ("tv-closed-form-example", lambda seed: _within(
+        tv_gaussians(0.5, 1.0), math.erf(0.25 / math.sqrt(2.0)), 1e-15)),
+    ("tv-limit-one", lambda seed: _within(tv_gaussians(1e6, 1.0), 1.0, 1e-12)),
+    ("tv-unremovability-surfaced", _tv_surface),
+]
+_SUITES = {
+    "quick": _QUICK,
+    "full": _QUICK + [
+        ("lemma-mc-agreement", _lemma_mc_agreement),
+        ("lemma-mc-large-d", _lemma_mc_large),
+        ("bias-uniform-d16", _bias(np.zeros(16), 0.5, 200_000)),
+        ("bias-powerlaw-d64", _bias(_POWER_LAW_D64, 0.25, 100_000)),
+        ("bias-deterministic-limit", _bias(_DETERMINISTIC_D8, 0.5, 100_000)),
+        ("psi1-eps-half-uniform-d16", _psi1(np.zeros(16), 0.5)),
+        ("psi1-eps-quarter-powerlaw-d64", _psi1(_POWER_LAW_D64, 0.25)),
+        ("psi1-vanishing-eps", _psi1_small_eps),
+        ("psi1-centered-eps-half", _psi1(np.zeros(16), 0.5, centered=True)),
+    ],
+}
+
+
+def _run(name: str, check, seed: int) -> CheckResult:
+    """One check's row; a CheckFailedError in its body becomes a failed row
+    with no value rather than aborting the suite."""
     try:
-        checks.append(fn())
+        return CheckResult(name, *check(seed))
     except CheckFailedError:
-        checks.append(CheckResult(name=name, value=float("nan"), bound=None,
-                                  se=None, passed=False))
-
-
-def _quick_checks(seed: int) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-
-    def lemma_example():
-        lo, expectation, hi = lemma_maxima_exact([0.4, 0.3, 0.2, 0.1])
-        ok = abs(expectation - 2.2 / 6.0) <= 1e-12 and (lo, hi) == (0.03, 0.6)
-        return CheckResult("lemma-exact-example", expectation, 2.2 / 6.0, None, ok)
-
-    def lemma_point_mass():
-        _, expectation, hi = lemma_maxima_exact([1.0, 0.0, 0.0, 0.0])
-        return CheckResult("lemma-exact-point-mass", expectation, 0.0, None,
-                           expectation == 0.0 and hi == 0.0)
-
-    def lemma_uniform():
-        _, expectation, _ = lemma_maxima_exact([0.25] * 4)
-        return CheckResult("lemma-exact-uniform-d4", expectation, 0.5, None,
-                           abs(expectation - 0.5) <= 1e-12)
-
-    def lemma_sweep():
-        rng = np.random.default_rng(derive_seed(seed, "suite", "lemma-sweep"))
-        worst = math.inf
-        for d in (4, 6, 8, 10):
-            for _ in range(50):
-                p = np.sort(rng.dirichlet(np.ones(d)))[::-1]
-                lo, expectation, hi = lemma_maxima_exact(p)
-                worst = min(worst, expectation - lo, hi - expectation)
-        return CheckResult("lemma-exact-random-sweep", worst, 0.0, None,
-                           worst >= -1e-12)
-
-    def undetect_sweep():
-        rng = np.random.default_rng(derive_seed(seed, "suite", "undetect-sweep"))
-        worst = 0.0
-        for d in (2, 4, 6, 8):
-            for _ in range(25):
-                worst = max(worst, undetectability_exact(rng.dirichlet(np.ones(d))))
-        return CheckResult("undetectability-sweep", worst, 1e-12, None,
-                           worst <= 1e-12)
-
-    def undetect_two():
-        dev = undetectability_exact([0.5, 0.5])
-        return CheckResult("undetectability-two-tokens", dev, 0.0, None, dev == 0.0)
-
-    def tv_zero():
-        v = tv_gaussians(0.0, 1.0)
-        return CheckResult("tv-zero-separation", v, 0.0, None, v == 0.0)
-
-    def tv_example():
-        v = tv_gaussians(0.5, 1.0)
-        want = math.erf(0.25 / math.sqrt(2.0))
-        return CheckResult("tv-closed-form-example", v, want, None,
-                           abs(v - want) <= 1e-15)
-
-    def tv_limit():
-        v = tv_gaussians(1e6, 1.0)
-        return CheckResult("tv-limit-one", v, 1.0, None, v >= 1.0 - 1e-12)
-
-    def tv_surface():
-        # The adversarial-mimicry analysis claims TV at least Phi(-1/4)
-        # (about 0.401) at separation eps/2 and noise eps, while the exact
-        # equal-covariance formula gives about 0.197. Both numbers are
-        # surfaced here; nothing is asserted beyond the formula itself.
-        exact = tv_gaussians(0.5, 1.0)
-        claimed = 0.5 * math.erfc(0.25 / math.sqrt(2.0))
-        return CheckResult("tv-unremovability-surfaced", exact, claimed, None, True)
-
-    for name, fn in [
-        ("lemma-exact-example", lemma_example),
-        ("lemma-exact-point-mass", lemma_point_mass),
-        ("lemma-exact-uniform-d4", lemma_uniform),
-        ("lemma-exact-random-sweep", lemma_sweep),
-        ("undetectability-sweep", undetect_sweep),
-        ("undetectability-two-tokens", undetect_two),
-        ("tv-zero-separation", tv_zero),
-        ("tv-closed-form-example", tv_example),
-        ("tv-limit-one", tv_limit),
-        ("tv-unremovability-surfaced", tv_surface),
-    ]:
-        _run(checks, name, fn)
-    return checks
-
-
-def _full_checks(seed: int) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-
-    def lemma_mc_agreement():
-        p = [0.4, 0.3, 0.2, 0.1]
-        _, exact, _ = lemma_maxima_exact(p)
-        estimate, se = lemma_maxima_mc(p, 1_000_000, seed=seed)
-        return CheckResult("lemma-mc-agreement", abs(estimate - exact), 3.0 * se,
-                           se, abs(estimate - exact) <= 3.0 * se)
-
-    def lemma_mc_large():
-        rng = np.random.default_rng(derive_seed(seed, "suite", "lemma-mc-large"))
-        p = np.sort(rng.dirichlet(np.ones(100)))[::-1]
-        estimate, se = lemma_maxima_mc(p, 100_000, seed=seed)
-        return CheckResult("lemma-mc-large-d", estimate, float(p[1:].sum()), se, True)
-
-    def bias_uniform():
-        est, bound, se = bias_bound_mc(np.zeros(16), 0.5, 200_000, seed=seed)
-        return CheckResult("bias-uniform-d16", est, bound, se, est >= bound - 3 * se)
-
-    def bias_powerlaw():
-        logits = -1.0 * np.log(np.arange(1, 65, dtype=float))
-        est, bound, se = bias_bound_mc(logits, 0.25, 100_000, seed=seed)
-        return CheckResult("bias-powerlaw-d64", est, bound, se, est >= bound - 3 * se)
-
-    def bias_deterministic():
-        logits = np.zeros(8)
-        logits[0] = 50.0
-        est, bound, se = bias_bound_mc(logits, 0.5, 100_000, seed=seed)
-        return CheckResult("bias-deterministic-limit", est, bound, se,
-                           est >= bound - 3 * se)
-
-    def psi1_uniform():
-        est, se = psi1_bound_mc(np.zeros(16), 0.5, 100_000, seed=seed)
-        return CheckResult("psi1-eps-half-uniform-d16", est, 2.0, se,
-                           est <= 2.0 + 3 * se)
-
-    def psi1_powerlaw():
-        logits = -1.0 * np.log(np.arange(1, 65, dtype=float))
-        est, se = psi1_bound_mc(logits, 0.25, 100_000, seed=seed)
-        return CheckResult("psi1-eps-quarter-powerlaw-d64", est, 2.0, se,
-                           est <= 2.0 + 3 * se)
-
-    def psi1_small_eps():
-        # The ratio |G(x)|/tau is scale-free, so epsilon -> 0 does not send
-        # the exp-moment to 1; it converges to the pure-Gaussian value
-        # 2*exp(1/(2a^2))*Phi(1/a) at a = PSI1_SCALE as the selection effect
-        # vanishes. Convergence to that limit is the sharp check.
-        est, se = psi1_bound_mc(np.zeros(16), 0.01, 100_000, seed=seed)
-        a = PSI1_SCALE
-        limit = math.exp(1.0 / (2.0 * a * a)) * math.erfc(-1.0 / (a * math.sqrt(2.0)))
-        return CheckResult("psi1-vanishing-eps", est, limit, se,
-                           abs(est - limit) <= 4.0 * se + 1e-3)
-
-    def psi1_centered():
-        est, se = psi1_bound_mc(np.zeros(16), 0.5, 100_000, centered=True, seed=seed)
-        return CheckResult("psi1-centered-eps-half", est, 2.0, se,
-                           est <= 2.0 + 3 * se)
-
-    for name, fn in [
-        ("lemma-mc-agreement", lemma_mc_agreement),
-        ("lemma-mc-large-d", lemma_mc_large),
-        ("bias-uniform-d16", bias_uniform),
-        ("bias-powerlaw-d64", bias_powerlaw),
-        ("bias-deterministic-limit", bias_deterministic),
-        ("psi1-eps-half-uniform-d16", psi1_uniform),
-        ("psi1-eps-quarter-powerlaw-d64", psi1_powerlaw),
-        ("psi1-vanishing-eps", psi1_small_eps),
-        ("psi1-centered-eps-half", psi1_centered),
-    ]:
-        _run(checks, name, fn)
-    return checks
+        return CheckResult(name, None, None, None, False)
 
 
 def verify_suite(level: str = "quick", seed: int = 0) -> list[CheckResult]:
     """Run the verification checks: ``quick`` is enumeration and closed-form
     only, ``full`` adds the Monte-Carlo bound checks. Deterministic for a
     given seed."""
-    if level not in ("quick", "full"):
+    if not isinstance(level, str) or level not in _SUITES:
         raise InvalidInputError("level must be 'quick' or 'full'")
-    checks = _quick_checks(seed)
-    if level == "full":
-        checks.extend(_full_checks(seed))
-    return checks
+    return [_run(name, check, seed) for name, check in _SUITES[level]]
 
 
 def suite_report(checks: list[CheckResult], level: str) -> dict:

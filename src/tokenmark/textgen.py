@@ -11,7 +11,6 @@ completeness condition is checked against.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from . import keystream
 from .closed_scheme import rank_order, watermark_ranked
 from .core import (array_field, as_probs, field, is_int, is_number, read_json, read_text,
                    sample_tokens, softmax, softmax_rows)
+from .detector import closed_threshold
 from .errors import InvalidInputError, SchemeMismatchError
 from .keystream import CLOSED, OPEN, WatermarkKey
 from .open_scheme import perturbations_for
@@ -56,7 +56,9 @@ class SourceModel:
     (states, d) table of state laws, built once by the factory functions
     below: one row for a memoryless source; for a Markov source the initial
     law (state 0) followed by the transition rows (state ``token + 1``). A
-    power law also keeps the ``logits`` that open sampling perturbs.
+    power law also keeps the ``logits`` that open sampling perturbs. The
+    factories store read-only arrays of their own, so a caller changing its
+    input afterwards changes neither the model nor what it generates.
     """
 
     kind: str
@@ -67,7 +69,7 @@ class SourceModel:
 
 def iid_source(p) -> SourceModel:
     p = as_probs(p)
-    return SourceModel(kind=IID, d=p.size, laws=p[None])
+    return SourceModel(kind=IID, d=p.size, laws=keystream._freeze(p[None].copy()))
 
 
 def uniform_source(d: int) -> SourceModel:
@@ -83,7 +85,8 @@ def markov_source(transition, initial) -> SourceModel:
     d = transition.shape[0]
     for row in transition:
         as_probs(row, d)
-    return SourceModel(kind=MARKOV, d=d, laws=np.vstack([as_probs(initial, d), transition]))
+    return SourceModel(kind=MARKOV, d=d,
+                       laws=keystream._freeze(np.vstack([as_probs(initial, d), transition])))
 
 
 def powerlaw_source(d: int, s: float, scale: float = 1.0) -> SourceModel:
@@ -94,7 +97,8 @@ def powerlaw_source(d: int, s: float, scale: float = 1.0) -> SourceModel:
     if s < 0 or scale <= 0:
         raise InvalidInputError("exponent must be >= 0 and scale positive")
     logits = -scale * s * np.log(np.arange(1, d + 1, dtype=np.float64))
-    return SourceModel(kind=POWERLAW, d=d, laws=softmax(logits)[None], logits=logits)
+    return SourceModel(kind=POWERLAW, d=d, laws=keystream._freeze(softmax(logits)[None]),
+                       logits=keystream._freeze(logits))
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,16 +236,12 @@ def generate_many(model: SourceModel, n: int, key: WatermarkKey | None,
 
 def condition_lhs(record: GenerationRecord, delta: float) -> float:
     """Slack in the low-entropy completeness condition: the average of
-    ``(1 - p*_j) / 20`` minus the detection threshold. Detection of a
+    ``(1 - p*_j) / 20`` minus the closed detection threshold. Detection of a
     watermarked text is guaranteed (with probability depending on the slack)
     exactly when this is positive."""
-    if not 0.0 < delta < 1.0:
-        raise InvalidInputError("delta must lie strictly between 0 and 1")
     n = record.tokens.size
-    if n < 1:
-        raise InvalidInputError("record is empty")
-    lhs = float(np.sum(1.0 - record.per_step_pstar)) / (20.0 * n)
-    return lhs - math.sqrt(2.0 * math.log(1.0 / delta) / n)
+    threshold = closed_threshold(n, delta)
+    return float(np.sum(1.0 - record.per_step_pstar)) / (20.0 * n) - threshold
 
 
 def model_from_dict(obj: dict) -> SourceModel:

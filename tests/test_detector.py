@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from tokenmark import keystream
+from tokenmark.core import json_text
 from tokenmark.detector import (
     DetectionReport,
     closed_p_value,
@@ -215,17 +217,49 @@ class TestBatchScoring:
             )
 
 
+class TestStepStart:
+    @pytest.mark.parametrize("start", [True, False, 1.0, 2.5, "1"])
+    def test_non_integer_start_rejected(self, start):
+        tokens = [0, 3, 5, 1]
+        matrix = np.array([tokens, tokens[::-1]])
+        # Warm the derivation caches at the integer start a bool or float
+        # would equal, so the check must run ahead of a cached answer.
+        closed_statistics(CLOSED_KEY, matrix, start=int(start == 1))
+        open_statistics(OPEN_KEY, matrix, start=int(start == 1))
+        calls = [lambda: detect(CLOSED_KEY, tokens, start=start),
+                 lambda: detect(OPEN_KEY, tokens, start=start),
+                 lambda: keystream.closed_token_colors(CLOSED_KEY, tokens, start),
+                 lambda: keystream.open_gaussian_entries(OPEN_KEY, tokens, start),
+                 lambda: closed_statistics(CLOSED_KEY, matrix, start=start),
+                 lambda: open_statistics(OPEN_KEY, matrix, start=start)]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="integers"):
+                call()
+
+    @pytest.mark.parametrize("count", [True, 4.0, "4"])
+    def test_non_integer_count_rejected(self, count):
+        derive_closed_steps(CLOSED_KEY, 1)
+        for call in (lambda: derive_closed_steps(CLOSED_KEY, count),
+                     lambda: keystream.derive_open_steps(OPEN_KEY, count),
+                     lambda: keystream.derive_open_gaussians(OPEN_KEY, count)):
+            with pytest.raises(InvalidInputError, match="integers"):
+                call()
+
+    def test_numpy_integer_start_accepted(self):
+        tokens = [0, 3, 5, 1]
+        assert (detect(CLOSED_KEY, tokens, start=np.int64(2))
+                == detect(CLOSED_KEY, tokens, start=2))
+
+
 class TestReport:
     def test_round_trip(self):
         report = detect(CLOSED_KEY, [0, 3, 5, 1, 7] * 10)
         again = DetectionReport.from_dict(report.to_dict())
         assert again == report
 
-    def test_json_schema(self, tmp_path):
-        report = detect(OPEN_KEY, [1, 2, 3, 4])
-        path = tmp_path / "report.json"
-        report.save(path)
-        obj = json.loads(path.read_text())
+    def test_json_schema(self):
+        # The text ``tokenmark detect`` prints and writes with --out.
+        obj = json.loads(json_text(detect(OPEN_KEY, [1, 2, 3, 4]).to_dict()))
         assert set(obj) == {
             "scheme", "n_tokens", "delta", "statistic", "threshold", "p_value", "verdict",
         }

@@ -1,12 +1,16 @@
 """Verification oracles: enumeration, Monte-Carlo bounds, and the suite."""
 
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 import tokenmark.closed_scheme
+from tokenmark import cli
+from tokenmark.core import json_text
 from tokenmark.errors import CheckFailedError, InvalidInputError
 from tokenmark.keystream import CLOSED, WatermarkKey
 from tokenmark.oracles import (
@@ -344,3 +348,35 @@ class TestCheckFailedSurface:
         by_name = {c.name: c for c in checks}
         assert by_name["undetectability-sweep"].passed is False
         assert by_name["tv-zero-separation"].passed is True
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("level, seed, digest", [
+        ("quick", 0, "79801f00eedf80718481b1066e4607f822fa4f843b62a18e7a5b3fb02a932946"),
+        ("quick", 1, "472996531b7d2351eb46c475ebe8725be064640a9048b725389191098a2d75a7"),
+        ("full", 0, "190f7844271fe9d03443f0093205676c7ad75f51f94e2fd73e44968c919681ff"),
+    ])
+    def test_report_pinned(self, level, seed, digest):
+        # SHA-256 of the report text ``tokenmark verify`` prints, as the
+        # suite gave it before its checks were gathered into one table.
+        text = json_text(suite_report(verify_suite(level, seed), level))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_failed_rows_are_strict_json(self, monkeypatch, tmp_path, capsys):
+        # A check that raises leaves a null value, never NaN, in the file
+        # ``verify --out`` writes.
+        def exploding(p, coloring, flip):
+            raise CheckFailedError("boom")
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        monkeypatch.setattr(tokenmark.closed_scheme, "watermark_distribution", exploding)
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--out", str(out)]) == 1
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert out.read_text() == capsys.readouterr().out
+        failed = [row for row in report["checks"] if not row["pass"]]
+        assert {row["name"] for row in failed} == {"undetectability-sweep",
+                                                   "undetectability-two-tokens"}
+        assert all(row["value"] is None for row in failed)

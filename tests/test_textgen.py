@@ -104,6 +104,30 @@ class TestSources:
         with pytest.raises(InvalidInputError):
             powerlaw_source(4, s=1.0, scale=0.0)
 
+    @pytest.mark.parametrize("key", [None, closed_key(2), open_key(2, k=1)])
+    def test_iid_source_owns_its_law(self, key):
+        # Changing the caller's array afterwards changes neither the model
+        # nor the tokens it generates.
+        p = np.array([0.7, 0.3])
+        model = iid_source(p)
+        before = generate(model, 200, key, np.random.default_rng(3)).tokens
+        p[:] = [3.0, -2.0]
+        np.testing.assert_array_equal(model.laws, [[0.7, 0.3]])
+        np.testing.assert_array_equal(
+            generate(model, 200, key, np.random.default_rng(3)).tokens, before)
+
+    def test_factory_arrays_are_read_only(self):
+        transition = circulant_transition([0.5, 0.3, 0.2])
+        initial = np.array([0.1, 0.1, 0.8])
+        markov = markov_source(transition, initial)
+        transition[0] = initial[0] = 0.0
+        np.testing.assert_array_equal(markov.laws[:2], [[0.1, 0.1, 0.8], [0.5, 0.3, 0.2]])
+        power = powerlaw_source(4, s=1.0)
+        for arr in (iid_source([0.5, 0.5]).laws, uniform_source(4).laws, markov.laws,
+                    power.laws, power.logits):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
 
 class TestModelFromDict:
     def test_all_kinds(self):
