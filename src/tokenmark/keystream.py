@@ -347,19 +347,21 @@ def _require_scheme(key: WatermarkKey, scheme: str) -> None:
         raise SchemeMismatchError(f"operation needs a {scheme} key, got {key.scheme}")
 
 
-def _check_step(start: int, count: int = 1) -> None:
-    """Reject a step range ``start .. start+count-1`` that is not given by
-    integers (booleans are not) or that the 8-byte step field cannot
-    encode."""
+def _check_step(start: int, count: int = 1) -> tuple[int, int]:
+    """``start`` and ``count`` as Python ints; reject a step range
+    ``start .. start+count-1`` that is not given by integers (booleans are
+    not) or that the 8-byte step field cannot encode."""
     if not (is_int(start) and is_int(count)):
         raise InvalidInputError(
             f"step index and count must be integers, got {start!r} and {count!r}")
     if count < 0:
         raise InvalidInputError("step count must be non-negative")
+    start, count = int(start), int(count)
     if start < 0:
         raise InvalidInputError("step index must be non-negative")
     if start + max(count, 1) > _STEP_LIMIT:
         raise InvalidInputError("step indices must be below 2**64")
+    return start, count
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -375,7 +377,7 @@ def derive_closed_step(key: WatermarkKey, step: int) -> ClosedStepKey:
     """Re-derive the balanced coloring and flip for one step. Pure and
     bit-identical on repeated calls."""
     _require_scheme(key, CLOSED)
-    _check_step(step)
+    step, _ = _check_step(step)
     coloring = _freeze(_coloring_matrix(key, step, 1)[0])
     flip = int(_sign_words(key, LANE_FLIP, step, 1)[0])
     return ClosedStepKey(coloring=coloring, flip=flip)
@@ -386,7 +388,7 @@ def derive_closed_steps(key: WatermarkKey, count: int, start: int = 0) -> Closed
     """Closed key material for ``count`` steps from ``start``; cached because
     detection sweeps re-derive the same prefix for every text."""
     _require_scheme(key, CLOSED)
-    _check_step(start, count)
+    start, count = _check_step(start, count)
     colorings = _freeze(_coloring_matrix(key, start, count))
     flips = _freeze(_sign_words(key, LANE_FLIP, start, count))
     return ClosedStepBatch(colorings=colorings, flips=flips)
@@ -395,7 +397,7 @@ def derive_closed_steps(key: WatermarkKey, count: int, start: int = 0) -> Closed
 def derive_open_step(key: WatermarkKey, step: int) -> OpenStepKey:
     """Re-derive one step's Gaussian vector, support, and direction."""
     _require_scheme(key, OPEN)
-    _check_step(step)
+    step, _ = _check_step(step)
     gaussian = _freeze(_gaussian_matrix(key, step, 1)[0])
     support_step = 0 if key.support_mode == FIXED_SUPPORT else step
     support = _freeze(_support_matrix(key, support_step, 1)[0])
@@ -407,7 +409,7 @@ def derive_open_step(key: WatermarkKey, step: int) -> OpenStepKey:
 def derive_open_steps(key: WatermarkKey, count: int, start: int = 0) -> OpenStepBatch:
     """Open sampler material for ``count`` steps from ``start`` (cached)."""
     _require_scheme(key, OPEN)
-    _check_step(start, count)
+    start, count = _check_step(start, count)
     gaussians = _freeze(_gaussian_matrix(key, start, count))
     if key.support_mode == FIXED_SUPPORT:
         one = _support_matrix(key, 0, 1)
@@ -422,7 +424,7 @@ def derive_open_steps(key: WatermarkKey, count: int, start: int = 0) -> OpenStep
 def derive_open_gaussians(key: WatermarkKey, count: int, start: int = 0) -> np.ndarray:
     """Detector-side material: only the Gaussian vectors, shape (count, d)."""
     _require_scheme(key, OPEN)
-    _check_step(start, count)
+    start, count = _check_step(start, count)
     return _freeze(_gaussian_matrix(key, start, count))
 
 
@@ -435,7 +437,7 @@ def open_gaussian_entries(key: WatermarkKey, tokens, start: int = 0) -> np.ndarr
     """
     _require_scheme(key, OPEN)
     tokens = validate_tokens(tokens, key.d)
-    _check_step(start, tokens.size)
+    start, _ = _check_step(start, tokens.size)
     blocks, block_bytes = _BLOCK_FUNCTIONS[key.version]
     prefix = key.master_seed + bytes([LANE_GAUSSIAN])
     pairs = []
@@ -459,7 +461,7 @@ def closed_token_colors(key: WatermarkKey, tokens, start: int = 0) -> np.ndarray
     """
     _require_scheme(key, CLOSED)
     tokens = validate_tokens(tokens, key.d)
-    _check_step(start, tokens.size)
+    start, _ = _check_step(start, tokens.size)
     d = key.d
     colors = np.empty(tokens.size, dtype=np.int8)
     for j, t in enumerate(tokens.tolist()):

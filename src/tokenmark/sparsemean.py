@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import is_int
+from .core import is_int, is_number
 from .errors import InvalidInputError, ScanBudgetError
 from .open_scheme import _perturbations
 from .seeds import derive_seed
@@ -66,12 +66,14 @@ class SparseMeanInstance:
 
 
 def _check_params(n: int, d: int, k: int, epsilon: float) -> None:
+    if not (is_int(n) and is_int(d) and is_int(k)):
+        raise InvalidInputError(f"n, d and k must be integers, got {n!r}, {d!r} and {k!r}")
     if n < 1:
         raise InvalidInputError("need at least one sample")
     if not 1 <= k <= d:
         raise InvalidInputError("need 1 <= k <= d")
-    if epsilon <= 0:
-        raise InvalidInputError("epsilon must be positive")
+    if not is_number(epsilon) or epsilon <= 0:
+        raise InvalidInputError(f"epsilon must be a finite number > 0, got {epsilon!r}")
 
 
 def sample_instance(n: int, d: int, k: int, epsilon: float, hypothesis: str,

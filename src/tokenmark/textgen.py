@@ -125,44 +125,26 @@ class GenerationRecord:
 # Generation
 
 
-def check_key_d(d: int, key: WatermarkKey) -> bool:
+def check_key_d(d: int, key: WatermarkKey) -> None:
     """Raise SchemeMismatchError unless ``key`` is for a d-token dictionary,
-    a model's or a text record's; return whether it is a closed key padded
-    with one token past d."""
-    if key.scheme == CLOSED and key.padded:
-        if key.d != d + 1:
-            raise SchemeMismatchError(f"padded key is for d={key.d - 1}, not d={d}")
-        return True
-    if key.d != d:
-        raise SchemeMismatchError(f"key is for d={key.d}, not d={d}")
-    return False
+    a model's or a text record's; a padded closed key has one token past d."""
+    if key.d - key.padded != d:
+        kind = "padded key" if key.padded else "key"
+        raise SchemeMismatchError(f"{kind} is for d={key.d - key.padded}, not d={d}")
 
 
-def _state_laws(model: SourceModel, key: WatermarkKey | None) -> np.ndarray:
-    """The source's table of state laws as sampling under ``key`` takes it:
-    logits for an open key, otherwise probabilities, with a zero for the
-    padding token of a padded closed key."""
-    padded = key is not None and check_key_d(model.d, key)
-    if key is None or key.scheme == CLOSED:
-        return np.pad(model.laws, ((0, 0), (0, 1))) if padded else model.laws
-    if model.logits is not None:
-        return model.logits[None]
-    if (model.laws <= 0).any():
-        raise InvalidInputError("logit-space sampling needs strictly positive state laws")
-    return np.log(model.laws)
-
-
-def _chain_tokens(laws: np.ndarray, key: WatermarkKey | None, u: np.ndarray) -> np.ndarray:
+def _chain_tokens(model: SourceModel, key: WatermarkKey | None, u: np.ndarray) -> np.ndarray:
     """Tokens from uniforms ``u`` (texts, n), one step at a time. Every text
-    starts in state 0; from a Markov source (more than one row of ``laws``)
-    it moves to state ``token + 1``. Each step computes the (watermarked)
-    law of every state some text is in once and samples that group's
+    starts in state 0; from a Markov source it moves to state ``token + 1``.
+    A state's law is prepared for ``key`` when a text first enters it:
+    rank-ordered for a closed key (after a zero for the padding token of a
+    padded one), logits for an open key. Each step computes the
+    (watermarked) law of every state in use once and samples that group's
     uniforms from it."""
     texts, n = u.shape
-    markov = laws.shape[0] > 1
+    markov = model.laws.shape[0] > 1
     closed = key is not None and key.scheme == CLOSED
-    if closed:
-        orders = rank_order(laws)  # each state's law is sorted once
+    prepared = {}
     tokens = np.empty(u.shape, dtype=np.int64)
     states = np.zeros(texts, dtype=np.int64)
     chunk = n if key is None else max(1, _CHUNK_BYTES // (key.d * _ENTRY_BYTES[key.scheme]))
@@ -177,12 +159,18 @@ def _chain_tokens(laws: np.ndarray, key: WatermarkKey | None, u: np.ndarray) -> 
             groups = (((s, states == s) for s in np.unique(states)) if markov
                       else [(0, slice(None))])
             for s, group in groups:
+                if s not in prepared:
+                    law = model.laws[s]
+                    if closed:
+                        law = np.append(law, 0.0) if key.padded else law
+                    elif key is not None:
+                        law = np.log(law) if model.logits is None else model.logits
+                    prepared[s] = law, (rank_order(law) if closed else None)
+                law, order = prepared[s]
                 if closed:
-                    law = watermark_ranked(laws[s], orders[s], signs[j - lo])
+                    law = watermark_ranked(law, order, signs[j - lo])
                 elif key is not None:
-                    law = softmax_rows(laws[s] + deltas[j - lo])
-                else:
-                    law = laws[s]
+                    law = softmax_rows(law + deltas[j - lo])
                 tokens[group, j] = sample_tokens(law, u[group, j])
             if markov:
                 states = tokens[:, j] + 1
@@ -225,13 +213,18 @@ def generate_many(model: SourceModel, n: int, key: WatermarkKey | None,
     so a call equals ``texts`` successive one-text calls on the same rng.
     The per-step watermarked laws of a memoryless source are computed once
     for all texts; this is what makes thousand-text detector sweeps cheap."""
+    if not (is_int(n) and is_int(texts)):
+        raise InvalidInputError(f"n and texts must be integers, got {n!r} and {texts!r}")
     if texts < 1 or n < 1:
         raise InvalidInputError("need at least one text and one step")
-    laws = _state_laws(model, key)
+    if key is not None:
+        check_key_d(model.d, key)
+        if key.scheme == OPEN and model.logits is None and model.laws.min() <= 0:
+            raise InvalidInputError("logit-space sampling needs strictly positive state laws")
     u = rng.random((texts, n))
-    if laws.shape[0] == 1 and key is None:
-        return sample_tokens(laws[0], u)
-    return _chain_tokens(laws, key, u)
+    if model.laws.shape[0] == 1 and key is None:
+        return sample_tokens(model.laws[0], u)
+    return _chain_tokens(model, key, u)
 
 
 def condition_lhs(record: GenerationRecord, delta: float) -> float:

@@ -515,6 +515,31 @@ class TestTokenReaders:
         with pytest.raises(SchemeMismatchError):
             open_gaussian_entries(closed_key(), tokens)
 
+    def test_numpy_step_indices(self):
+        # A numpy start is checked and used as a Python int: the step range
+        # cannot wrap past 2**64 (or 2**63) in the caller's integer type.
+        with pytest.raises(InvalidInputError):
+            keystream._check_step(np.uint64(2**64 - 1), 2)
+        with pytest.raises(InvalidInputError):
+            closed_token_colors(closed_key(), [1, 2], np.uint64(2**64 - 1))
+        start = 2**63 - 1
+        tokens = np.array([1, 2])
+        ckey, okey = closed_key(), open_key()
+        calls = [
+            lambda s: derive_closed_step(ckey, s).coloring,
+            lambda s: derive_closed_steps(ckey, 2, s).colorings,
+            lambda s: derive_closed_steps(ckey, 2, s).flips,
+            lambda s: derive_open_step(okey, s).gaussian,
+            lambda s: derive_open_steps(okey, 2, s).gaussians,
+            lambda s: derive_open_gaussians(okey, 2, s),
+            lambda s: closed_token_colors(ckey, tokens, s),
+            lambda s: open_gaussian_entries(okey, tokens, s),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                np.testing.assert_array_equal(call(np.int64(start)), call(start))
+
 
 def time_and_peak(fn):
     """Wall time of one call, and the tracemalloc peak of a second call."""

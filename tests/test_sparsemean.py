@@ -23,6 +23,7 @@ from tokenmark.sparsemean import (
     SparseMeanInstance,
     null_quantile,
     power_curve,
+    power_point,
     rejection_rate,
     run_test,
     sample_instance,
@@ -277,6 +278,22 @@ class TestPower:
             a = threshold_test(inst.data, 2, 1.0, 0.05)
             b = scan_test(inst.data, 2, 1.0, 0.05)
             assert a is True and b is True
+
+    # (n, d, k, epsilon): a NaN or infinite epsilon gave NaN data and a
+    # power of 0.0, a fractional or boolean size a bare TypeError or a
+    # silent size of 1.
+    @pytest.mark.parametrize("params", [
+        (2.5, 6, 2, 1.0), (True, 6, 2, 1.0), (5, 6.0, 2, 1.0), (5, 6, 2.0, 1.0),
+        (5, 6, 2, float("nan")), (5, 6, 2, float("inf")), (5, 6, 2, True), (5, 6, 2, "1.0"),
+    ])
+    def test_bad_numbers_refused(self, params):
+        n, d, k, epsilon = params
+        with pytest.raises(InvalidInputError):
+            sample_instance(n, d, k, epsilon, HA, seed=0)
+        with pytest.raises(InvalidInputError):
+            null_quantile(THRESHOLD_TEST, n, d, k, epsilon, 0.05)
+        with pytest.raises(InvalidInputError):
+            power_point(THRESHOLD_TEST, n, d, k, epsilon, 0.05, 3, seed=0)
 
     def test_run_test_dispatch(self):
         inst = sample_instance(50, 6, 2, 1.0, H0, seed=16)

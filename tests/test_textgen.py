@@ -24,7 +24,6 @@ from tokenmark.keystream import (
 from tokenmark.open_scheme import perturbations_for, watermarked_softmax
 from tokenmark.textgen import (
     GenerationRecord,
-    _state_laws,
     condition_lhs,
     generate,
     generate_many,
@@ -60,14 +59,14 @@ def circulant_transition(base):
 class TestSources:
     def test_uniform(self):
         model = uniform_source(6)
-        np.testing.assert_allclose(_state_laws(model, None), np.full((1, 6), 1 / 6), atol=0)
+        np.testing.assert_allclose(model.laws, np.full((1, 6), 1 / 6), atol=0)
 
     def test_powerlaw_logit_formula(self):
         model = powerlaw_source(5, s=1.5)
         expected = -1.5 * np.log(np.arange(1, 6))
         np.testing.assert_array_equal(model.logits, expected)
         # Probabilities decay like (i+1)^-s.
-        p = _state_laws(model, None)[0]
+        p = model.laws[0]
         np.testing.assert_allclose(p[1] / p[0], 2.0**-1.5, rtol=1e-12)
 
     def test_powerlaw_scale(self):
@@ -86,15 +85,21 @@ class TestSources:
     def test_iid_fixed_logits_requires_positive(self):
         with pytest.raises(InvalidInputError):
             generate(iid_source([0.5, 0.5, 0.0]), 5, open_key(3), np.random.default_rng(0))
-        logits = _state_laws(iid_source([0.25, 0.75]), open_key(2))
-        np.testing.assert_allclose(logits, np.log([[0.25, 0.75]]), atol=0)
+        # Open sampling of an iid source perturbs its log law: each step's
+        # token is drawn from softmax(log p + delta_j).
+        key = open_key(2, k=1)
+        p = np.array([0.25, 0.75])
+        tokens = generate(iid_source(p), 40, key, np.random.default_rng(5)).tokens
+        u = np.random.default_rng(5).random(40)
+        deltas = perturbations_for(key, 40)
+        for j, token in enumerate(tokens):
+            assert token == sample_tokens(watermarked_softmax(np.log(p), deltas[j]), u[j])
 
     def test_markov_has_no_fixed_law(self):
         # A Markov source has d + 1 states: its initial law, then one per token.
         transition = circulant_transition([0.5, 0.3, 0.2])
         model = markov_source(transition, [0.1, 0.1, 0.8])
-        np.testing.assert_array_equal(_state_laws(model, None),
-                                      np.vstack([[0.1, 0.1, 0.8], transition]))
+        np.testing.assert_array_equal(model.laws, np.vstack([[0.1, 0.1, 0.8], transition]))
 
     def test_factory_validation(self):
         with pytest.raises(InvalidInputError):
@@ -136,7 +141,7 @@ class TestModelFromDict:
         markov = model_from_dict(
             {"kind": "markov", "transition": [[0.5, 0.5], [0.5, 0.5]], "initial": [1.0, 0.0]}
         )
-        assert _state_laws(markov, None).shape == (3, 2)
+        assert markov.laws.shape == (3, 2)
         power = model_from_dict({"kind": "powerlaw-logits", "d": 16, "s": 1.2})
         assert power.d == 16
 
@@ -371,6 +376,27 @@ class TestRuntime:
             tracemalloc.stop()
         assert peak < table_bytes / 4, f"peaked at {peak / 2**20:.2f} MiB"
 
+    @pytest.mark.parametrize("key", [
+        closed_key(2048),
+        WatermarkKey(master_seed=SEED, d=2048, scheme=CLOSED, padded=True),
+        open_key(2048, k=64),
+    ], ids=["closed", "closed-padded", "open"])
+    def test_keyed_markov_generate_prepares_visited_states(self, key):
+        """Keyed Markov generation prepares the law of each state a text
+        visits, not the whole (d + 1, d) table: at d = 2048 and n = 200 (a
+        32 MiB table) it peaked at 64, 96 and 42 MiB when it sorted, padded
+        or took the log of every row."""
+        model = markov_model(2047 if key.padded else 2048)
+        derive_closed_steps.cache_clear()
+        derive_open_steps.cache_clear()
+        tracemalloc.start()
+        try:
+            generate(model, 200, key, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, f"peaked at {peak / 2**20:.1f} MiB"
+
 
 class TestGenerateMany:
     def test_rows_are_independent_texts(self):
@@ -439,6 +465,17 @@ class TestGenerateMany:
             generate_many(uniform_source(4), 0, None, 5, np.random.default_rng(0))
         with pytest.raises(InvalidInputError):
             generate_many(uniform_source(4), 5, None, 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("size", [True, 2.0, "2", None])
+    @pytest.mark.parametrize("key", [None, closed_key(4)])
+    def test_sizes_must_be_integers(self, size, key):
+        # A boolean n or texts ran as 1; a float or a string ended in a
+        # bare TypeError.
+        for n, texts in ((size, 3), (3, size)):
+            with pytest.raises(InvalidInputError):
+                generate_many(uniform_source(4), n, key, texts, np.random.default_rng(0))
+        assert generate_many(uniform_source(4), np.int64(3), key, np.int64(2),
+                             np.random.default_rng(0)).shape == (2, 3)
 
 
 class TestTextLevelUndetectability:
