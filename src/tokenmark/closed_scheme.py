@@ -77,8 +77,28 @@ def _rank_shift(ps: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 def rank_order(probs: np.ndarray) -> np.ndarray:
     """Token indices by descending probability along the last axis, ties by
-    ascending index: the rank order the pairing uses."""
-    return np.argsort(-probs, axis=-1, kind="stable")
+    ascending index: the rank order the pairing uses.
+
+    Equal to ``np.argsort(-probs, axis=-1, kind="stable")`` for every
+    input, but sorts with numpy's faster unstable argsort. That one may
+    list equal values in any order, so where the sorted values have a run
+    of equal values (NaNs count as equal, as in a stable sort), the order
+    is sorted again by the unique integer key ``run * d + index``: runs
+    keep their place and each run lists its tokens by ascending index.
+    """
+    order = np.argsort(-probs, axis=-1)
+    ranked = np.take_along_axis(probs, order, axis=-1)
+    before, after = ranked[..., :-1], ranked[..., 1:]
+    same = (before == after) | (np.isnan(before) & np.isnan(after))
+    if not same.any():
+        return order
+    d = probs.shape[-1]
+    runs = np.zeros(order.shape, dtype=np.intp)
+    np.cumsum(~same, axis=-1, out=runs[..., 1:])
+    runs *= d
+    runs += order
+    runs.sort(axis=-1)
+    return runs % d
 
 
 def watermark_ranked(probs: np.ndarray, order: np.ndarray, signs: np.ndarray) -> np.ndarray:

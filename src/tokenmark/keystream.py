@@ -16,25 +16,34 @@ Block ``c`` of lane ``L`` at step ``j`` hashes the 49 bytes::
 with the block function of the key's version:
 
 * version 1: SHA-256, 32 bytes (4 words) per block;
-* version 2: SHAKE-256 squeezed to 1024 bytes (128 words) per block.
+* versions 2 and 3: SHAKE-256 squeezed to 1024 bytes (128 words) per block.
 
-This is the only difference between the versions. Blocks are concatenated
-and split into big-endian unsigned 64-bit words; word ``t`` of a lane is
-bytes ``[8t, 8t+8)`` of that stream. Lanes: 0 coloring, 1 flip,
-2 gaussian, 3 support, 4 direction. ``keygen`` writes version 2; version 1
-keys are still read.
+Blocks are concatenated and split into big-endian unsigned 64-bit words;
+word ``t`` of a lane is bytes ``[8t, 8t+8)`` of that stream. Lanes: 0
+coloring, 1 flip, 2 gaussian, 3 support, 4 direction. Besides the block
+function the versions differ only in the coloring rule: versions 1 and 2
+shuffle, version 3 selects (below). ``keygen`` writes version 3; versions
+1 and 2 are still read.
 
 Derived quantities
 ------------------
 * Bounded integers: word ``w`` reduced to ``w mod n``. The modulo bias is
   below ``n / 2**64`` (< 2**-40 for any realistic dictionary) and is
   accepted by this format.
-* Coloring (closed scheme): start from the sign array ``[+1]*(d/2) +
-  [-1]*(d/2)`` indexed by token, then Fisher-Yates shuffle downward: for
-  ``i = d-1 .. 1``, word ``t = d-1-i`` gives ``pos = word_t mod (i+1)``
-  and entries ``i`` and ``pos`` are swapped. Uniform over balanced
-  colorings because every permutation of the sign multiset is equally
-  likely.
+* Coloring (closed scheme), versions 1 and 2, by shuffling: start from the
+  sign array ``[+1]*(d/2) + [-1]*(d/2)`` indexed by token, then
+  Fisher-Yates shuffle downward: for ``i = d-1 .. 1``, word ``t = d-1-i``
+  gives ``pos = word_t mod (i+1)`` and entries ``i`` and ``pos`` are
+  swapped. Uniform over balanced colorings because every permutation of
+  the sign multiset is equally likely.
+* Coloring, version 3, by selection: the step's first ``d`` words
+  ``w_0 .. w_{d-1}``, one per token. Token ``t`` is ``+1`` iff its rank
+  ``#{i : w_i < w_t} + #{i < t : w_i = w_t}`` is below ``d/2``: the d/2
+  smallest words, ties broken by token index. If the words are
+  independent and uniform, every order of distinct words is equally
+  likely, so the set of the d/2 smallest is a uniform balanced coloring.
+  Two words tie with probability below ``d**2 / 2**65``, the same order as
+  the modulo bias above.
 * Flip / direction: a single word; its lowest bit maps 1 -> +1, 0 -> -1.
 * Gaussian vector (open scheme): words ``2m`` and ``2m+1`` feed one
   Box-Muller pair, ``u1 = ((w >> 11) + 1) * 2**-53`` in (0, 1] and
@@ -59,20 +68,24 @@ definitions, not another format, and give bit-identical values.
 * Gaussian entry ``t``: it needs only words ``2 floor(t/2)`` and
   ``2 floor(t/2) + 1``, bytes ``[16 floor(t/2), 16 floor(t/2) + 16)`` of the
   lane: one block per token (``floor(t/4)`` in version 1,
-  ``floor(t/128)`` in version 2). SHAKE-256 output is a prefix of any
-  longer squeeze, so version 2 squeezes only up to the pair's last byte.
-* Coloring entry ``t``, by the swap chain. Write ``pos_i`` for the swap
-  position of round ``i``. No round after round ``i`` touches entry ``i``
-  (later rounds swap below ``i``), so entry ``t >= 1`` ends up holding what
-  entry ``pos_t`` held just before round ``t``. The value entry ``y``
-  holds just before round ``b`` (``y <= b``) came from the latest earlier
-  round that swapped it, which is the smallest ``i' > b`` with
-  ``pos_{i'} = y``: it received what entry ``i'`` held just before round
-  ``i'``. So start from ``y = pos_t`` and ``b = t`` (``y = b = 0`` for
-  ``t = 0``), move to ``y = b = i'`` while such an ``i'`` exists, and read
-  the starting sign of entry ``y``: ``+1`` iff ``y < d/2``. Only rounds
-  ``i >= t``, that is words ``0 .. min(d-1, d-t) - 1``, are needed: about
-  ``(d - t) / 128`` blocks in version 2.
+  ``floor(t/128)`` in versions 2 and 3). SHAKE-256 output is a prefix of
+  any longer squeeze, so it squeezes only up to the pair's last byte.
+* Coloring entry ``t``, version 3: hash the step's ``d`` words and count
+  the rank of ``w_t`` as defined above, one comparison pass over the
+  words, with no sort: ``d / 128`` blocks per token.
+* Coloring entry ``t``, versions 1 and 2, by the swap chain. Write
+  ``pos_i`` for the swap position of round ``i``. No round after round
+  ``i`` touches entry ``i`` (later rounds swap below ``i``), so entry
+  ``t >= 1`` ends up holding what entry ``pos_t`` held just before round
+  ``t``. The value entry ``y`` holds just before round ``b`` (``y <= b``)
+  came from the latest earlier round that swapped it, which is the
+  smallest ``i' > b`` with ``pos_{i'} = y``: it received what entry
+  ``i'`` held just before round ``i'``. So start from ``y = pos_t`` and
+  ``b = t`` (``y = b = 0`` for ``t = 0``), move to ``y = b = i'`` while
+  such an ``i'`` exists, and read the starting sign of entry ``y``:
+  ``+1`` iff ``y < d/2``. Only rounds ``i >= t``, that is words
+  ``0 .. min(d-1, d-t) - 1``, are needed: about ``(d - t) / 128`` blocks
+  in version 2.
 """
 
 from __future__ import annotations
@@ -84,13 +97,14 @@ import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import field, is_int, is_number, json_text, read_json, validate_tokens
 from .errors import InvalidInputError, InvalidKeyError, SchemeMismatchError
 
-KEY_FILE_VERSION = 2
+KEY_FILE_VERSION = 3
 SEED_BYTES = 32
 
 LANE_COLORING = 0
@@ -116,7 +130,8 @@ class WatermarkKey:
     ``padded`` records that the dictionary had odd size and a zero-probability
     spurious token was appended to make ``d`` even; the spurious token is
     never sampled because its shift magnitude is always zero. ``version``
-    selects the key-file version's PRF block function (module docstring).
+    selects the key-file version's PRF block function and coloring rule
+    (module docstring).
     """
 
     master_seed: bytes
@@ -129,7 +144,7 @@ class WatermarkKey:
     version: int = KEY_FILE_VERSION
 
     def __post_init__(self):
-        if not is_int(self.version) or self.version not in _BLOCK_FUNCTIONS:
+        if not is_int(self.version) or self.version not in _FORMATS:
             raise InvalidKeyError(f"unsupported key file version {self.version!r}")
         if len(self.master_seed) != SEED_BYTES:
             raise InvalidKeyError(f"master seed must be {SEED_BYTES} bytes")
@@ -206,13 +221,6 @@ class OpenStepBatch:
 # --------------------------------------------------------------------------
 # PRF stream plumbing
 
-# Batches of fewer rows take the Python-list Fisher-Yates in
-# ``_coloring_matrix``. Its cost grows with count x d, while the transposed
-# loop's few numpy calls per swap round cost nearly the same for any row
-# count below a few dozen; the two cost the same at about 16 rows for d
-# from 512 to 32768.
-_ROW_LOOP_MAX_COUNT = 16
-
 # Step indices must stay below this: the step field is 8 bytes.
 _STEP_LIMIT = 2 ** 64
 
@@ -227,17 +235,10 @@ def _shake256_blocks(inputs: list[bytes], nbytes: int) -> list[bytes]:
     return [shake(data).digest(nbytes) for data in inputs]
 
 
-# Key file version -> (block function, bytes per block); the only place the
-# versions differ. A block function hashes each input to one block. SHAKE-256
-# squeezes just the first ``nbytes`` bytes of it, a prefix of the whole
-# block; SHA-256 always returns its 32 bytes.
-_BLOCK_FUNCTIONS = {1: (_sha256_blocks, 32), 2: (_shake256_blocks, 1024)}
-
-
 def _step_words(key: WatermarkKey, lane: int, start: int, count: int, nwords: int):
     """Yield the first ``nwords`` words of each of ``count`` consecutive
     steps, one (nwords,) big-endian uint64 array per step."""
-    blocks, block_bytes = _BLOCK_FUNCTIONS[key.version]
+    blocks, block_bytes = _FORMATS[key.version][:2]
     nblocks = -(-8 * nwords // block_bytes)
     nbytes = min(block_bytes, 8 * nwords)  # a one-block lane squeezes only its words
     lane_prefix = key.master_seed + bytes([lane])
@@ -262,9 +263,21 @@ def _sign_words(key: WatermarkKey, lane: int, start: int, count: int) -> np.ndar
     return (2 * (words & np.uint64(1)).astype(np.int8) - 1).astype(np.int8)
 
 
-def _coloring_matrix(key: WatermarkKey, start: int, count: int) -> np.ndarray:
-    """Balanced colorings for consecutive steps via per-step Fisher-Yates,
-    shape (count, d).
+# --------------------------------------------------------------------------
+# Coloring rules (module docstring). Each has two readings: the colorings
+# of consecutive steps, shape (count, d) int8, and one token's colour at
+# one step.
+
+# Batches of fewer rows take the Python-list loop of the v1/v2 Fisher-Yates
+# in ``_shuffle_colorings``. Its cost grows with count x d, while the
+# transposed loop's few numpy calls per swap round cost nearly the same
+# for any row count below a few dozen; the two cost the same at about 16
+# rows for d from 512 to 32768.
+_ROW_LOOP_MAX_COUNT = 16
+
+
+def _shuffle_colorings(key: WatermarkKey, start: int, count: int) -> np.ndarray:
+    """Versions 1 and 2: balanced colorings by per-step Fisher-Yates.
 
     Below ``_ROW_LOOP_MAX_COUNT`` rows each row is shuffled on a Python
     list. Larger batches reduce each step's words to swap positions as soon
@@ -305,6 +318,89 @@ def _coloring_matrix(key: WatermarkKey, start: int, count: int) -> np.ndarray:
         entries.put(flat[t], row)
     del flat
     return np.ascontiguousarray(columns.T)
+
+
+def _shuffle_color(key: WatermarkKey, step: int, t: int) -> int:
+    """Versions 1 and 2: token ``t``'s colour read off the swap chain,
+    hashing only the words of rounds at or above ``t``."""
+    d = key.d
+    nwords = min(d - 1, d - t)
+    words = _word_matrix(key, LANE_COLORING, step, 1, nwords)[0]
+    # positions[k] is pos_i of round i = d-1-k.
+    positions = words % np.arange(d, d - nwords, -1, dtype=np.uint64)
+    y = int(positions[d - 1 - t]) if t else 0
+    bound = t
+    while True:
+        hits = np.flatnonzero(positions[: d - 1 - bound] == y)
+        if hits.size == 0:
+            break
+        y = bound = d - 1 - int(hits[-1])
+    return 1 if y < d // 2 else -1
+
+
+def _select_rows(words: np.ndarray) -> np.ndarray:
+    """Version 3: the colorings of steps from their words, one (d,) row of
+    uint64 words per step: +1 for the d/2 smallest words of a row, ties
+    broken by token index. A partition finds each row's (d/2)-th smallest
+    word; where words equal to it would make the +1 class too large, only
+    the lowest indices among them keep +1."""
+    half = words.shape[1] // 2
+    kth = np.partition(words, half - 1, axis=1)[:, half - 1:half]
+    plus = words <= kth
+    for row in np.flatnonzero(np.count_nonzero(plus, axis=1) > half):
+        ties = np.flatnonzero(words[row] == kth[row])
+        plus[row, ties[half - np.count_nonzero(words[row] < kth[row]):]] = False
+    return np.where(plus, np.int8(1), np.int8(-1))
+
+
+# Version 3 batches select on blocks of steps holding about this many
+# words (128 KiB), so memory does not grow with the number of steps.
+_SELECT_BLOCK_WORDS = 1 << 14
+
+
+def _select_colorings(key: WatermarkKey, start: int, count: int) -> np.ndarray:
+    """Version 3 colorings, a block of steps at a time as they are hashed."""
+    d = key.d
+    out = np.empty((count, d), dtype=np.int8)
+    rows = max(1, _SELECT_BLOCK_WORDS // d)
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
+        out[lo:hi] = _select_rows(_word_matrix(key, LANE_COLORING, start + lo, hi - lo, d))
+    return out
+
+
+def _select_color(key: WatermarkKey, step: int, t: int) -> int:
+    """Version 3: token ``t``'s colour from the rank of its word."""
+    words = _word_matrix(key, LANE_COLORING, step, 1, key.d)[0]
+    word = words[t]
+    rank = np.count_nonzero(words < word) + np.count_nonzero(words[:t] == word)
+    return 1 if rank < key.d // 2 else -1
+
+
+class _Format(NamedTuple):
+    """What one key file version derives differently from the others."""
+
+    blocks: Callable       # block function
+    block_bytes: int       # bytes per block
+    colorings: Callable    # colorings of consecutive steps, (count, d) int8
+    color: Callable        # one token's colour at one step
+
+
+# Key file version -> its format; the only place the versions differ. A
+# block function hashes each input to one block. SHAKE-256 squeezes just
+# the first ``nbytes`` bytes of it, a prefix of the whole block; SHA-256
+# always returns its 32 bytes.
+_FORMATS = {
+    1: _Format(_sha256_blocks, 32, _shuffle_colorings, _shuffle_color),
+    2: _Format(_shake256_blocks, 1024, _shuffle_colorings, _shuffle_color),
+    3: _Format(_shake256_blocks, 1024, _select_colorings, _select_color),
+}
+
+
+def _coloring_matrix(key: WatermarkKey, start: int, count: int) -> np.ndarray:
+    """Balanced colorings for consecutive steps, shape (count, d), by the
+    coloring rule of the key's version."""
+    return _FORMATS[key.version].colorings(key, start, count)
 
 
 def _box_muller(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -394,13 +490,22 @@ def derive_closed_steps(key: WatermarkKey, count: int, start: int = 0) -> Closed
     return ClosedStepBatch(colorings=colorings, flips=flips)
 
 
+@functools.lru_cache(maxsize=8)
+def _fixed_support(key: WatermarkKey) -> np.ndarray:
+    """The step-0 support every step of a fixed-per-key open key reuses,
+    shape (k,), derived once per key."""
+    return _freeze(_support_matrix(key, 0, 1)[0])
+
+
 def derive_open_step(key: WatermarkKey, step: int) -> OpenStepKey:
     """Re-derive one step's Gaussian vector, support, and direction."""
     _require_scheme(key, OPEN)
     step, _ = _check_step(step)
     gaussian = _freeze(_gaussian_matrix(key, step, 1)[0])
-    support_step = 0 if key.support_mode == FIXED_SUPPORT else step
-    support = _freeze(_support_matrix(key, support_step, 1)[0])
+    if key.support_mode == FIXED_SUPPORT:
+        support = _fixed_support(key)
+    else:
+        support = _freeze(_support_matrix(key, step, 1)[0])
     direction = int(_sign_words(key, LANE_DIRECTION, step, 1)[0])
     return OpenStepKey(gaussian=gaussian, support=support, direction=direction)
 
@@ -412,8 +517,7 @@ def derive_open_steps(key: WatermarkKey, count: int, start: int = 0) -> OpenStep
     start, count = _check_step(start, count)
     gaussians = _freeze(_gaussian_matrix(key, start, count))
     if key.support_mode == FIXED_SUPPORT:
-        one = _support_matrix(key, 0, 1)
-        supports = _freeze(np.repeat(one, count, axis=0))
+        supports = np.broadcast_to(_fixed_support(key), (count, key.k))
     else:
         supports = _freeze(_support_matrix(key, start, count))
     directions = _freeze(_sign_words(key, LANE_DIRECTION, start, count))
@@ -438,7 +542,7 @@ def open_gaussian_entries(key: WatermarkKey, tokens, start: int = 0) -> np.ndarr
     _require_scheme(key, OPEN)
     tokens = validate_tokens(tokens, key.d)
     start, _ = _check_step(start, tokens.size)
-    blocks, block_bytes = _BLOCK_FUNCTIONS[key.version]
+    blocks, block_bytes = _FORMATS[key.version][:2]
     prefix = key.master_seed + bytes([LANE_GAUSSIAN])
     pairs = []
     for step, t in zip(range(start, start + tokens.size), tokens.tolist()):
@@ -455,28 +559,15 @@ def closed_token_colors(key: WatermarkKey, tokens, start: int = 0) -> np.ndarray
     each step, shape (n,) int8.
 
     Bit-identical to the same entries of ``derive_closed_steps``. Each
-    colour is read off the swap chain (module docstring), which hashes
-    only the words of rounds at or above the token and holds O(d) memory
-    for one step at a time.
+    colour is read by the one-entry reading of the key's coloring rule
+    (module docstring), which holds O(d) memory for one step at a time.
     """
     _require_scheme(key, CLOSED)
     tokens = validate_tokens(tokens, key.d)
     start, _ = _check_step(start, tokens.size)
-    d = key.d
-    colors = np.empty(tokens.size, dtype=np.int8)
-    for j, t in enumerate(tokens.tolist()):
-        nwords = min(d - 1, d - t)
-        words = _word_matrix(key, LANE_COLORING, start + j, 1, nwords)[0]
-        # positions[k] is pos_i of round i = d-1-k.
-        positions = words % np.arange(d, d - nwords, -1, dtype=np.uint64)
-        y = int(positions[d - 1 - t]) if t else 0
-        bound = t
-        while True:
-            hits = np.flatnonzero(positions[: d - 1 - bound] == y)
-            if hits.size == 0:
-                break
-            y = bound = d - 1 - int(hits[-1])
-        colors[j] = 1 if y < d // 2 else -1
+    color = _FORMATS[key.version].color
+    colors = np.array([color(key, start + j, t) for j, t in enumerate(tokens.tolist())],
+                      dtype=np.int8)
     return colors * _sign_words(key, LANE_FLIP, start, tokens.size)
 
 

@@ -11,6 +11,7 @@ completeness condition is checked against.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,15 +35,22 @@ UNWATERMARKED = "none"
 # as many steps as fit at the scheme's bytes per (step, token) entry, and
 # at least one, so its size depends on d but not on the text length.
 _CHUNK_BYTES = 16 << 20
-# Bytes per entry. Closed: the intp swap positions of the batch
+# Bytes per entry. Closed: the intp swap positions of the v1/v2 batch
 # Fisher-Yates, its largest array (an int8 work array adds 1 B, and the
-# derive_closed_steps cache keeps 8 chunks of 1 B colorings). Open: the
+# derive_closed_steps cache keeps 8 chunks of 1 B colorings); the v3
+# selection coloring derives a chunk in blocks of 128 KiB of words, so it
+# needs less, but one value for every version keeps chunk sizes where they
+# were. Open: the
 # derive_open_steps cache keeps 8 chunks of 8 B Gaussians, and deriving a
 # chunk peaks at 40 B, the float64 temporaries of _gaussian_matrix's
 # Box-Muller; the perturbations are one 8 B copy of the Gaussians with the
 # shift added at the support entries. Either way generation holds under
 # 2.5 x ``_CHUNK_BYTES`` of key material, whatever the text length.
 _ENTRY_BYTES = {CLOSED: 8, OPEN: 64}
+# Prepared state laws the generation loop keeps, the most recently used
+# ones, in bytes. A prepared state holds at most 16 B per token: its intp
+# rank order and a padded copy of its law (closed), or its log law (open).
+_PREPARED_BYTES = _CHUNK_BYTES // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,15 +144,18 @@ def check_key_d(d: int, key: WatermarkKey) -> None:
 def _chain_tokens(model: SourceModel, key: WatermarkKey | None, u: np.ndarray) -> np.ndarray:
     """Tokens from uniforms ``u`` (texts, n), one step at a time. Every text
     starts in state 0; from a Markov source it moves to state ``token + 1``.
-    A state's law is prepared for ``key`` when a text first enters it:
+    A state's law is prepared for ``key`` when a text enters it:
     rank-ordered for a closed key (after a zero for the padding token of a
-    padded one), logits for an open key. Each step computes the
-    (watermarked) law of every state in use once and samples that group's
-    uniforms from it."""
+    padded one), logits for an open key. The most recently used prepared
+    states are kept within ``_PREPARED_BYTES``; a state dropped from them is
+    prepared again, to the same arrays, when a text re-enters it. Each step
+    computes the (watermarked) law of every state in use once and samples
+    that group's uniforms from it."""
     texts, n = u.shape
     markov = model.laws.shape[0] > 1
     closed = key is not None and key.scheme == CLOSED
-    prepared = {}
+    prepared = OrderedDict()
+    capacity = max(1, _PREPARED_BYTES // (16 * model.d))
     tokens = np.empty(u.shape, dtype=np.int64)
     states = np.zeros(texts, dtype=np.int64)
     chunk = n if key is None else max(1, _CHUNK_BYTES // (key.d * _ENTRY_BYTES[key.scheme]))
@@ -159,13 +170,17 @@ def _chain_tokens(model: SourceModel, key: WatermarkKey | None, u: np.ndarray) -
             groups = (((s, states == s) for s in np.unique(states)) if markov
                       else [(0, slice(None))])
             for s, group in groups:
-                if s not in prepared:
+                if s in prepared:
+                    prepared.move_to_end(s)
+                else:
                     law = model.laws[s]
                     if closed:
                         law = np.append(law, 0.0) if key.padded else law
                     elif key is not None:
                         law = np.log(law) if model.logits is None else model.logits
                     prepared[s] = law, (rank_order(law) if closed else None)
+                    if len(prepared) > capacity:
+                        prepared.popitem(last=False)
                 law, order = prepared[s]
                 if closed:
                     law = watermark_ranked(law, order, signs[j - lo])

@@ -26,6 +26,7 @@ import tokenmark.cli
 import tokenmark.closed_scheme
 import tokenmark.textgen
 from tokenmark.cli import main
+from tokenmark.detector import detect
 from tokenmark.keystream import CLOSED, OPEN, WatermarkKey, load_key, save_key
 from tokenmark.textgen import load_record, load_tokens
 
@@ -53,12 +54,31 @@ class TestKeygen:
         assert not key.padded
         assert len(key.master_seed) == 32
 
-    def test_writes_key_format_2(self, tmp_path):
+    def test_writes_key_format_3(self, tmp_path):
         out = tmp_path / "key.json"
         assert run_cli("keygen", "--scheme", "closed", "--d", "8",
                        "--out", str(out)) == 0
-        assert json.loads(out.read_text())["version"] == 2
-        assert load_key(out).version == 2
+        assert json.loads(out.read_text())["version"] == 3
+        assert load_key(out).version == 3
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", [CLOSED, OPEN])
+    def test_every_version_generates_and_detects(self, tmp_path, capsys, scheme, version):
+        # A key file of any readable version watermarks a text through
+        # `generate` and scores it through `detect` under its own version.
+        key_path, record = tmp_path / "key.json", tmp_path / "text.json"
+        options = {"epsilon": 0.5, "k": 4} if scheme == OPEN else {}
+        key = WatermarkKey(master_seed=bytes(range(32)), d=64, scheme=scheme,
+                           version=version, **options)
+        save_key(key, key_path)
+        assert json.loads(key_path.read_text())["version"] == version
+        assert run_cli("generate", "--model", UNIFORM64, "--n", "300", "--seed", "3",
+                       "--key", str(key_path), "--out", str(record)) == 0
+        capsys.readouterr()
+        assert run_cli("detect", "--text", str(record), "--key", str(key_path)) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] is True
+        assert report["statistic"] == detect(key, load_record(record).tokens).statistic
 
     def test_open_round_trip(self, tmp_path):
         out = tmp_path / "key.json"

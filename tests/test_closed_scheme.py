@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tokenmark.closed_scheme import (
     closed_step,
     rank_match,
+    rank_order,
     watermark_distribution,
     watermark_distributions,
 )
@@ -252,6 +253,64 @@ class TestLargeDictionary:
     def test_tied_probabilities(self):
         p = np.random.default_rng(33).choice([0.0, 1.0, 2.0, 4.0], size=self.D)
         self.check(p / p.sum())
+
+
+def stable_order(probs):
+    return np.argsort(-probs, axis=-1, kind="stable")
+
+
+class TestRankOrder:
+    """``rank_order`` sorts with numpy's unstable argsort and re-sorts runs
+    of equal values by token index; it must equal the stable argsort on
+    every input, and ties are where the two sorts can differ."""
+
+    SIZES = (2, 7, 1024, 32768, 2**18)
+
+    def assert_stable(self, probs):
+        order = rank_order(probs)
+        assert order.dtype == np.intp
+        np.testing.assert_array_equal(order, stable_order(probs))
+
+    def test_uniform_law(self):
+        for d in self.SIZES:
+            self.assert_stable(np.full(d, 1 / d))
+
+    def test_rounded_power_law(self):
+        for d in self.SIZES:
+            p = np.round(np.arange(1, d + 1) ** -1.1, 3)
+            p = p[np.random.default_rng(d).permutation(d)]
+            self.assert_stable(p / p.sum())
+
+    def test_long_zero_tail(self):
+        for d in self.SIZES:
+            p = np.zeros(d)
+            head = max(1, d // 64)
+            p[np.random.default_rng(d).choice(d, head, replace=False)] = 1 / head
+            self.assert_stable(p)
+
+    def test_padded_law(self):
+        for d in self.SIZES:
+            p = np.random.default_rng(d).dirichlet(np.full(d - 1, 0.5))
+            self.assert_stable(np.append(p, 0.0))
+
+    def test_integer_valued_rows(self):
+        rng = np.random.default_rng(3)
+        for d in (8, 1024, 32768):
+            rows = rng.integers(0, 5, size=(6, d))
+            rows[0] = 2
+            self.assert_stable(rows)
+            self.assert_stable(rows.astype(np.float64))
+
+    def test_signed_zeros_and_nans(self):
+        self.assert_stable(np.array([0.0, -0.0, 0.5, np.nan, 0.0, np.nan, -0.0, 0.5]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 12), st.booleans(), st.data())
+    def test_property_small_d(self, n, d, one_row, data):
+        values = st.sampled_from([0.0, -0.0, 0.125, 0.25, 0.5, 1.0, 3.0])
+        rows = data.draw(st.lists(st.lists(values, min_size=d, max_size=d),
+                                  min_size=n, max_size=n))
+        self.assert_stable(np.array(rows[0] if one_row else rows))
 
 
 class TestKeyedSampling:

@@ -76,8 +76,9 @@ def pinned_config():
 
 # SHA-256 of each output of ``pinned_config``; the manifest's with its
 # ``versions`` object emptied, since those name the installed numpy and python.
+# closed-fpr.csv was pinned again when experiment keys became key format 3.
 PINNED_OUTPUTS = {
-    "closed-fpr.csv": "00019eef5a76e73c8faa6ec82ef036c5ea36dde8cd027d5434ea1b2881cb7b26",
+    "closed-fpr.csv": "b8ee1750bac0bf28bd7617ae3bc79f177d3870289d4d230684cc4e28e9e3f4b1",
     "closed-power.csv": "b27935cd44fda43074bd383c06972371aa51cf52905f94ac45c6f4cf8f2d07a2",
     "open-fpr.csv": "aa27e0b20a6ff6cc97d2685326504926df4a293688495a560082e2c59e98eb87",
     "open-power.csv": "9f504533ad09af8430ace6290523ec1eae4f9a39f9af7e93971c91359a53d084",

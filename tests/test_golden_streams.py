@@ -6,7 +6,9 @@ closed scheme, one pairing kernel, and ``generate`` is the one-text case of
 samplers at d = 32768 and of every generation path: memoryless and Markov,
 one text and many, unkeyed, closed, padded closed and open, and texts
 longer than one derivation chunk. A refactor of the sampler, the kernels or
-the generation loops must keep every one of them.
+the generation loops must keep every one of them. The closed keys are
+version 2 keys, whose streams were pinned before version 3 existed; the
+open lanes are the same in versions 2 and 3.
 """
 
 import hashlib
@@ -27,8 +29,8 @@ P8 = np.array([0.4, 0.02, 0.25, 0.15, 0.1, 0.05, 0.02, 0.01])
 # One step past a derivation chunk of 2**16 steps, and 99 more.
 LONG = 65536 + 100
 
-CLOSED8 = WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED)
-PADDED8 = WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED, padded=True)
+CLOSED8 = WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED, version=2)
+PADDED8 = WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED, padded=True, version=2)
 OPEN8 = WatermarkKey(master_seed=SEED, d=8, scheme=OPEN, epsilon=0.4, k=2)
 
 
@@ -62,7 +64,7 @@ def large_inputs():
 
 def test_single_steps_d32768():
     p, logits = large_inputs()
-    closed = WatermarkKey(master_seed=SEED, d=D, scheme=CLOSED)
+    closed = WatermarkKey(master_seed=SEED, d=D, scheme=CLOSED, version=2)
     opened = WatermarkKey(master_seed=SEED, d=D, scheme=OPEN, epsilon=0.3, k=16)
     rng = np.random.default_rng(5)
     tokens = [closed_step(closed, s, p, rng) for s in STEPS for _ in range(6)]
@@ -75,7 +77,7 @@ def test_single_steps_d32768():
 
 
 def test_generate_memoryless():
-    padded = WatermarkKey(master_seed=SEED, d=10, scheme=CLOSED, padded=True)
+    padded = WatermarkKey(master_seed=SEED, d=10, scheme=CLOSED, padded=True, version=2)
     record = generate(iid_source(P9), 3000, padded, np.random.default_rng(7))
     assert digest(record.tokens) == \
         "7840a73fc2aa7416933a33dbe1261e95401be157e61f03c906664f21adcfba93"
@@ -114,7 +116,7 @@ def test_markov_keyed():
 
 
 def test_generate_many_keyed():
-    padded = WatermarkKey(master_seed=SEED, d=10, scheme=CLOSED, padded=True)
+    padded = WatermarkKey(master_seed=SEED, d=10, scheme=CLOSED, padded=True, version=2)
     tokens = generate_many(iid_source(P9), 500, padded, 7, np.random.default_rng(34))
     assert digest(tokens) == "951298e54b6a42e99f592937d92d94cbb492bdaf18a0ee14f362083e969ea174"
     key = WatermarkKey(master_seed=SEED, d=64, scheme=OPEN, epsilon=0.3, k=4)
@@ -139,7 +141,7 @@ def test_texts_longer_than_a_chunk():
 
 
 def test_generate_is_the_one_text_case():
-    padded = WatermarkKey(master_seed=SEED, d=10, scheme=CLOSED, padded=True)
+    padded = WatermarkKey(master_seed=SEED, d=10, scheme=CLOSED, padded=True, version=2)
     opened = WatermarkKey(master_seed=SEED, d=64, scheme=OPEN, epsilon=0.3, k=4)
     for model, key in ((iid_source(P9), padded), (powerlaw_source(64, 1.1), opened),
                        (iid_source(P8), CLOSED8)):

@@ -5,11 +5,13 @@ The reference implementation below uses only hashlib and math, no numpy, so
 it cannot share bugs with the production vectorized path. Integer lanes must
 match it exactly; the Gaussian lane is compared at few-ulp tolerance because
 vectorized transcendental kernels may differ from libm in the last ulp.
-Golden vectors exist for both key-file versions; the version 1 ones were
-computed before version 2 existed and must never change.
+Golden vectors exist for every key-file version; the version 1 ones were
+computed before version 2 existed, the version 2 ones before version 3,
+and none may ever change.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -55,8 +57,8 @@ SEED = bytes(range(32))
 
 
 def ref_words(seed, lane, step, n, version):
-    """Words of version 1 (SHA-256 blocks) or version 2 (SHAKE-256 blocks
-    of 1024 bytes)."""
+    """Words of version 1 (SHA-256 blocks) or versions 2 and 3 (SHAKE-256
+    blocks of 1024 bytes)."""
     out = []
     counter = 0
     while len(out) < n:
@@ -70,7 +72,18 @@ def ref_words(seed, lane, step, n, version):
     return out[:n]
 
 
+def ref_selection(words):
+    """The version 3 coloring of one step's words: a sort of the (word,
+    index) pairs, +1 for the first half."""
+    colors = [-1] * len(words)
+    for _, i in sorted(zip(words, range(len(words))))[: len(words) // 2]:
+        colors[i] = 1
+    return colors
+
+
 def ref_coloring(seed, step, d, version):
+    if version == 3:
+        return ref_selection(ref_words(seed, 0, step, d, version))
     perm = [1] * (d // 2) + [-1] * (d // 2)
     words = ref_words(seed, 0, step, d - 1, version)
     for t, i in enumerate(range(d - 1, 0, -1)):
@@ -151,6 +164,32 @@ GOLDEN_V2_SUPPORT_DIGEST_D32768 = "ed97e491ae7839b04d4b5992b49c53a08550f50de4c78
 GOLDEN_V2_SUPPORT_BATCH_DIGEST_D32768 = (
     "aa8608fbcb73ec7ebc5b7e37089e5296da79e570d9155d15ad67921825b4d055")
 
+# Version 3 counterparts, computed from the scalar reference. Version 3
+# changes only the coloring rule, so its flip, support, direction and
+# Gaussian lanes are version 2's, and pinned to the same values.
+GOLDEN_V3_COLORINGS_D8 = [
+    [-1, -1, 1, -1, -1, 1, 1, 1],
+    [1, -1, 1, -1, -1, 1, 1, -1],
+    [-1, -1, -1, 1, 1, 1, 1, -1],
+    [-1, 1, -1, 1, -1, 1, 1, -1],
+]
+GOLDEN_V3_SINGLE_DIGEST_D32768 = "7c626694addce1a5d5b15a6714bc9a5f487e4e8b829e5dcca7ce34abc7304651"
+GOLDEN_V3_BATCH_DIGEST_D32768 = "e9c8d895379b75ef29cdb4392ec70108491455ce57e8ae3bbf7a425056daa0c4"
+
+# Every readable version's golden vectors at d = 8 (colorings, flips) and
+# d = 4, k = 2 (fixed support, directions, step-0 Gaussian to 1e-5).
+GOLDEN_VECTORS = {
+    1: {"colorings": GOLDEN_COLORINGS_D8, "flips": GOLDEN_FLIPS,
+        "support": GOLDEN_SUPPORT_D4_K2, "directions": GOLDEN_DIRECTIONS,
+        "gaussian": GOLDEN_GAUSSIAN_STEP0},
+    2: {"colorings": GOLDEN_V2_COLORINGS_D8, "flips": GOLDEN_V2_FLIPS,
+        "support": GOLDEN_V2_SUPPORT_D4_K2, "directions": GOLDEN_V2_DIRECTIONS,
+        "gaussian": GOLDEN_V2_GAUSSIAN_STEP0},
+    3: {"colorings": GOLDEN_V3_COLORINGS_D8, "flips": GOLDEN_V2_FLIPS,
+        "support": GOLDEN_V2_SUPPORT_D4_K2, "directions": GOLDEN_V2_DIRECTIONS,
+        "gaussian": GOLDEN_V2_GAUSSIAN_STEP0},
+}
+
 
 def closed_key(d=8, version=KEY_FILE_VERSION):
     return WatermarkKey(master_seed=SEED, d=d, scheme=CLOSED, version=version)
@@ -226,6 +265,34 @@ class TestGoldenVectors:
         batch = derive_closed_steps(key, 65, start=5)
         assert hashlib.sha256(batch.colorings.tobytes()).hexdigest() == (
             GOLDEN_V2_BATCH_DIGEST_D32768)
+
+    def test_every_readable_version_has_goldens(self):
+        """The format contract: a version the key files may name has golden
+        coloring, flip, Gaussian and support vectors, and derives them."""
+        for version in keystream._FORMATS:
+            assert version in GOLDEN_VECTORS, f"version {version} has no golden vectors"
+            golden = GOLDEN_VECTORS[version]
+            assert set(golden) == {"colorings", "flips", "support", "directions", "gaussian"}
+            batch = derive_closed_steps(closed_key(version=version), 4)
+            np.testing.assert_array_equal(batch.colorings, golden["colorings"])
+            np.testing.assert_array_equal(batch.flips, golden["flips"])
+            opened = derive_open_steps(open_key(version=version), 3)
+            np.testing.assert_array_equal(opened.supports, [golden["support"]] * 3)
+            np.testing.assert_array_equal(opened.directions, golden["directions"])
+            np.testing.assert_allclose(derive_open_step(open_key(version=version), 0).gaussian,
+                                       golden["gaussian"], atol=1e-5)
+
+    def test_v3_coloring_digests_d32768(self):
+        key = closed_key(32768, version=3)
+        digest = hashlib.sha256()
+        for step in GOLDEN_SINGLE_STEPS_D32768:
+            digest.update(derive_closed_step(key, step).coloring.tobytes())
+        assert digest.hexdigest() == GOLDEN_V3_SINGLE_DIGEST_D32768
+        batch = derive_closed_steps(key, 65, start=5)
+        assert hashlib.sha256(batch.colorings.tobytes()).hexdigest() == (
+            GOLDEN_V3_BATCH_DIGEST_D32768)
+        for row in (0, 64):
+            assert batch.colorings[row].tolist() == ref_coloring(SEED, 5 + row, 32768, 3)
 
     def test_v2_support_digests_d32768(self):
         key = open_key(d=32768, epsilon=0.5, k=64, mode=FRESH_SUPPORT, version=2)
@@ -311,6 +378,78 @@ class TestAgainstScalarReference:
             gaussians = derive_open_steps(open_key(d=d, epsilon=0.5, k=1, version=2), 4).gaussians
             ref = np.array([ref_gaussian(SEED, s, d, 0.5, 2) for s in range(4)])
             np.testing.assert_allclose(gaussians, ref, rtol=1e-13, atol=1e-13)
+
+    def test_v3_matches_reference(self):
+        """Single steps, batches and the per-token reader of version 3 keys
+        against a sort of the (word, index) pairs."""
+        rng = np.random.default_rng(12)
+        for d in (4, 6, 8, 10, 1024, 32768):
+            key = closed_key(d, version=3)
+            count, start = (12, 2**40 + 3) if d > 1000 else (40, 0)
+            batch = derive_closed_steps(key, count, start)
+            tokens = reader_tokens(d, count, rng)
+            got = closed_token_colors(key, tokens, start)
+            for row in range(count):
+                step = start + row
+                expected = ref_coloring(SEED, step, d, 3)
+                assert batch.colorings[row].tolist() == expected, (d, step)
+                assert derive_closed_step(key, step).coloring.tolist() == expected, (d, step)
+                assert int(got[row]) == expected[tokens[row]] * ref_sign(SEED, 1, step, 3), (
+                    d, step)
+        key = closed_key(8, version=3)
+        assert derive_closed_step(key, 2**64 - 1).coloring.tolist() == ref_coloring(
+            SEED, 2**64 - 1, 8, 3)
+        # 130 rows at d = 1024 span several selection blocks.
+        key = closed_key(1024, version=3)
+        batch = derive_closed_steps(key, 130, 7)
+        for row in range(130):
+            np.testing.assert_array_equal(batch.colorings[row],
+                                          derive_closed_step(key, 7 + row).coloring)
+        block = keystream._SELECT_BLOCK_WORDS // 1024
+        assert 1 < block < 130
+        for row in (block - 1, block, 129):
+            assert batch.colorings[row].tolist() == ref_coloring(SEED, 7 + row, 1024, 3)
+
+    def test_v3_ties_break_by_token_index(self, monkeypatch):
+        """Equal words, which hashing makes vanishingly rare, rank by token
+        index in the batch rule and in the per-token reader alike. Odd steps
+        here get words in {0, 1, 2}, so a batch mixes tied and untied rows."""
+        real = keystream._step_words
+
+        def tied_odd_steps(key, lane, start, count, nwords):
+            steps = range(start, start + count)
+            for step, words in zip(steps, real(key, lane, start, count, nwords)):
+                tied = lane == keystream.LANE_COLORING and step % 2
+                yield words % np.uint64(3) if tied else words
+
+        def expected(step, d):
+            words = ref_words(SEED, 0, step, d, 3)
+            return ref_selection([w % 3 for w in words] if step % 2 else words)
+
+        monkeypatch.setattr(keystream, "_step_words", tied_odd_steps)
+        for d in (2, 4, 10, 64, 1024):
+            key = closed_key(d, version=3)
+            batch = derive_closed_steps.__wrapped__(key, 6)  # bypass the cache
+            for step in range(6):
+                assert batch.colorings[step].tolist() == expected(step, d), (d, step)
+                assert [keystream._select_color(key, step, t) for t in range(d)] == (
+                    expected(step, d)), (d, step)
+            tokens = np.arange(6) * 7 % d
+            np.testing.assert_array_equal(closed_token_colors(key, tokens),
+                                          batch.colorings[np.arange(6), tokens] * batch.flips)
+
+    def test_v3_shares_the_other_lanes_with_v2(self):
+        v2, v3 = closed_key(64, version=2), closed_key(64, version=3)
+        np.testing.assert_array_equal(derive_closed_steps(v2, 16).flips,
+                                      derive_closed_steps(v3, 16).flips)
+        assert not np.array_equal(derive_closed_steps(v2, 16).colorings,
+                                  derive_closed_steps(v3, 16).colorings)
+        for mode in (FIXED_SUPPORT, FRESH_SUPPORT):
+            two = derive_open_steps(open_key(d=64, k=5, mode=mode, version=2), 8)
+            three = derive_open_steps(open_key(d=64, k=5, mode=mode, version=3), 8)
+            np.testing.assert_array_equal(two.gaussians, three.gaussians)
+            np.testing.assert_array_equal(two.supports, three.supports)
+            np.testing.assert_array_equal(two.directions, three.directions)
 
     def test_odd_d_truncates_final_pair(self):
         # d=5 and d=6 consume the same word budget; the first five entries of
@@ -449,13 +588,13 @@ def reader_tokens(d, n, rng):
 
 class TestTokenReaders:
     """The per-token readers return exactly the batch material's entries,
-    under both key file versions."""
+    under every key file version."""
 
     STARTS = (0, 2**40 + 3)
 
     def cases(self, sizes):
         rng = np.random.default_rng(11)
-        for version in (1, 2):
+        for version in (1, 2, 3):
             for d in sizes:
                 n = 40 if d < 1000 else 12
                 for start in self.STARTS + (2**64 - n,):
@@ -493,7 +632,7 @@ class TestTokenReaders:
 
     def test_odd_d_final_token(self):
         # d = 5: token 4 is the cosine half of the truncated last pair.
-        for version in (1, 2):
+        for version in (1, 2, 3):
             key = open_key(d=5, epsilon=0.3, k=1, version=version)
             tokens = np.full(6, 4)
             expected = derive_open_gaussians(key, 6)[:, 4]
@@ -634,6 +773,20 @@ class TestDistributions:
         assert len(counts) == 10
         freqs = np.array(list(counts.values())) / 20_000
         assert np.all(np.abs(freqs - 0.1) < 0.012)
+
+    def test_v3_selection_law_exact(self):
+        """Every ordering of d distinct words, fed to the version 3 row rule,
+        gives each balanced coloring equally often: d!/C(d, d/2) times. So
+        independent uniform words (distinct but with probability below
+        d**2 / 2**65) give a uniform balanced coloring."""
+        for d in (4, 6, 8):
+            orderings = np.array(list(itertools.permutations(range(d))), dtype=np.uint64)
+            counts = {}
+            for coloring in map(tuple, keystream._select_rows(orderings).tolist()):
+                counts[coloring] = counts.get(coloring, 0) + 1
+            balanced = {c for c in itertools.product((1, -1), repeat=d) if sum(c) == 0}
+            assert set(counts) == balanced
+            assert set(counts.values()) == {math.factorial(d) // math.comb(d, d // 2)}
 
     def test_signs_balanced(self):
         batch = derive_closed_steps(closed_key(), 20_000)
@@ -793,7 +946,7 @@ class TestKeyFiles:
             load_key(tmp_path / "nope.json")
 
     def test_version_must_be_a_supported_int(self):
-        for version in (True, 1.0, 2.0, "2", 0, 3, None):
+        for version in (True, 1.0, 2.0, "2", 0, 4, None):
             obj = key_to_dict(closed_key())
             obj["version"] = version
             with pytest.raises(InvalidKeyError):
@@ -898,7 +1051,7 @@ class TestKeyFormatVersions:
                 assert report["statistic"] == pytest.approx(statistic, rel=1e-13)
 
     def test_round_trip_each_version(self, tmp_path):
-        for version in (1, 2):
+        for version in (1, 2, 3):
             for key in (closed_key(64, version),
                         open_key(d=100, epsilon=0.25, k=10, mode=FRESH_SUPPORT, version=version)):
                 path = tmp_path / "key.json"
@@ -907,9 +1060,9 @@ class TestKeyFormatVersions:
                 loaded = load_key(path)
                 assert loaded == key and loaded.version == version
 
-    def test_default_version_is_2(self):
-        assert KEY_FILE_VERSION == 2
-        assert WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED).version == 2
+    def test_default_version_is_3(self):
+        assert KEY_FILE_VERSION == 3
+        assert WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED).version == 3
 
     def test_versions_give_different_streams(self):
         v1, v2 = closed_key(64, version=1), closed_key(64, version=2)

@@ -397,6 +397,33 @@ class TestRuntime:
             tracemalloc.stop()
         assert peak < 16 << 20, f"peaked at {peak / 2**20:.1f} MiB"
 
+    @pytest.mark.parametrize("key, before", [
+        (closed_key(2048), 34.1),
+        (open_key(2048, k=64), 47.4),
+    ], ids=["closed", "open"])
+    def test_keyed_markov_memory_does_not_grow_with_states_visited(self, key, before):
+        """Generation keeps the most recently used prepared states within
+        ``_PREPARED_BYTES``. When it kept every state it visited, a text at
+        d = 2048 peaked at 34.1 MiB (closed) or 47.4 MiB (open) by n = 2000
+        and grew with the states a longer text visits. Cold peaks stay below
+        those figures. With the derivation caches warmed by an identical
+        call first (the closed cache holds more chunks for the longer text
+        until its 8 are full), n = 4000 peaks within 5% of n = 2000."""
+        model = markov_model(2048)
+        peaks = {}
+        for n in (2000, 4000):
+            derive_closed_steps.cache_clear()
+            derive_open_steps.cache_clear()
+            for warm in (False, True):
+                tracemalloc.start()
+                try:
+                    generate(model, n, key, np.random.default_rng(0))
+                    peaks[warm, n] = tracemalloc.get_traced_memory()[1] / 2**20
+                finally:
+                    tracemalloc.stop()
+        assert max(peaks.values()) < before, peaks
+        assert peaks[True, 4000] < 1.05 * peaks[True, 2000], peaks
+
 
 class TestGenerateMany:
     def test_rows_are_independent_texts(self):
