@@ -12,8 +12,7 @@ or Monte Carlo, and a sparse-mean testbed exhibiting the detection
 hardness gap the open scheme's unremovability rests on.
 """
 
-from .closed_scheme import (PairedRanking, closed_step, rank_match,
-                            watermark_distribution)
+from .closed_scheme import closed_step, watermark_distribution
 from .detector import (DetectionReport, closed_p_value, closed_threshold,
                        detect, open_p_value, open_threshold)
 from .errors import (CheckFailedError, CorruptTextError, InvalidInputError,
@@ -22,14 +21,12 @@ from .errors import (CheckFailedError, CorruptTextError, InvalidInputError,
 from .keystream import (ClosedStepKey, OpenStepKey, WatermarkKey,
                         derive_closed_step, derive_open_step, load_key,
                         new_master_seed, save_key)
-from .open_scheme import (build_perturbation, mean_vector, open_step,
-                          watermarked_softmax)
+from .open_scheme import open_step, watermarked_softmax
 from .oracles import (CheckResult, bias_bound_mc, lemma_maxima_exact,
                       lemma_maxima_mc, psi1_bound_mc, tv_gaussians,
                       undetectability_exact, verify_suite)
 from .sparsemean import (SparseMeanInstance, power_curve, sample_instance,
-                         scan_statistic, scan_test, threshold_statistic,
-                         threshold_test)
+                         scan_statistic, threshold_statistic)
 from .textgen import (GenerationRecord, SourceModel, condition_lhs, generate,
                       generate_many, iid_source, load_record, markov_source,
                       powerlaw_source, save_record, uniform_source)
@@ -37,18 +34,16 @@ from .textgen import (GenerationRecord, SourceModel, condition_lhs, generate,
 __all__ = [
     "CheckFailedError", "CheckResult", "ClosedStepKey", "CorruptTextError",
     "DetectionReport", "GenerationRecord", "InvalidInputError",
-    "InvalidKeyError", "OpenStepKey", "PairedRanking", "ScanBudgetError",
+    "InvalidKeyError", "OpenStepKey", "ScanBudgetError",
     "SchemeMismatchError", "SourceModel", "SparseMeanInstance",
-    "TokenmarkError", "WatermarkKey", "bias_bound_mc", "build_perturbation",
-    "closed_p_value", "closed_step", "closed_threshold", "condition_lhs",
-    "derive_closed_step", "derive_open_step", "detect", "generate",
-    "generate_many", "iid_source",
+    "TokenmarkError", "WatermarkKey", "bias_bound_mc", "closed_p_value",
+    "closed_step", "closed_threshold", "condition_lhs", "derive_closed_step",
+    "derive_open_step", "detect", "generate", "generate_many", "iid_source",
     "lemma_maxima_exact", "lemma_maxima_mc", "load_key", "load_record",
-    "markov_source", "mean_vector", "new_master_seed", "open_p_value",
-    "open_step", "open_threshold", "power_curve", "powerlaw_source",
-    "psi1_bound_mc", "rank_match", "sample_instance", "save_key",
-    "save_record", "scan_statistic", "scan_test", "threshold_statistic",
-    "threshold_test", "tv_gaussians", "undetectability_exact",
+    "markov_source", "new_master_seed", "open_p_value", "open_step",
+    "open_threshold", "power_curve", "powerlaw_source", "psi1_bound_mc",
+    "sample_instance", "save_key", "save_record", "scan_statistic",
+    "threshold_statistic", "tv_gaussians", "undetectability_exact",
     "uniform_source", "verify_suite", "watermark_distribution",
     "watermarked_softmax",
 ]

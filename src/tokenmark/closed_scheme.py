@@ -11,28 +11,12 @@ watermarked sample is distributed exactly like an unwatermarked one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import keystream
-from .core import as_probs, sample_rows
+from .core import as_probs, is_int, sample_rows
 from .errors import InvalidInputError
 from .keystream import WatermarkKey
-
-
-@dataclass(frozen=True, eq=False)
-class PairedRanking:
-    """Rank-matched pairing of the two color classes for one step.
-
-    ``pos[i]`` and ``neg[i]`` are the i-th most probable +1 and -1 tokens
-    (probability ties broken by ascending token index), and ``epsilon`` maps
-    every token to its pair's shift magnitude ``min(p[pos[i]], p[neg[i]])``.
-    """
-
-    pos: np.ndarray
-    neg: np.ndarray
-    epsilon: np.ndarray
 
 
 def _check_coloring(coloring, d: int) -> np.ndarray:
@@ -120,18 +104,6 @@ def watermark_ranked(probs: np.ndarray, order: np.ndarray, signs: np.ndarray) ->
     return q
 
 
-def rank_match(p, coloring) -> PairedRanking:
-    """Pair opposite-colored tokens by descending probability and compute
-    per-token shift magnitudes."""
-    p = as_probs(p)
-    coloring = _check_coloring(coloring, p.size)
-    order = rank_order(p)
-    cs = coloring[order]
-    eps = np.empty_like(p)
-    eps[order] = _rank_shift(p[order], cs) * cs
-    return PairedRanking(pos=order[cs == 1], neg=order[cs == -1], epsilon=eps)
-
-
 def watermark_distribution(p, coloring, flip: int) -> np.ndarray:
     """The step's watermarked distribution ``q = p + flip * epsilon * coloring``.
 
@@ -139,8 +111,8 @@ def watermark_distribution(p, coloring, flip: int) -> np.ndarray:
     probability of a pair) and the paired shifts cancel in the total, so no
     renormalization happens.
     """
-    if flip not in (1, -1):
-        raise InvalidInputError("flip must be +1 or -1")
+    if not is_int(flip) or flip not in (1, -1):
+        raise InvalidInputError("flip must be the integer +1 or -1")
     p = as_probs(p)
     return watermark_ranked(p, rank_order(p), flip * _check_coloring(coloring, p.size))
 

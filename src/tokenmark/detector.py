@@ -70,8 +70,18 @@ def _check_delta(delta: float) -> None:
 
 
 def _check_n(n: int) -> None:
-    if n < 1:
-        raise InvalidInputError("need at least one token to score")
+    if not is_int(n) or n < 1:
+        raise InvalidInputError(f"need an integer count >= 1 of tokens to score, got {n!r}")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not is_number(epsilon) or epsilon <= 0:
+        raise InvalidInputError(f"epsilon must be a finite number > 0, got {epsilon!r}")
+
+
+def _check_z(z: float) -> None:
+    if not is_number(z):
+        raise InvalidInputError(f"statistic must be a finite number, got {z!r}")
 
 
 def closed_threshold(n: int, delta: float) -> float:
@@ -84,14 +94,14 @@ def closed_threshold(n: int, delta: float) -> float:
 def open_threshold(n: int, delta: float, epsilon: float) -> float:
     """Decision threshold epsilon * sqrt(2 ln(1/delta) / n) for the open
     statistic."""
-    if epsilon <= 0:
-        raise InvalidInputError("epsilon must be positive")
+    _check_epsilon(epsilon)
     return epsilon * closed_threshold(n, delta)
 
 
 def closed_p_value(z: float, n: int) -> float:
     """Sub-Gaussian tail bound exp(-n * max(z, 0)^2 / 2) on falsely reaching
     score z with unwatermarked text."""
+    _check_z(z)
     _check_n(n)
     return math.exp(-n * max(z, 0.0) ** 2 / 2.0)
 
@@ -99,9 +109,9 @@ def closed_p_value(z: float, n: int) -> float:
 def open_p_value(z: float, n: int, epsilon: float) -> float:
     """Exact null tail probability of the open statistic: under the null the
     mean of n i.i.d. N(0, epsilon^2) scores is N(0, epsilon^2/n)."""
+    _check_z(z)
     _check_n(n)
-    if epsilon <= 0:
-        raise InvalidInputError("epsilon must be positive")
+    _check_epsilon(epsilon)
     return 0.5 * math.erfc(math.sqrt(n) * max(z, 0.0) / (epsilon * math.sqrt(2.0)))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import keystream
-from .core import as_logits, is_int, is_number, sample_rows, softmax, softmax_rows
+from .core import as_logits, sample_rows, softmax, softmax_rows
 from .errors import InvalidInputError
 from .keystream import WatermarkKey
 
@@ -30,39 +30,6 @@ def _perturbations(gaussians: np.ndarray, supports: np.ndarray,
     deltas = np.array(gaussians, dtype=np.float64)
     deltas[np.arange(n)[:, None], supports] += shifts[:, None]
     return deltas
-
-
-def mean_vector(support, d: int) -> np.ndarray:
-    """Unit vector with mass ``k**-0.5`` on each of the k support tokens, as
-    a dense (d,) reference; sampling adds the shift sparsely."""
-    entries = np.asarray(support, dtype=object)
-    if entries.ndim != 1 or entries.size == 0:
-        raise InvalidInputError("support must be a non-empty 1-d index array")
-    entries = entries.tolist()
-    if not all(is_int(t) for t in entries):
-        raise InvalidInputError("support entries must be integers")
-    if min(entries) < 0 or max(entries) >= d or len(set(entries)) != len(entries):
-        raise InvalidInputError(f"support must be distinct indices in [0, {d})")
-    mu = np.zeros(d)
-    mu[entries] = 1 / np.sqrt(len(entries))
-    return mu
-
-
-def build_perturbation(gaussian, mean_vec, direction: int, epsilon: float) -> np.ndarray:
-    """The step's logit perturbation ``gaussian + direction * epsilon * mean_vec``,
-    the dense reference of what sampling builds.
-
-    ``gaussian`` is already scaled to N(0, epsilon^2) per entry; ``epsilon``
-    here sets the length of the directional component."""
-    if not is_int(direction) or direction not in (1, -1):
-        raise InvalidInputError("direction must be +1 or -1")
-    if not is_number(epsilon) or epsilon <= 0:
-        raise InvalidInputError("epsilon must be a finite number > 0")
-    gaussian = np.asarray(gaussian, dtype=np.float64)
-    mean_vec = np.asarray(mean_vec, dtype=np.float64)
-    if gaussian.shape != mean_vec.shape:
-        raise InvalidInputError("gaussian and mean vector must have the same shape")
-    return gaussian + direction * epsilon * mean_vec
 
 
 def watermarked_softmax(logits, delta) -> np.ndarray:

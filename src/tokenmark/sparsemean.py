@@ -214,20 +214,6 @@ def run_test(test: str, data, k: int, epsilon: float, alpha: float, *,
     return stat > q
 
 
-def threshold_test(data, k: int, epsilon: float, alpha: float, *,
-                   calibration_seed: int = 0) -> bool:
-    """Polynomial-time detector: reject H0 when the top-k second-moment sum
-    exceeds its simulated null quantile."""
-    return run_test(THRESHOLD_TEST, data, k, epsilon, alpha, calibration_seed=calibration_seed)
-
-
-def scan_test(data, k: int, epsilon: float, alpha: float, *,
-              calibration_seed: int = 0) -> bool:
-    """Exhaustive detector: reject H0 when the best support alignment exceeds
-    its simulated null quantile."""
-    return run_test(SCAN_TEST, data, k, epsilon, alpha, calibration_seed=calibration_seed)
-
-
 # --------------------------------------------------------------------------
 # Power sweeps
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import keystream
 from .closed_scheme import rank_order, watermark_ranked
-from .core import (array_field, as_probs, field, is_int, is_number, read_json, read_text,
-                   sample_tokens, softmax, softmax_rows)
+from .core import (array_field, as_probs, field, is_int, is_number, read_json, sample_tokens,
+                   softmax, softmax_rows)
 from .detector import closed_threshold
 from .errors import InvalidInputError, SchemeMismatchError
 from .keystream import CLOSED, OPEN, WatermarkKey
@@ -80,9 +80,13 @@ def iid_source(p) -> SourceModel:
     return SourceModel(kind=IID, d=p.size, laws=keystream._freeze(p[None].copy()))
 
 
+def _check_d(d: int) -> None:
+    if not is_int(d) or d < 2:
+        raise InvalidInputError(f"dictionary size must be an integer >= 2, got {d!r}")
+
+
 def uniform_source(d: int) -> SourceModel:
-    if d < 2:
-        raise InvalidInputError("need at least two tokens")
+    _check_d(d)
     return iid_source(np.full(d, 1.0 / d))
 
 
@@ -100,8 +104,7 @@ def markov_source(transition, initial) -> SourceModel:
 def powerlaw_source(d: int, s: float, scale: float = 1.0) -> SourceModel:
     """Logits ``-scale * s * ln(i + 1)``; token i's probability decays like
     a power law with exponent ``scale * s``."""
-    if d < 2:
-        raise InvalidInputError("need at least two tokens")
+    _check_d(d)
     if s < 0 or scale <= 0:
         raise InvalidInputError("exponent must be >= 0 and scale positive")
     logits = -scale * s * np.log(np.arange(1, d + 1, dtype=np.float64))
@@ -323,6 +326,3 @@ def tokens_from_text(text: str, path) -> np.ndarray:
     except (ValueError, OverflowError) as exc:
         raise InvalidInputError(f"cannot read token file {path}: {exc}") from exc
 
-
-def load_tokens(path) -> np.ndarray:
-    return tokens_from_text(read_text(path, "token file"), path)

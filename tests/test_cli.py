@@ -28,7 +28,7 @@ import tokenmark.textgen
 from tokenmark.cli import main
 from tokenmark.detector import detect
 from tokenmark.keystream import CLOSED, OPEN, WatermarkKey, load_key, save_key
-from tokenmark.textgen import load_record, load_tokens
+from tokenmark.textgen import load_record, tokens_from_text
 
 UNIFORM64 = json.dumps({"kind": "uniform", "d": 64})
 FPR = {"name": "fpr", "type": "closed-soundness", "d": 8, "n": 50, "texts": 40,
@@ -145,7 +145,7 @@ class TestGenerate:
                      "--seed", "3", "--out", str(record),
                      "--tokens-out", str(tokens))
         assert rc == 0
-        np.testing.assert_array_equal(load_tokens(tokens),
+        np.testing.assert_array_equal(tokens_from_text(tokens.read_text(), tokens),
                                       load_record(record).tokens)
 
     def test_model_file_input(self, tmp_path):
@@ -323,6 +323,13 @@ class TestDetect:
         assert captured.err == "error: Unable to allocate 8.00 TiB\n"
         assert captured.out == ""
 
+    def test_missing_text_file(self, tmp_path, capsys):
+        key = tmp_path / "key.json"
+        run_cli("keygen", "--scheme", "closed", "--d", "8", "--out", str(key))
+        rc = run_cli("detect", "--text", str(tmp_path / "none.txt"), "--key", str(key))
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_key_file(self, tmp_path, capsys):
         text = tmp_path / "tokens.txt"
         text.write_text("0 1 2\n")
@@ -433,9 +440,10 @@ class TestVerify:
             capsys.readouterr().out)
 
     def test_broken_library_fails_verify(self, monkeypatch, capsys):
+        real = tokenmark.closed_scheme.watermark_distribution
+
         def overshooting(p, coloring, flip):
-            match = tokenmark.closed_scheme.rank_match(np.asarray(p), coloring)
-            q = np.asarray(p) + 2.0 * flip * match.epsilon * coloring
+            q = np.asarray(p) + 2.0 * (real(p, coloring, flip) - p)
             q = np.clip(q, 0.0, None)
             return q / q.sum()
 

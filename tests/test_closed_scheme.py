@@ -1,4 +1,4 @@
-"""Closed scheme: rank matching, shift magnitudes, validity, zero bias."""
+"""Closed scheme: rank pairing, shift magnitudes, validity, zero bias."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokenmark.closed_scheme import (
+    _rank_shift,
     closed_step,
-    rank_match,
     rank_order,
     watermark_distribution,
     watermark_distributions,
@@ -30,68 +30,121 @@ def random_probs(rng, d):
     return rng.dirichlet(np.full(d, 0.5))
 
 
+def reference_pairs(p, coloring):
+    """The pairing in plain Python: tokens by descending probability, ties
+    by ascending index, the i-th +1 token paired with the i-th -1 token."""
+    order = np.lexsort((np.arange(len(p)), -np.asarray(p))).tolist()
+    pos = [t for t in order if coloring[t] == 1]
+    neg = [t for t in order if coloring[t] == -1]
+    return list(zip(pos, neg))
+
+
+def reference_epsilon(p, coloring):
+    """Each token's shift magnitude: its pair's smaller probability."""
+    eps = np.empty(len(p))
+    for a, b in reference_pairs(p, coloring):
+        eps[a] = eps[b] = min(p[a], p[b])
+    return eps
+
+
+def reference_distribution(p, coloring, flip):
+    return p + flip * reference_epsilon(p, coloring) * coloring
+
+
+def kernel_shift(p, coloring, flip):
+    """``_rank_shift`` of one step, put back in token order."""
+    order = rank_order(p)
+    shift = np.empty(p.size)
+    shift[order] = _rank_shift(p[order], (flip * coloring)[order])
+    return shift
+
+
 class TestRankMatch:
+    """The shipped rank matching, ``_rank_shift`` behind
+    ``watermark_distribution``, against ``reference_pairs``."""
+
     def test_worked_example(self):
         # Ranks: token 0 (0.4, +) pairs with token 1 (0.3, -), token 2
         # (0.2, +) with token 3 (0.1, -). Shift magnitudes are the pair
         # minima.
-        ranking = rank_match(P4, COLORING4)
-        np.testing.assert_array_equal(ranking.pos, [0, 2])
-        np.testing.assert_array_equal(ranking.neg, [1, 3])
-        np.testing.assert_allclose(ranking.epsilon, [0.3, 0.3, 0.1, 0.1], atol=0)
+        assert reference_pairs(P4, COLORING4) == [(0, 1), (2, 3)]
+        np.testing.assert_array_equal(reference_epsilon(P4, COLORING4), [0.3, 0.3, 0.1, 0.1])
+        for flip in (1, -1):
+            np.testing.assert_array_equal(kernel_shift(P4, COLORING4, flip),
+                                          flip * np.array([0.3, -0.3, 0.1, -0.1]))
+            np.testing.assert_array_equal(watermark_distribution(P4, COLORING4, flip),
+                                          reference_distribution(P4, COLORING4, flip))
 
     def test_ties_break_by_ascending_index(self):
-        p = np.full(4, 0.25)
-        ranking = rank_match(p, np.array([1, 1, -1, -1]))
-        np.testing.assert_array_equal(ranking.pos, [0, 1])
-        np.testing.assert_array_equal(ranking.neg, [2, 3])
+        # Tokens 0 and 1 tie at 0.3 on the + side. By index, token 0 pairs
+        # with token 2 (0.3) and token 1 with token 3 (0.1); the other tie
+        # order would swap the two boosts.
+        p = np.array([0.3, 0.3, 0.3, 0.1])
+        coloring = np.array([1, 1, -1, -1])
+        assert reference_pairs(p, coloring) == [(0, 2), (1, 3)]
+        q = watermark_distribution(p, coloring, 1)
+        np.testing.assert_array_equal(q, [0.6, 0.4, 0.0, 0.0])
+        np.testing.assert_array_equal(q, reference_distribution(p, coloring, 1))
 
     def test_stable_argsort_matches_index_tiebreak(self):
-        # Ties, zeros included, go by ascending token index: the order
-        # rank_match uses equals a lexsort keyed on the index.
+        # Ties, zeros included, go by ascending token index: the rank order
+        # and the distributions equal the lexsort reference's.
         rng = np.random.default_rng(7)
         p = np.array([0.0, 0.2, 0.1, 0.0, 0.2, 0.1, 0.4, 0.0])
+        lex = np.lexsort((np.arange(p.size), -p))
+        np.testing.assert_array_equal(np.argsort(-p, kind="stable"), lex)
+        np.testing.assert_array_equal(rank_order(p), lex)
         for _ in range(20):
             coloring = random_balanced_coloring(rng, p.size)
-            lex = np.lexsort((np.arange(p.size), -p))
-            np.testing.assert_array_equal(np.argsort(-p, kind="stable"), lex)
-            ranking = rank_match(p, coloring)
-            np.testing.assert_array_equal(ranking.pos, lex[coloring[lex] == 1])
-            np.testing.assert_array_equal(ranking.neg, lex[coloring[lex] == -1])
+            for flip in (1, -1):
+                np.testing.assert_array_equal(watermark_distribution(p, coloring, flip),
+                                              reference_distribution(p, coloring, flip))
 
     def test_pairing_is_a_perfect_matching(self):
+        # With distinct probabilities every pair has its own magnitude, so
+        # the kernel's pairs can be read off its shift: the two tokens of
+        # each |shift| value, one boosted and one suppressed.
         rng = np.random.default_rng(0)
         for _ in range(50):
             d = int(rng.choice([4, 8, 12, 20]))
             p = random_probs(rng, d)
             coloring = random_balanced_coloring(rng, d)
-            ranking = rank_match(p, coloring)
-            assert sorted(ranking.pos.tolist() + ranking.neg.tolist()) == list(range(d))
-            # Pairs are rank-aligned: pos[i] is the i-th largest + token.
-            assert np.all(np.diff(p[ranking.pos]) <= 0)
-            assert np.all(np.diff(p[ranking.neg]) <= 0)
+            flip = int(rng.choice([-1, 1]))
+            shift = kernel_shift(p, coloring, flip)
+            pairs = {}
+            for t in range(d):
+                pairs.setdefault(abs(shift[t]), []).append(t)
+            assert sorted(map(sorted, pairs.values())) == sorted(
+                sorted(pair) for pair in reference_pairs(p, coloring))
+            for a, b in pairs.values():
+                assert shift[a] == -shift[b] and coloring[a] == -coloring[b]
+                assert np.sign(shift[a]) == flip * coloring[a]
+            # Pairs are rank-aligned: the i-th + token with the i-th - token.
+            pos, neg = zip(*reference_pairs(p, coloring))
+            assert np.all(np.diff(p[list(pos)]) <= 0)
+            assert np.all(np.diff(p[list(neg)]) <= 0)
 
     def test_epsilon_is_pair_minimum(self):
         rng = np.random.default_rng(1)
         p = random_probs(rng, 8)
         coloring = random_balanced_coloring(rng, 8)
-        ranking = rank_match(p, coloring)
-        for a, b in zip(ranking.pos, ranking.neg):
+        shift = kernel_shift(p, coloring, 1)
+        for a, b in reference_pairs(p, coloring):
             expected = min(p[a], p[b])
-            assert ranking.epsilon[a] == expected
-            assert ranking.epsilon[b] == expected
+            assert shift[a] * coloring[a] == expected
+            assert shift[b] * coloring[b] == expected
 
     def test_rejects_unbalanced_coloring(self):
         with pytest.raises(InvalidInputError):
-            rank_match(P4, np.array([1, 1, 1, -1]))
+            watermark_distribution(P4, np.array([1, 1, 1, -1]), 1)
 
     def test_rejects_non_sign_values(self):
         with pytest.raises(InvalidInputError):
-            rank_match(P4, np.array([1, 0, -1, 0]))
+            watermark_distribution(P4, np.array([1, 0, -1, 0]), 1)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
-            rank_match(P4, np.array([1, -1]))
+            watermark_distribution(P4, np.array([1, -1]), 1)
 
 
 class TestWatermarkDistribution:
@@ -139,8 +192,14 @@ class TestWatermarkDistribution:
             np.testing.assert_array_equal(q, p)
 
     def test_rejects_bad_flip(self):
-        with pytest.raises(InvalidInputError):
-            watermark_distribution(P4, COLORING4, 0)
+        # True and 1.0 once passed as +1, since both compare equal to 1.
+        for flip in (0, 2, True, False, 1.0, -1.0, np.float64(1.0), "1", None):
+            with pytest.raises(InvalidInputError):
+                watermark_distribution(P4, COLORING4, flip)
+
+    def test_accepts_numpy_integer_flip(self):
+        np.testing.assert_array_equal(watermark_distribution(P4, COLORING4, np.int8(-1)),
+                                      watermark_distribution(P4, COLORING4, -1))
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([4, 6, 10]))
     @settings(max_examples=150, deadline=None)
@@ -155,7 +214,8 @@ class TestWatermarkDistribution:
 
 class TestBatchPaths:
     def test_epsilons_match_single_step(self):
-        # Batch rows shift each token by rank_match's epsilon, bit for bit.
+        # Batch rows shift each token by the single-row kernel's shift, and
+        # by the reference's pair minima, bit for bit.
         rng = np.random.default_rng(4)
         for d in (4, 8, 18, 32):
             n = 40
@@ -164,8 +224,10 @@ class TestBatchPaths:
             flips = rng.choice([-1, 1], size=n)
             batch = watermark_distributions(probs, colorings, flips)
             for i in range(n):
-                eps = rank_match(probs[i], colorings[i]).epsilon
-                np.testing.assert_array_equal(batch[i], probs[i] + flips[i] * eps * colorings[i])
+                shift = kernel_shift(probs[i], colorings[i], flips[i])
+                np.testing.assert_array_equal(batch[i], probs[i] + shift)
+                np.testing.assert_array_equal(
+                    batch[i], reference_distribution(probs[i], colorings[i], flips[i]))
 
     def test_batch_ties_and_zeros_order_by_index(self):
         # Rows full of ties and zeros: the batch stable argsort equals a
@@ -221,14 +283,6 @@ class TestLargeDictionary:
 
     D = 32768
 
-    @staticmethod
-    def reference(p, coloring, flip):
-        order = np.lexsort((np.arange(p.size), -p))
-        pos, neg = order[coloring[order] == 1], order[coloring[order] == -1]
-        eps = np.empty(p.size)
-        eps[pos] = eps[neg] = np.minimum(p[pos], p[neg])
-        return p + flip * eps * coloring
-
     def check(self, probs):
         key = WatermarkKey(master_seed=bytes(range(32)), d=self.D, scheme=CLOSED)
         batch = derive_closed_steps(key, 3, 2**40 + 3)
@@ -238,7 +292,7 @@ class TestLargeDictionary:
             single = watermark_distribution(p, batch.colorings[i], int(batch.flips[i]))
             np.testing.assert_array_equal(q[i], single)
             np.testing.assert_array_equal(
-                single, self.reference(p, batch.colorings[i], int(batch.flips[i])))
+                single, reference_distribution(p, batch.colorings[i], int(batch.flips[i])))
 
     def test_shared_distribution(self):
         self.check(np.random.default_rng(30).dirichlet(np.full(self.D, 0.3)))

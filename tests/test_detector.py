@@ -67,6 +67,36 @@ class TestThresholds:
             threshold(CLOSED_KEY, 100, 1.0)
 
 
+class TestArgumentTypes:
+    """A fractional or boolean n once gave a threshold or a p-value, and a
+    non-finite epsilon or z gave NaN."""
+
+    @pytest.mark.parametrize("n", [10.5, 10.0, True, np.float64(10), "10", None])
+    def test_non_integer_n_rejected(self, n):
+        for call in (lambda: closed_threshold(n, 0.05), lambda: open_threshold(n, 0.05, 0.5),
+                     lambda: closed_p_value(0.1, n), lambda: open_p_value(0.1, n, 0.5)):
+            with pytest.raises(InvalidInputError):
+                call()
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, True, "0.5"])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(InvalidInputError):
+            open_threshold(10, 0.05, epsilon)
+        with pytest.raises(InvalidInputError):
+            open_p_value(0.1, 10, epsilon)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, True, "0.1"])
+    def test_non_finite_z_rejected(self, z):
+        with pytest.raises(InvalidInputError):
+            closed_p_value(z, 10)
+        with pytest.raises(InvalidInputError):
+            open_p_value(z, 10, 0.5)
+
+    def test_numpy_scalars_accepted(self):
+        assert closed_threshold(np.int64(100), 0.05) == closed_threshold(100, 0.05)
+        assert open_p_value(np.float64(0.1), np.int32(100), 0.5) == open_p_value(0.1, 100, 0.5)
+
+
 class TestPValues:
     def test_closed_at_threshold_equals_delta(self):
         # The sub-Gaussian bound is tight at its own threshold by design.

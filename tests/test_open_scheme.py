@@ -20,8 +20,7 @@ from tokenmark.keystream import (
     derive_open_steps,
 )
 from tokenmark.open_scheme import (
-    build_perturbation,
-    mean_vector,
+    _perturbations,
     open_step,
     perturbations_for,
     watermarked_softmax,
@@ -35,53 +34,38 @@ def make_key(d=8, epsilon=0.5, k=2, mode=None):
     return WatermarkKey(master_seed=SEED, d=d, scheme=OPEN, epsilon=epsilon, k=k, support_mode=mode)
 
 
+def dense_perturbation(gaussian, support, direction, epsilon):
+    """The step's perturbation with a dense unit mean vector ``mu``, summed
+    in the association ``_perturbations`` uses."""
+    mu = np.zeros(len(gaussian))
+    mu[support] = 1 / np.sqrt(len(support))
+    return gaussian + (direction * epsilon) * mu
+
+
 class TestMeanVector:
+    """The unit mean vector ``_perturbations`` adds: zero Gaussians, a +1
+    direction and epsilon 1 leave exactly it."""
+
     def test_spreads_unit_mass(self):
-        mu = mean_vector([1, 3], d=4)
+        mu = _perturbations(np.zeros((1, 4)), np.array([[1, 3]]), np.array([1]), 1.0)[0]
         np.testing.assert_allclose(mu, [0, 1 / math.sqrt(2), 0, 1 / math.sqrt(2)], atol=0)
         assert abs(np.dot(mu, mu) - 1.0) < 1e-15
 
     def test_full_support(self):
-        mu = mean_vector(range(5), d=5)
+        mu = _perturbations(np.zeros((1, 5)), np.arange(5)[None], np.array([1]), 1.0)[0]
         np.testing.assert_allclose(mu, np.full(5, 5**-0.5), atol=1e-16)
-
-    def test_rejects_duplicates_and_range(self):
-        # Fractional entries were truncated ([0.5, 1.7] became tokens 0 and 1)
-        # and True was taken as token 1.
-        for support in ([0, 0], [0, 4], [-1, 2], [], [[0, 1]], [0.5, 1.7], [0.0, 1.0],
-                        np.array([0.5, 1.7]), [True], [0, True], np.array([True, False]),
-                        ["1"]):
-            with pytest.raises(InvalidInputError):
-                mean_vector(support, d=4)
-
-    def test_accepts_integer_arrays(self):
-        expected = mean_vector([1, 3], d=4)
-        for support in (np.array([1, 3], dtype=np.int8), np.array([3, 1], dtype=np.uint64),
-                        range(1, 4, 2)):
-            np.testing.assert_array_equal(mean_vector(support, d=4), expected)
 
 
 class TestBuildPerturbation:
     def test_composition(self):
         g = np.array([0.1, -0.2, 0.0, 0.3])
-        mu = mean_vector([0, 2], d=4)
-        delta = build_perturbation(g, mu, -1, 0.5)
-        np.testing.assert_allclose(delta, g - 0.5 * mu, atol=0)
+        delta = _perturbations(g[None], np.array([[0, 2]]), np.array([-1], dtype=np.int8), 0.5)[0]
+        np.testing.assert_allclose(delta, g - 0.5 * np.array([1, 0, 1, 0]) / math.sqrt(2), atol=0)
+        np.testing.assert_array_equal(delta, dense_perturbation(g, [0, 2], -1, 0.5))
 
     def test_zero_gaussian_leaves_directional_part(self):
-        mu = mean_vector([1], d=3)
-        delta = build_perturbation(np.zeros(3), mu, 1, 0.25)
+        delta = _perturbations(np.zeros((1, 3)), np.array([[1]]), np.array([1]), 0.25)[0]
         np.testing.assert_allclose(delta, [0, 0.25, 0], atol=0)
-
-    def test_rejects_bad_arguments(self):
-        # A NaN or infinite epsilon returned NaN entries.
-        mu = mean_vector([0], d=2)
-        for size, direction, epsilon in [
-            (2, 0, 0.5), (2, True, 0.5), (2, 1.0, 0.5), (2, 1, 0.0), (2, 1, -0.5),
-            (2, 1, math.nan), (2, 1, math.inf), (2, 1, True), (2, 1, "0.5"), (3, 1, 0.5),
-        ]:
-            with pytest.raises(InvalidInputError):
-                build_perturbation(np.zeros(size), mu, direction, epsilon)
 
 
 class TestWatermarkedSoftmax:
@@ -121,12 +105,8 @@ class TestPerturbationsFor:
                 batch = perturbations_for(key, count, start)
                 steps = derive_open_steps(key, count, start)
                 for j in range(count):
-                    expected = build_perturbation(
-                        steps.gaussians[j],
-                        mean_vector(steps.supports[j], key.d),
-                        int(steps.directions[j]),
-                        key.epsilon,
-                    )
+                    expected = dense_perturbation(steps.gaussians[j], steps.supports[j],
+                                                  int(steps.directions[j]), key.epsilon)
                     np.testing.assert_array_equal(batch[j], expected)
 
     def test_cached_chunk_memory_d4096(self):

@@ -145,8 +145,7 @@ class TestUndetectabilityExact:
         real = tokenmark.closed_scheme.watermark_distribution
 
         def overshooting(p, coloring, flip):
-            q = np.asarray(p) + 2.0 * flip * tokenmark.closed_scheme.rank_match(
-                p, coloring).epsilon * coloring
+            q = np.asarray(p) + 2.0 * (real(p, coloring, flip) - p)
             q = np.clip(q, 0.0, None)
             return q / q.sum()
 
@@ -180,9 +179,10 @@ class TestUndetectabilityExact:
             assert not np.array_equal(before, after)
 
     def test_mutant_makes_quick_suite_fail(self, monkeypatch):
+        real = tokenmark.closed_scheme.watermark_distribution
+
         def overshooting(p, coloring, flip):
-            q = np.asarray(p) + 2.0 * flip * tokenmark.closed_scheme.rank_match(
-                p, coloring).epsilon * coloring
+            q = np.asarray(p) + 2.0 * (real(p, coloring, flip) - p)
             q = np.clip(q, 0.0, None)
             return q / q.sum()
 

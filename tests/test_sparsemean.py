@@ -9,7 +9,6 @@ import pytest
 from scipy import stats
 
 from tokenmark.errors import InvalidInputError, ScanBudgetError
-from tokenmark.open_scheme import build_perturbation, mean_vector
 from tokenmark.seeds import derive_seed
 from tokenmark.sparsemean import (
     H0,
@@ -29,9 +28,7 @@ from tokenmark.sparsemean import (
     sample_instance,
     scan_budget_error,
     scan_statistic,
-    scan_test,
     threshold_statistic,
-    threshold_test,
     wilson_interval,
 )
 
@@ -115,11 +112,11 @@ class TestSampleInstance:
         inst = sample_instance(n, d, k, epsilon, HA, seed=8)
         rng = np.random.default_rng(derive_seed(8, "instance", HA, n, d, k))
         gaussians = epsilon * rng.standard_normal((n, d))
-        mu = mean_vector(inst.planted_support, d)
+        mu = np.zeros(d)
+        mu[inst.planted_support] = 1 / np.sqrt(k)
         for j in range(n):
             np.testing.assert_array_equal(
-                inst.data[j],
-                build_perturbation(gaussians[j], mu, int(inst.planted_signs[j]), epsilon))
+                inst.data[j], gaussians[j] + (int(inst.planted_signs[j]) * epsilon) * mu)
 
     def test_integer_epsilon(self):
         # The int8 signs times a large integer epsilon must not overflow.
@@ -275,8 +272,8 @@ class TestPower:
         # planted instance, so they agree trial-by-trial.
         for t in range(200):
             inst = sample_instance(300, 2, 2, 1.0, HA, seed=(15, t))
-            a = threshold_test(inst.data, 2, 1.0, 0.05)
-            b = scan_test(inst.data, 2, 1.0, 0.05)
+            a = run_test(THRESHOLD_TEST, inst.data, 2, 1.0, 0.05)
+            b = run_test(SCAN_TEST, inst.data, 2, 1.0, 0.05)
             assert a is True and b is True
 
     # (n, d, k, epsilon): a NaN or infinite epsilon gave NaN data and a

@@ -29,7 +29,6 @@ from tokenmark.textgen import (
     generate_many,
     iid_source,
     load_record,
-    load_tokens,
     markov_source,
     model_from_dict,
     powerlaw_source,
@@ -37,6 +36,7 @@ from tokenmark.textgen import (
     record_to_dict,
     save_record,
     save_tokens,
+    tokens_from_text,
     uniform_source,
 )
 
@@ -108,6 +108,15 @@ class TestSources:
             powerlaw_source(4, s=-1.0)
         with pytest.raises(InvalidInputError):
             powerlaw_source(4, s=1.0, scale=0.0)
+
+    @pytest.mark.parametrize("d", [4.5, 4.0, np.float64(4), True, "4", 1, -3])
+    def test_dictionary_size_must_be_an_integer(self, d):
+        # powerlaw_source(4.5, 1.0) once returned a 4-token model whose d
+        # was 4.5, and uniform_source(4.5) ended in numpy's bare TypeError.
+        with pytest.raises(InvalidInputError):
+            uniform_source(d)
+        with pytest.raises(InvalidInputError):
+            powerlaw_source(d, 1.0)
 
     @pytest.mark.parametrize("key", [None, closed_key(2), open_key(2, k=1)])
     def test_iid_source_owns_its_law(self, key):
@@ -639,21 +648,15 @@ class TestFiles:
         path = tmp_path / "tokens.txt"
         save_tokens([5, 0, 63, 17], path)
         assert path.read_text() == "5 0 63 17\n"
-        np.testing.assert_array_equal(load_tokens(path), [5, 0, 63, 17])
+        np.testing.assert_array_equal(tokens_from_text(path.read_text(), path), [5, 0, 63, 17])
 
-    def test_token_file_tolerates_any_whitespace(self, tmp_path):
-        path = tmp_path / "tokens.txt"
-        path.write_text("1\n2\t3   4\n")
-        np.testing.assert_array_equal(load_tokens(path), [1, 2, 3, 4])
+    def test_token_file_tolerates_any_whitespace(self):
+        np.testing.assert_array_equal(tokens_from_text("1\n2\t3   4\n", "t.txt"), [1, 2, 3, 4])
 
-    def test_garbled_token_file(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("12 potato 7")
-        with pytest.raises(InvalidInputError):
-            load_tokens(path)
+    def test_garbled_token_file(self):
+        with pytest.raises(InvalidInputError, match="bad.txt"):
+            tokens_from_text("12 potato 7", "bad.txt")
 
     def test_missing_files(self, tmp_path):
         with pytest.raises(InvalidInputError):
             load_record(tmp_path / "none.json")
-        with pytest.raises(InvalidInputError):
-            load_tokens(tmp_path / "none.txt")
