@@ -265,59 +265,25 @@ def _sign_words(key: WatermarkKey, lane: int, start: int, count: int) -> np.ndar
 
 # --------------------------------------------------------------------------
 # Coloring rules (module docstring). Each has two readings: the colorings
-# of consecutive steps, shape (count, d) int8, and one token's colour at
-# one step.
-
-# Batches of fewer rows take the Python-list loop of the v1/v2 Fisher-Yates
-# in ``_shuffle_colorings``. Its cost grows with count x d, while the
-# transposed loop's few numpy calls per swap round cost nearly the same
-# for any row count below a few dozen; the two cost the same at about 16
-# rows for d from 512 to 32768.
-_ROW_LOOP_MAX_COUNT = 16
+# of a block of steps from their words, one (d,) row of uint64 words per
+# step, and one token's colour at one step.
 
 
-def _shuffle_colorings(key: WatermarkKey, start: int, count: int) -> np.ndarray:
-    """Versions 1 and 2: balanced colorings by per-step Fisher-Yates.
-
-    Below ``_ROW_LOOP_MAX_COUNT`` rows each row is shuffled on a Python
-    list. Larger batches reduce each step's words to swap positions as soon
-    as they are hashed, into a (d - 1, count) array, and run the rounds on
-    a transposed (d, count) int8 array, one column per step: round ``i``
-    swaps the contiguous row ``i`` with one entry of each column, a few
-    numpy calls for every step at once. Both loops perform the same swaps,
-    so the output is identical.
-    """
-    d = key.d
+def _shuffle_rows(words: np.ndarray) -> np.ndarray:
+    """Versions 1 and 2: the colorings of steps by per-step Fisher-Yates on
+    a Python list, reading the first d - 1 words of each row. The list holds
+    each sign as its int8 byte (-1 as 255), so a shuffled row converts as
+    one bytes object, and the swap positions are read one at a time."""
+    d = words.shape[1]
     moduli = np.arange(d, 1, -1, dtype=np.uint64)
-    if count < _ROW_LOOP_MAX_COUNT:
-        positions = (_word_matrix(key, LANE_COLORING, start, count, d - 1) % moduli).tolist()
-        perm = np.empty((count, d), dtype=np.int8)
-        signs = [1] * (d // 2) + [-1] * (d // 2)
-        for row, row_positions in enumerate(positions):
-            a = signs.copy()
-            for i, pos in zip(range(d - 1, 0, -1), row_positions):
-                a[i], a[pos] = a[pos], a[i]
-            perm[row] = a
-        return perm
-    # flat[t, c]: the entry of the flattened (d, count) array that round
-    # i = d-1-t of step start+c swaps with entry (i, c).
-    flat = np.empty((d - 1, count), dtype=np.intp)
-    reduced = np.empty(d - 1, dtype=np.uint64)
-    for c, words in enumerate(_step_words(key, LANE_COLORING, start, count, d - 1)):
-        np.remainder(words, moduli, out=reduced)
-        reduced *= np.uint64(count)
-        reduced += np.uint64(c)
-        flat[:, c] = reduced
-    columns = np.empty((d, count), dtype=np.int8)
-    columns[: d // 2] = 1
-    columns[d // 2:] = -1
-    entries = columns.reshape(-1)
-    for t, i in enumerate(range(d - 1, 0, -1)):
-        row = columns[i].copy()
-        columns[i] = entries.take(flat[t])
-        entries.put(flat[t], row)
-    del flat
-    return np.ascontiguousarray(columns.T)
+    signs = [1] * (d // 2) + [255] * (d // 2)
+    out = np.empty(words.shape, dtype=np.int8)
+    for row, row_words in zip(out, words):
+        a = signs.copy()
+        for i, pos in zip(range(d - 1, 0, -1), memoryview(row_words[:d - 1] % moduli)):
+            a[i], a[pos] = a[pos], a[i]
+        row[:] = np.frombuffer(bytes(a), dtype=np.int8)
+    return out
 
 
 def _shuffle_color(key: WatermarkKey, step: int, t: int) -> int:
@@ -353,22 +319,6 @@ def _select_rows(words: np.ndarray) -> np.ndarray:
     return np.where(plus, np.int8(1), np.int8(-1))
 
 
-# Version 3 batches select on blocks of steps holding about this many
-# words (128 KiB), so memory does not grow with the number of steps.
-_SELECT_BLOCK_WORDS = 1 << 14
-
-
-def _select_colorings(key: WatermarkKey, start: int, count: int) -> np.ndarray:
-    """Version 3 colorings, a block of steps at a time as they are hashed."""
-    d = key.d
-    out = np.empty((count, d), dtype=np.int8)
-    rows = max(1, _SELECT_BLOCK_WORDS // d)
-    for lo in range(0, count, rows):
-        hi = min(lo + rows, count)
-        out[lo:hi] = _select_rows(_word_matrix(key, LANE_COLORING, start + lo, hi - lo, d))
-    return out
-
-
 def _select_color(key: WatermarkKey, step: int, t: int) -> int:
     """Version 3: token ``t``'s colour from the rank of its word."""
     words = _word_matrix(key, LANE_COLORING, step, 1, key.d)[0]
@@ -382,25 +332,37 @@ class _Format(NamedTuple):
 
     blocks: Callable       # block function
     block_bytes: int       # bytes per block
-    colorings: Callable    # colorings of consecutive steps, (count, d) int8
+    colorings: Callable    # (rows, d) uint64 words -> (rows, d) int8 colorings
     color: Callable        # one token's colour at one step
 
 
 # Key file version -> its format; the only place the versions differ. A
 # block function hashes each input to one block. SHAKE-256 squeezes just
 # the first ``nbytes`` bytes of it, a prefix of the whole block; SHA-256
-# always returns its 32 bytes.
+# always returns its 32 bytes. The shuffle reads d - 1 of the d words it is
+# given; for even d they span the same blocks.
 _FORMATS = {
-    1: _Format(_sha256_blocks, 32, _shuffle_colorings, _shuffle_color),
-    2: _Format(_shake256_blocks, 1024, _shuffle_colorings, _shuffle_color),
-    3: _Format(_shake256_blocks, 1024, _select_colorings, _select_color),
+    1: _Format(_sha256_blocks, 32, _shuffle_rows, _shuffle_color),
+    2: _Format(_shake256_blocks, 1024, _shuffle_rows, _shuffle_color),
+    3: _Format(_shake256_blocks, 1024, _select_rows, _select_color),
 }
+
+# Batches colour blocks of steps holding about this many words (128 KiB)
+# as they are hashed, so memory does not grow with the number of steps.
+_BLOCK_WORDS = 1 << 14
 
 
 def _coloring_matrix(key: WatermarkKey, start: int, count: int) -> np.ndarray:
     """Balanced colorings for consecutive steps, shape (count, d), by the
-    coloring rule of the key's version."""
-    return _FORMATS[key.version].colorings(key, start, count)
+    coloring rule of the key's version, a block of steps at a time."""
+    d = key.d
+    colorings = _FORMATS[key.version].colorings
+    out = np.empty((count, d), dtype=np.int8)
+    rows = max(1, _BLOCK_WORDS // d)
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
+        out[lo:hi] = colorings(_word_matrix(key, LANE_COLORING, start + lo, hi - lo, d))
+    return out
 
 
 def _box_muller(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -482,7 +444,9 @@ def derive_closed_step(key: WatermarkKey, step: int) -> ClosedStepKey:
 @functools.lru_cache(maxsize=8, typed=True)
 def derive_closed_steps(key: WatermarkKey, count: int, start: int = 0) -> ClosedStepBatch:
     """Closed key material for ``count`` steps from ``start``; cached because
-    detection sweeps re-derive the same prefix for every text."""
+    a completeness sweep scores the texts it has just generated, and texts
+    that fit one generation chunk derived these same steps. Detection reads
+    one entry per token instead (``closed_token_colors``)."""
     _require_scheme(key, CLOSED)
     start, count = _check_step(start, count)
     colorings = _freeze(_coloring_matrix(key, start, count))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closed_scheme
-from .core import as_logits, as_probs, sample_rows, softmax, softmax_rows
+from .core import as_logits, as_probs, is_int, is_number, sample_rows, softmax, softmax_rows
 from .errors import CheckFailedError, InvalidInputError
 from .seeds import derive_seed
 
@@ -59,6 +59,13 @@ def _streamed_mean(samples: int, draw) -> tuple[float, float]:
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0) * samples / (samples - 1)
     return mean, math.sqrt(var / samples)
+
+
+def _check_samples(samples: int, floor: int) -> None:
+    if not is_int(samples):
+        raise InvalidInputError(f"samples must be an integer, got {samples!r}")
+    if samples < floor:
+        raise InvalidInputError(f"need at least {floor} samples for a meaningful check")
 
 
 def _subset_rows(rng: np.random.Generator, m: int, d: int, k: int, fill) -> np.ndarray:
@@ -128,8 +135,7 @@ def lemma_maxima_mc(p, samples: int, *, seed: int = 0) -> tuple[float, float]:
     three standard errors."""
     p = _lemma_probs(p)
     d = p.size
-    if samples < 10_000:
-        raise InvalidInputError("need at least 1e4 samples for a meaningful check")
+    _check_samples(samples, 10_000)
     rng = np.random.default_rng(derive_seed(seed, "lemma-mc", d, samples))
     estimate, se = _streamed_mean(
         samples, lambda m: _pair_min_sums(p, _subset_rows(rng, m, d, d // 2, True)))
@@ -171,12 +177,11 @@ def _gx_moments(logits, epsilon: float, k: int, samples: int, seed: int, *labels
     ``labels``, d, k and ``samples``."""
     logits = as_logits(logits)
     d = logits.size
-    if epsilon <= 0:
-        raise InvalidInputError("epsilon must be positive")
-    if not 1 <= k <= d:
-        raise InvalidInputError("need 1 <= k <= d")
-    if samples < 100_000:
-        raise InvalidInputError("need at least 1e5 samples for a meaningful check")
+    if not is_number(epsilon) or epsilon <= 0:
+        raise InvalidInputError(f"epsilon must be a finite number > 0, got {epsilon!r}")
+    if not is_int(k) or not 1 <= k <= d:
+        raise InvalidInputError(f"need an integer 1 <= k <= d, got {k!r}")
+    _check_samples(samples, 100_000)
     rng = np.random.default_rng(derive_seed(seed, *labels, d, k, samples))
 
     def draw(m: int) -> np.ndarray:
@@ -222,9 +227,9 @@ def psi1_bound_mc(logits, epsilon: float, samples: int, *, k: int = 1,
     shift = 0.0
     if centered:
         shift, _ = _gx_moments(logits, epsilon, k, samples, seed, label, "mean-pass")
-    tau = (PSI1_CENTERED_SCALE if centered else PSI1_SCALE) * epsilon
+    scale = PSI1_CENTERED_SCALE if centered else PSI1_SCALE
     estimate, se = _gx_moments(logits, epsilon, k, samples, seed, label,
-                               transform=lambda v: np.exp(np.abs(v - shift) / tau))
+                               transform=lambda v: np.exp(np.abs(v - shift) / (scale * epsilon)))
     if estimate > 2.0 + 3.0 * se:
         raise CheckFailedError(
             f"exp-moment {estimate} +- {se} exceeds the sub-exponential cap 2")
@@ -236,10 +241,10 @@ def tv_gaussians(mean_sep: float, sigma: float) -> float:
     equal covariance ``sigma^2 I`` and mean separation ``mean_sep``:
     ``2*Phi(mean_sep/(2*sigma)) - 1``, via the 1-d reduction along the
     mean-difference axis."""
-    if sigma <= 0:
-        raise InvalidInputError("sigma must be positive")
-    if mean_sep < 0:
-        raise InvalidInputError("mean separation cannot be negative")
+    if not is_number(sigma) or sigma <= 0:
+        raise InvalidInputError(f"sigma must be a finite number > 0, got {sigma!r}")
+    if not is_number(mean_sep) or mean_sep < 0:
+        raise InvalidInputError(f"mean separation must be a finite number >= 0, got {mean_sep!r}")
     return math.erf(mean_sep / (2.0 * sigma * math.sqrt(2.0)))
 
 

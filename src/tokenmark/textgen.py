@@ -35,12 +35,10 @@ UNWATERMARKED = "none"
 # as many steps as fit at the scheme's bytes per (step, token) entry, and
 # at least one, so its size depends on d but not on the text length.
 _CHUNK_BYTES = 16 << 20
-# Bytes per entry. Closed: the intp swap positions of the v1/v2 batch
-# Fisher-Yates, its largest array (an int8 work array adds 1 B, and the
-# derive_closed_steps cache keeps 8 chunks of 1 B colorings); the v3
-# selection coloring derives a chunk in blocks of 128 KiB of words, so it
-# needs less, but one value for every version keeps chunk sizes where they
-# were. Open: the
+# Bytes per entry. Closed: the derive_closed_steps cache keeps 8 chunks of
+# 1 B colorings, and the chunk in use adds 1 B of signs; deriving a chunk
+# adds only one block of steps' words (128 KiB, or one step's at larger d)
+# and its coloring rule's work arrays, under every key version. Open: the
 # derive_open_steps cache keeps 8 chunks of 8 B Gaussians, and deriving a
 # chunk peaks at 40 B, the float64 temporaries of _gaussian_matrix's
 # Box-Muller; the perturbations are one 8 B copy of the Gaussians with the
@@ -105,8 +103,9 @@ def powerlaw_source(d: int, s: float, scale: float = 1.0) -> SourceModel:
     """Logits ``-scale * s * ln(i + 1)``; token i's probability decays like
     a power law with exponent ``scale * s``."""
     _check_d(d)
-    if s < 0 or scale <= 0:
-        raise InvalidInputError("exponent must be >= 0 and scale positive")
+    if not (is_number(s) and is_number(scale)) or s < 0 or scale <= 0:
+        raise InvalidInputError(f"exponent must be a finite number >= 0 and scale a finite "
+                                f"number > 0, got {s!r} and {scale!r}")
     logits = -scale * s * np.log(np.arange(1, d + 1, dtype=np.float64))
     return SourceModel(kind=POWERLAW, d=d, laws=keystream._freeze(softmax(logits)[None]),
                        logits=keystream._freeze(logits))

@@ -307,7 +307,8 @@ class TestGoldenVectors:
 
 class TestAgainstScalarReference:
     def test_colorings_exact(self):
-        # Counts on both sides of the kernel's row-loop/column-loop switch.
+        # At d = 1024 a block holds 16 steps: batches end one row short of,
+        # at and one row past a block boundary.
         for d, count in ((2, 40), (8, 40), (12, 40), (1024, 63), (1024, 64), (1024, 65)):
             key = closed_key(d, version=1)
             batch = derive_closed_steps(key, count)
@@ -355,8 +356,7 @@ class TestAgainstScalarReference:
                                        rtol=1e-13, atol=1e-13)
 
     def test_v2_matches_reference(self):
-        # Word counts on both sides of the 128-word block boundary, and
-        # batches on both sides of the row-loop/column-loop switch.
+        # Word counts on both sides of the 128-word block boundary.
         for d, count in ((2, 40), (128, 3), (130, 3), (258, 3), (1024, 63), (1024, 65)):
             batch = derive_closed_steps(closed_key(d, version=2), count)
             for step in range(count):
@@ -405,7 +405,7 @@ class TestAgainstScalarReference:
         for row in range(130):
             np.testing.assert_array_equal(batch.colorings[row],
                                           derive_closed_step(key, 7 + row).coloring)
-        block = keystream._SELECT_BLOCK_WORDS // 1024
+        block = keystream._BLOCK_WORDS // 1024
         assert 1 < block < 130
         for row in (block - 1, block, 129):
             assert batch.colorings[row].tolist() == ref_coloring(SEED, 7 + row, 1024, 3)
@@ -468,7 +468,7 @@ class TestDerivationProperties:
         assert a.flip == b.flip
 
     def test_single_matches_batch_row(self):
-        # 70 rows take the transposed batch loop; single steps take the row loop.
+        # One block of 70 steps against the same steps one at a time.
         key = closed_key(16)
         batch = derive_closed_steps(key, 70, start=7)
         for offset in range(70):
@@ -476,22 +476,26 @@ class TestDerivationProperties:
             np.testing.assert_array_equal(batch.colorings[offset], single.coloring)
             assert int(batch.flips[offset]) == single.flip
 
-    def test_transposed_batch_matches_single_steps_d32768(self):
-        """The smallest batch that takes the transposed Fisher-Yates, from a
-        step past 0 and at a d the d = 4/8 golden vectors do not reach:
-        every row equals single-step derivation and every scored entry the
-        per-token reader, for both key versions."""
-        d, count, start = 32768, keystream._ROW_LOOP_MAX_COUNT, 9
-        tokens = np.random.default_rng(6).integers(0, d, count)
-        for version in (1, 2):
-            key = closed_key(d, version)
-            colorings = keystream._coloring_matrix(key, start, count)
-            singles = [derive_closed_step(key, start + row) for row in range(count)]
-            for row, single in enumerate(singles):
-                np.testing.assert_array_equal(colorings[row], single.coloring)
-            flips = np.array([single.flip for single in singles], dtype=np.int8)
-            np.testing.assert_array_equal(closed_token_colors(key, tokens, start),
-                                          colorings[np.arange(count), tokens] * flips)
+    def test_batches_span_blocks_every_version(self):
+        """For every readable key version, batches from a step past 0 that
+        span two blocks of steps: every row equals single-step derivation
+        and the scalar reference, and every scored entry the per-token
+        reader."""
+        rng = np.random.default_rng(6)
+        for version in keystream._FORMATS:
+            for d in (10, 1024, 32768):
+                key = closed_key(d, version)
+                start, count = 9, keystream._BLOCK_WORDS // d + 2
+                batch = derive_closed_steps(key, count, start)
+                for row in range(count):
+                    expected = ref_coloring(SEED, start + row, d, version)
+                    assert batch.colorings[row].tolist() == expected, (version, d, row)
+                    np.testing.assert_array_equal(
+                        derive_closed_step(key, start + row).coloring, batch.colorings[row])
+                tokens = rng.integers(0, d, count)
+                np.testing.assert_array_equal(
+                    closed_token_colors(key, tokens, start),
+                    batch.colorings[np.arange(count), tokens] * batch.flips)
 
     def test_open_single_matches_batch_row(self):
         key = open_key(d=10, epsilon=0.4, k=3, mode=FRESH_SUPPORT)
@@ -723,6 +727,23 @@ class TestRuntime:
             derive_closed_step(key, step)
         elapsed = time.perf_counter() - start
         assert elapsed < 2.0, f"20 closed steps took {elapsed:.2f}s >= 2s"
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_shuffle_batch_memory_d32768(self, version):
+        """A version 1 or 2 batch shuffles one block of steps at a time, so
+        past its output of 1 B per entry it holds under 96 B per token
+        whatever the row count."""
+        d = 32768
+        key = closed_key(d, version)
+        for count in (15, 64):
+            tracemalloc.start()
+            try:
+                derive_closed_steps.__wrapped__(key, count, 5)  # bypass the cache
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < count * d + 96 * d, (
+                f"{count} rows peaked at {peak / (count * d):.1f} B per entry")
 
 
 class TestDistributions:

@@ -115,6 +115,12 @@ class TestLemmaMonteCarlo:
         with pytest.raises(InvalidInputError):
             lemma_maxima_mc([0.5, 0.5], 9_999)
 
+    @pytest.mark.parametrize("samples", [1e5, 100_000.0, True, "100000", None])
+    def test_samples_must_be_an_integer(self, samples):
+        # lemma_maxima_mc(p, 1e5) once ended in numpy's bare TypeError.
+        with pytest.raises(InvalidInputError):
+            lemma_maxima_mc([0.5, 0.5], samples)
+
 
 class TestUndetectabilityExact:
     def test_sweep_is_float_exact(self):
@@ -227,6 +233,18 @@ class TestBiasBound:
         with pytest.raises(InvalidInputError):
             bias_bound_mc(np.zeros(8), 0.5, 100_000, k=9)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, True, "0.5", None])
+    def test_epsilon_must_be_a_finite_number(self, epsilon):
+        # A NaN epsilon once returned (nan, nan, nan): the bound comparison
+        # cannot fail on NaN, so no check raised.
+        with pytest.raises(InvalidInputError):
+            bias_bound_mc(np.zeros(4), epsilon, 100_000)
+
+    @pytest.mark.parametrize("samples", [1e5, True])
+    def test_samples_must_be_an_integer(self, samples):
+        with pytest.raises(InvalidInputError):
+            bias_bound_mc(np.zeros(4), 0.5, samples)
+
 
 class TestPsi1Bound:
     def test_uniform_well_below_cap(self):
@@ -257,6 +275,19 @@ class TestPsi1Bound:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             psi1_bound_mc(np.zeros(8), 0.5, 99_999)
+
+    @pytest.mark.parametrize("centered", [False, True])
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan, "0.5"])
+    def test_epsilon_must_be_a_finite_number(self, epsilon, centered):
+        # An infinite epsilon once returned (nan, nan).
+        with pytest.raises(InvalidInputError):
+            psi1_bound_mc(np.zeros(4), epsilon, 100_000, centered=centered)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+    def test_k_must_be_an_integer(self, k):
+        # k = 2.5 once ended in numpy's bare TypeError.
+        with pytest.raises(InvalidInputError):
+            psi1_bound_mc(np.zeros(4), 0.5, 100_000, k=k)
 
 
 class TestTvGaussians:
@@ -289,6 +320,14 @@ class TestTvGaussians:
             tv_gaussians(0.5, 0.0)
         with pytest.raises(InvalidInputError):
             tv_gaussians(-0.1, 1.0)
+
+    @pytest.mark.parametrize("mean_sep, sigma", [(math.nan, 1.0), (math.inf, 1.0),
+                                                 (0.5, math.nan), (0.5, math.inf),
+                                                 (True, 1.0), (0.5, "1")])
+    def test_arguments_must_be_finite_numbers(self, mean_sep, sigma):
+        # tv_gaussians(nan, 1.0) once returned nan.
+        with pytest.raises(InvalidInputError):
+            tv_gaussians(mean_sep, sigma)
 
 
 class TestVerifySuite:

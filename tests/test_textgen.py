@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,16 @@ class TestSources:
             powerlaw_source(4, s=-1.0)
         with pytest.raises(InvalidInputError):
             powerlaw_source(4, s=1.0, scale=0.0)
+
+    @pytest.mark.parametrize("s, scale", [(True, 1.0), (1.0, True), (math.nan, 1.0),
+                                          (math.inf, 1.0), (1.0, math.inf), ("1", 1.0)])
+    def test_powerlaw_parameters_must_be_finite_numbers(self, s, scale):
+        # powerlaw_source(4, True) once built exponent 1, and an infinite
+        # scale raised numpy's RuntimeWarning before it was refused.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                powerlaw_source(4, s, scale)
 
     @pytest.mark.parametrize("d", [4.5, 4.0, np.float64(4), True, "4", 1, -3])
     def test_dictionary_size_must_be_an_integer(self, d):
