@@ -26,7 +26,7 @@ from .core import field, is_int, is_number, json_text, read_json
 from .detector import closed_statistics, open_statistics, threshold
 from .errors import InvalidInputError
 from .keystream import CLOSED, FRESH_SUPPORT, OPEN, WatermarkKey
-from .seeds import derive_master_seed, derive_seed, rng_for
+from .seeds import check_seed, derive_master_seed, derive_seed, rng_for
 from .sparsemean import (POWER_CSV_HEADER, SCAN_TEST, THRESHOLD_TEST, power_point,
                          scan_budget_error, wilson_interval)
 from .textgen import GenerationRecord, condition_lhs, generate_many, uniform_source
@@ -65,9 +65,7 @@ def load_config(path) -> dict:
 def validate_config(config: dict) -> None:
     if not isinstance(config, dict):
         raise InvalidInputError("config must be a JSON object")
-    root = field(config, "root_seed", is_int)
-    if not -2 ** 127 <= root < 2 ** 127:  # seeds.derive_seed encodes it in 16 bytes
-        raise InvalidInputError(f"root_seed must lie in [-2**127, 2**127), got {root}")
+    check_seed(field(config, "root_seed", is_int), "root_seed")
     workers = field(config, "workers", is_int, 1)
     if workers < 1:
         raise InvalidInputError(f"workers must be at least 1, got {workers!r}")

@@ -32,7 +32,7 @@ import numpy as np
 from . import closed_scheme
 from .core import as_logits, as_probs, is_int, is_number, sample_rows, softmax, softmax_rows
 from .errors import CheckFailedError, InvalidInputError
-from .seeds import derive_seed
+from .seeds import check_seed, derive_seed
 
 EXACT_ENUM_MAX_D = 12
 EXACT_AVG_MAX_D = 8
@@ -136,7 +136,7 @@ def lemma_maxima_mc(p, samples: int, *, seed: int = 0) -> tuple[float, float]:
     p = _lemma_probs(p)
     d = p.size
     _check_samples(samples, 10_000)
-    rng = np.random.default_rng(derive_seed(seed, "lemma-mc", d, samples))
+    rng = np.random.default_rng(derive_seed(check_seed(seed), "lemma-mc", d, samples))
     estimate, se = _streamed_mean(
         samples, lambda m: _pair_min_sums(p, _subset_rows(rng, m, d, d // 2, True)))
     tail = float(p[1:].sum())
@@ -182,7 +182,7 @@ def _gx_moments(logits, epsilon: float, k: int, samples: int, seed: int, *labels
     if not is_int(k) or not 1 <= k <= d:
         raise InvalidInputError(f"need an integer 1 <= k <= d, got {k!r}")
     _check_samples(samples, 100_000)
-    rng = np.random.default_rng(derive_seed(seed, *labels, d, k, samples))
+    rng = np.random.default_rng(derive_seed(check_seed(seed), *labels, d, k, samples))
 
     def draw(m: int) -> np.ndarray:
         gauss = epsilon * rng.standard_normal((m, d))
@@ -406,6 +406,7 @@ def verify_suite(level: str = "quick", seed: int = 0) -> list[CheckResult]:
     given seed."""
     if not isinstance(level, str) or level not in _SUITES:
         raise InvalidInputError("level must be 'quick' or 'full'")
+    check_seed(seed)
     return [_run(name, check, seed) for name, check in _SUITES[level]]
 
 

@@ -13,6 +13,19 @@ import hashlib
 
 import numpy as np
 
+from .core import is_int
+from .errors import InvalidInputError
+
+
+def check_seed(seed, name: str = "seed"):
+    """``seed`` after checking it is an integer that ``derive_seed`` encodes
+    exactly: a boolean, float or string is refused, not hashed as text."""
+    if not is_int(seed):
+        raise InvalidInputError(f"{name} must be an integer, got {seed!r}")
+    if not -2 ** 127 <= int(seed) < 2 ** 127:
+        raise InvalidInputError(f"{name} must lie in [-2**127, 2**127), got {seed}")
+    return seed
+
 
 def derive_seed(root, *labels) -> int:
     """A 64-bit seed for the path ``root/label1/label2/...``.

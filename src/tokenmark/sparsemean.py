@@ -108,10 +108,11 @@ def sample_instance(n: int, d: int, k: int, epsilon: float, hypothesis: str,
 
 
 def _check_data(data, k) -> np.ndarray:
-    """``data`` as a checked (n, d) float64 matrix, for an integer k in [1, d]."""
+    """``data`` as a checked (n, d) float64 matrix with n >= 1, for an integer
+    k in [1, d]."""
     data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise InvalidInputError("data must be an (n, d) matrix")
+    if data.ndim != 2 or data.shape[0] < 1:
+        raise InvalidInputError("data must be an (n, d) matrix with n >= 1")
     if not is_int(k) or not 1 <= k <= data.shape[1]:
         raise InvalidInputError(f"need an integer 1 <= k <= d, got k = {k!r}")
     return data
@@ -161,11 +162,19 @@ def scan_statistic(data: np.ndarray, k: int) -> float:
     if refusal:
         raise ScanBudgetError(refusal)
     directions = _subset_directions(d, k)
+    n, count = data.shape[0], directions.shape[1]
+    # Every chunk's products go into one buffer and take their absolute
+    # values in place: fresh (n, chunk) arrays per chunk cost more than the
+    # matmul at small n. mean(axis=0) is the column sum followed by a
+    # division by n, and that division is monotone, so it waits until after
+    # the max.
+    buffer = np.empty(n * min(count, _SCAN_CHUNK))
     best = -math.inf
-    for lo in range(0, directions.shape[1], _SCAN_CHUNK):
-        block = np.abs(data @ directions[:, lo:lo + _SCAN_CHUNK]).mean(axis=0)
-        best = max(best, float(block.max()))
-    return best
+    for lo in range(0, count, _SCAN_CHUNK):
+        columns = directions[:, lo:lo + _SCAN_CHUNK]
+        block = np.matmul(data, columns, out=buffer[:n * columns.shape[1]].reshape(n, -1))
+        best = max(best, float(np.abs(block, out=block).sum(axis=0).max()))
+    return best / n
 
 
 # --------------------------------------------------------------------------

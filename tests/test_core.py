@@ -2,12 +2,15 @@
 file reader, field checker and JSON writer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokenmark import core
+from tokenmark.closed_scheme import watermark_distribution
 from tokenmark.core import (
     PROB_SUM_TOL,
     as_logits,
@@ -209,6 +212,115 @@ class TestSampleTokens:
         u = np.random.default_rng(4).random(500)
         np.testing.assert_array_equal(sample_tokens(np.tile(self.P, (500, 1)), u),
                                       sample_tokens(self.P, u))
+
+
+def searchsorted_tokens(probs, u):
+    """The module's rule by one full binary search per uniform: the
+    reference the bucket search must equal."""
+    tokens = np.searchsorted(probs.cumsum(), u, side="right")
+    last = probs.size - 1 - (probs[::-1] > 0).argmax()
+    return np.where(tokens >= probs.size, last, tokens)
+
+
+def _balanced_coloring(d, rng):
+    return rng.permutation(np.repeat(np.array([1, -1], dtype=np.int8), d // 2))
+
+
+def _laws():
+    rng = np.random.default_rng(2024)
+    power = np.arange(1, 8193) ** -1.1
+    padded = np.append(np.full(15, 1 / 15), 0.0)
+    laws = {f"uniform-{d}": np.full(d, 1 / d) for d in (2, 512, 1024)}
+    laws.update({
+        "dirichlet-0.1": rng.dirichlet(np.full(1000, 0.1)),
+        "dirichlet-1": rng.dirichlet(np.ones(1000)),
+        "powerlaw-8192": power / power.sum(),
+        # Half the entries are 0, so the CDF has runs of equal levels.
+        "closed-uniform-1024": watermark_distribution(
+            np.full(1024, 1 / 1024), _balanced_coloring(1024, rng), 1),
+        "padded-closed-16": watermark_distribution(padded, _balanced_coloring(16, rng), -1),
+        "point-mass": np.eye(50)[7],
+        "sum-below-one": np.full(10, 0.1 * (1 - 1e-13)),
+        "sum-above-one": np.full(10, 0.1 * (1 + 1e-13)),
+    })
+    return laws
+
+
+LAWS = _laws()
+
+
+class TestBucketSearch:
+    """Many uniforms from one law are searched through a bucket table; every
+    token must equal the one full binary search per uniform gives."""
+
+    @staticmethod
+    def special_uniforms(probs):
+        """Each CDF level and the float just below it, both ends of [0, 1),
+        past the sum, and u outside [0, 1) that no caller draws."""
+        cdf = probs.cumsum()
+        ends = [0.0, 1 - 2.0 ** -53, 1.0, 1.5, 2.0, 1e300, np.inf,
+                -0.0, -1e-300, -0.5, -np.inf, np.nextafter(cdf[-1], 2.0)]
+        return np.concatenate([cdf, np.nextafter(cdf, -np.inf), ends])
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_matches_searchsorted(self, name, monkeypatch):
+        probs = LAWS[name]
+        calls = []
+        bucket_tokens = core._bucket_tokens
+        monkeypatch.setattr(core, "_bucket_tokens",
+                            lambda *args: calls.append(1) or bucket_tokens(*args))
+        rule = core._BUCKET_MIN_DRAWS + probs.size // 2
+        special = self.special_uniforms(probs)
+        many = special.size + rule + core._SEARCH_BLOCK  # several blocks, the last partial
+        fill = np.random.default_rng(7).random(2 * many)
+        # Every special value is drawn below the size rule, at it and far above it, in
+        # the layouts callers pass: contiguous, reversed, a strided column and (texts, n).
+        for size in (rule - 1, rule, many):
+            for lo in range(0, special.size, size):
+                u = np.concatenate([special[lo:lo + size], fill])[:2 * size]
+                for draws in (u[:size], u[:size][::-1], u.reshape(size, 2)[:, 0],
+                              u.reshape(2, size)):
+                    before = len(calls)
+                    tokens = sample_tokens(probs, draws)
+                    assert len(calls) - before == (draws.size >= rule)
+                    np.testing.assert_array_equal(tokens, searchsorted_tokens(probs, draws))
+
+    def test_texts_by_steps(self):
+        # generate_many's unkeyed draw: one (texts, n) matrix from one law.
+        probs = LAWS["closed-uniform-1024"]
+        u = np.random.default_rng(3).random((300, 40))
+        tokens = sample_tokens(probs, u)
+        assert tokens.shape == u.shape and tokens.dtype == np.intp
+        np.testing.assert_array_equal(tokens, searchsorted_tokens(probs, u))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)),
+                            min_size=2, max_size=80),
+           extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_matches_searchsorted(self, weights, extra, seed):
+        weights = np.array(weights)
+        if not weights.any():
+            weights[-1] = 1.0
+        probs = weights / weights.sum()
+        rng = np.random.default_rng(seed)
+        u = np.concatenate([extra, self.special_uniforms(probs),
+                            rng.random(core._BUCKET_MIN_DRAWS + probs.size)])
+        np.testing.assert_array_equal(sample_tokens(probs, u), searchsorted_tokens(probs, u))
+
+    def test_blocked_memory(self):
+        """The search runs in blocks: 2^21 draws from a d = 512 law peak
+        under their int64 output plus 4 MiB (searching all at once would
+        hold several arrays of the draws' size)."""
+        probs = np.full(512, 1 / 512)
+        u = np.random.default_rng(0).random(1 << 21)
+        tracemalloc.start()
+        try:
+            sample_tokens(probs, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < u.size * 8 + (4 << 20), f"peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestValidateTokens:

@@ -365,6 +365,23 @@ class TestVerifySuite:
         with pytest.raises(InvalidInputError):
             verify_suite("paranoid")
 
+    @pytest.mark.parametrize("seed", [2.5, 1.0, "a", True, None, 2**127, -2**127 - 1])
+    def test_seed_must_be_an_integer(self, seed):
+        # 2.5 and "a" once ran, hashed as text, and True drew seed 1's stream.
+        calls = [lambda: verify_suite("quick", seed=seed),
+                 lambda: lemma_maxima_mc([0.5, 0.5], 10_000, seed=seed),
+                 lambda: bias_bound_mc(np.zeros(4), 0.5, 100_000, seed=seed),
+                 lambda: psi1_bound_mc(np.zeros(4), 0.5, 100_000, seed=seed),
+                 lambda: psi1_bound_mc(np.zeros(4), 0.5, 100_000, centered=True, seed=seed)]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="seed"):
+                call()
+
+    def test_numpy_integer_seed(self):
+        assert verify_suite("quick", seed=np.int64(1)) == verify_suite("quick", seed=1)
+        assert (lemma_maxima_mc([0.5, 0.5], 10_000, seed=np.uint8(3))
+                == lemma_maxima_mc([0.5, 0.5], 10_000, seed=3))
+
 
 class TestCheckFailedSurface:
     def test_lemma_mc_raises_on_impossible_bounds(self):

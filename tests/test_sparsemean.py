@@ -1,5 +1,6 @@
 """Sparse-mean testbed: instances, statistics, calibration, power sweeps."""
 
+import concurrent.futures
 import hashlib
 import itertools
 import math
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from tokenmark import sparsemean
 from tokenmark.errors import InvalidInputError, ScanBudgetError
 from tokenmark.seeds import derive_seed
 from tokenmark.sparsemean import (
@@ -169,6 +171,27 @@ class TestStatistics:
                 for combo in itertools.combinations(range(6), k)
             )
             assert scan_statistic(data, k) == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("d, k", [(24, 3), (32, 4)])
+    def test_scan_is_mean_abs_alignment_bit_for_bit(self, d, k):
+        # C(32, 4) = 35960 supports span five _SCAN_CHUNK chunks, the last
+        # one partial.
+        dirs = np.zeros((d, math.comb(d, k)))
+        for col, combo in enumerate(itertools.combinations(range(d), k)):
+            dirs[list(combo), col] = 1.0 / math.sqrt(k)
+        assert math.comb(32, 4) // sparsemean._SCAN_CHUNK == 4
+        rng = np.random.default_rng(d)
+        datasets = [rng.standard_normal((n, d)) for n in (1, 16, 160)]
+        expected = [float(np.abs(x @ dirs).mean(axis=0).max()) for x in datasets]
+        assert [scan_statistic(x, k) for x in datasets] == expected
+        # The sweep scans on two worker threads at once.
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(lambda x: scan_statistic(x, k), datasets * 2)) == expected * 2
+
+    def test_empty_data_refused(self):
+        for statistic in (scan_statistic, threshold_statistic):
+            with pytest.raises(InvalidInputError, match="n >= 1"):
+                statistic(np.zeros((0, 4)), 2)
 
     def test_scan_budget_refused_before_any_work(self):
         # C(40, 8) is about 77 million; the refusal must come from the
