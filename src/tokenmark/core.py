@@ -31,10 +31,6 @@ from .errors import CorruptTextError, InvalidInputError
 # Tolerance on |sum(p) - 1|. Vectors outside it are rejected.
 PROB_SUM_TOL = 1e-12
 
-# All stream randomness (text sampling, Monte Carlo) flows through numpy
-# Generators. Key material never does; see keystream.
-RandomStream = np.random.Generator
-
 # sample_tokens searches one law's CDF through a bucket table once the
 # uniforms number at least this many plus half the law's size d. Below
 # that, building the table costs more than a binary search per uniform
@@ -160,13 +156,13 @@ def _bucket_tokens(cdf: np.ndarray, last, u: np.ndarray) -> np.ndarray:
     return tokens
 
 
-def sample_categorical(p, rng: RandomStream) -> int:
+def sample_categorical(p, rng: np.random.Generator) -> int:
     """Draw one token from a validated ``p``; deterministic given the stream
     state."""
     return int(sample_tokens(as_probs(p), rng.random()))
 
 
-def sample_rows(probs: np.ndarray, rng: RandomStream) -> np.ndarray:
+def sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw one token per row of a trusted (n, d) probability matrix."""
     return sample_tokens(probs, rng.random(probs.shape[0]))
 

@@ -147,20 +147,35 @@ def detect(key: WatermarkKey, tokens, delta: float = 0.05,
 # Batched scoring for sweeps: many same-length texts against one key
 
 
+# Texts open_statistics gathers and averages at a time, in bytes of their
+# float64 scores.
+_SCORE_BLOCK_BYTES = 1 << 20
+
+
 def closed_statistics(key: WatermarkKey, token_matrix: np.ndarray,
                       start: int = 0) -> np.ndarray:
-    """Closed statistic per row of an (m, n) token matrix, one derivation."""
+    """Closed statistic per row of an (m, n) token matrix, one derivation.
+    The int8 scores are +-1, so each row's int64 sum is exact and divided
+    by n is the float64 mean of the scores."""
     token_matrix = validate_token_matrix(token_matrix, key.d)
     n = token_matrix.shape[1]
     batch = keystream.derive_closed_steps(key, n, start)
-    picked = batch.colorings[np.arange(n)[None, :], token_matrix].astype(np.float64)
-    return (picked * batch.flips[None, :]).mean(axis=1)
+    scores = batch.colorings[np.arange(n), token_matrix]
+    scores *= batch.flips
+    return scores.sum(axis=1, dtype=np.int64) / n
 
 
 def open_statistics(key: WatermarkKey, token_matrix: np.ndarray,
                     start: int = 0) -> np.ndarray:
-    """Open statistic per row of an (m, n) token matrix, one derivation."""
+    """Open statistic per row of an (m, n) token matrix, one derivation.
+    Rows are gathered and averaged a block of ``_SCORE_BLOCK_BYTES`` at a
+    time; each row's mean is the same whatever block it is in."""
     token_matrix = validate_token_matrix(token_matrix, key.d)
-    n = token_matrix.shape[1]
+    m, n = token_matrix.shape
     gaussians = keystream.derive_open_gaussians(key, n, start)
-    return gaussians[np.arange(n)[None, :], token_matrix].mean(axis=1)
+    steps = np.arange(n)
+    rows = max(1, _SCORE_BLOCK_BYTES // (8 * n))
+    z = np.empty(m)
+    for lo in range(0, m, rows):
+        z[lo:lo + rows] = gaussians[steps, token_matrix[lo:lo + rows]].mean(axis=1)
+    return z

@@ -11,12 +11,9 @@ reproducibility for no benefit.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
-import importlib.metadata
 import json
 import math
-import platform
 import re
 from pathlib import Path
 
@@ -30,11 +27,6 @@ from .seeds import check_seed, derive_master_seed, derive_seed, rng_for
 from .sparsemean import (POWER_CSV_HEADER, SCAN_TEST, THRESHOLD_TEST, power_point,
                          scan_budget_error, wilson_interval)
 from .textgen import GenerationRecord, condition_lhs, generate_many, uniform_source
-
-try:
-    _PKG_VERSION = importlib.metadata.version("tokenmark")
-except importlib.metadata.PackageNotFoundError:
-    _PKG_VERSION = "unknown"
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
@@ -137,12 +129,22 @@ def _rate(key: WatermarkKey, z: np.ndarray, n: int, delta: float) -> list:
     return [hits / z.size, *wilson_interval(hits, z.size)]
 
 
+# Unkeyed soundness texts are generated and scored a block at a time, in
+# bytes of their uniforms. 2 MiB is 262144 draws, well above the size from
+# which core.sample_tokens searches by bucket table at any realistic d.
+_SOUNDNESS_BLOCK_BYTES = 2 << 20
+
+
 def _soundness(exp: dict, root, scheme: str) -> tuple[list[str], list[list]]:
+    """False-positive rates of unkeyed texts. Successive draws of one rng
+    give the rows of a single draw, so the texts, and their statistics, do
+    not depend on the block size."""
     d, n, texts = exp["d"], exp["n"], exp["texts"]
     key = _key(exp, root, scheme, d)
-    tokens = generate_many(uniform_source(d), n, None, texts,
-                           rng_for(root, exp["name"], "texts"))
-    z = _statistics(key, tokens)
+    model, rng = uniform_source(d), rng_for(root, exp["name"], "texts")
+    rows = max(1, _SOUNDNESS_BLOCK_BYTES // (8 * n))
+    z = np.concatenate([_statistics(key, generate_many(model, n, None, min(rows, texts - lo), rng))
+                        for lo in range(0, texts, rows)])
     return SOUNDNESS_HEADER, [[scheme, delta, d, n, texts, *_rate(key, z, n, delta)]
                               for delta in sorted(exp["deltas"])]
 
@@ -165,6 +167,8 @@ def _completeness(exp: dict, root, scheme: str) -> tuple[list[str], list[list]]:
 
 
 def _sparse_power(exp: dict, root, workers: int) -> tuple[list[str], list[list]]:
+    import concurrent.futures  # loads logging; only this runner needs it
+
     seed = derive_seed(root, exp["name"])
     points = [(test, n) for test in sorted(set(exp["tests"])) for n in sorted(set(exp["n_grid"]))]
 
@@ -205,6 +209,20 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _versions() -> dict:
+    """The library versions a manifest records, looked up only when one is
+    written: finding an uninstalled package scans every ``sys.path`` entry."""
+    import importlib.metadata
+    import platform
+
+    try:
+        version = importlib.metadata.version("tokenmark")
+    except importlib.metadata.PackageNotFoundError:
+        version = "unknown"
+    return {"tokenmark": version, "numpy": np.__version__,
+            "python": platform.python_version()}
+
+
 def run_experiments(config: dict, out_dir) -> dict:
     """Execute every declared sweep and write CSVs plus a manifest into
     ``out_dir``. Returns the manifest. Identical config implies identical
@@ -225,11 +243,7 @@ def run_experiments(config: dict, out_dir) -> dict:
         "root_seed": root,
         "workers": workers,
         "outputs": dict(sorted(outputs.items())),
-        "versions": {
-            "tokenmark": _PKG_VERSION,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
+        "versions": _versions(),
     }
     (out / "manifest.json").write_text(json_text(manifest))
     return manifest

@@ -347,8 +347,9 @@ _FORMATS = {
     3: _Format(_shake256_blocks, 1024, _select_rows, _select_color),
 }
 
-# Batches colour blocks of steps holding about this many words (128 KiB)
-# as they are hashed, so memory does not grow with the number of steps.
+# Batches colour, or Box-Muller transform, blocks of steps holding about
+# this many words (128 KiB) as they are hashed, so their work arrays do not
+# grow with the number of steps.
 _BLOCK_WORDS = 1 << 14
 
 
@@ -378,11 +379,20 @@ def _box_muller(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _gaussian_matrix(key: WatermarkKey, start: int, count: int) -> np.ndarray:
-    npairs = (key.d + 1) // 2
-    words = _word_matrix(key, LANE_GAUSSIAN, start, count, 2 * npairs)
-    out = np.empty((count, 2 * npairs))
-    out[:, 0::2], out[:, 1::2] = _box_muller(words[:, 0::2], words[:, 1::2])
-    return key.epsilon * out[:, :key.d]
+    """Gaussian vectors for consecutive steps, shape (count, d), hashed and
+    transformed a block of about ``_BLOCK_WORDS`` words at a time, each
+    block scaled by epsilon into the output."""
+    d = key.d
+    nwords = 2 * ((d + 1) // 2)
+    out = np.empty((count, d))
+    rows = max(1, _BLOCK_WORDS // nwords)
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
+        words = _word_matrix(key, LANE_GAUSSIAN, start + lo, hi - lo, nwords)
+        cos, sin = _box_muller(words[:, 0::2], words[:, 1::2])
+        np.multiply(key.epsilon, cos, out=out[lo:hi, 0::2])
+        np.multiply(key.epsilon, sin[:, :d // 2], out=out[lo:hi, 1::2])
+    return out
 
 
 def _support_matrix(key: WatermarkKey, start: int, count: int) -> np.ndarray:

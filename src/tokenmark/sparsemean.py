@@ -27,7 +27,7 @@ import numpy as np
 from .core import is_int, is_number
 from .errors import InvalidInputError, ScanBudgetError
 from .open_scheme import _perturbations
-from .seeds import derive_seed
+from .seeds import check_seed, derive_seed
 
 H0 = "H0"
 HA = "Ha"
@@ -86,6 +86,7 @@ def sample_instance(n: int, d: int, k: int, epsilon: float, hypothesis: str,
     ``force_positive_signs`` pins every sign to +1, a diagnostic mode that
     makes the planted mean visible to first-moment checks."""
     _check_params(n, d, k, epsilon)
+    check_seed(seed)
     if hypothesis not in (H0, HA):
         raise InvalidInputError("hypothesis must be 'H0' or 'Ha'")
     rng = np.random.default_rng(derive_seed(seed, "instance", hypothesis, n, d, k))
@@ -191,14 +192,16 @@ def _statistic(test: str):
     raise InvalidInputError(f"unknown test {test!r}")
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def null_quantile(test: str, n: int, d: int, k: int, epsilon: float, alpha: float,
                   draws: int = NULL_DRAWS, seed: int = 0) -> float:
     """Upper alpha-quantile of a test statistic under H0, by simulation.
 
     ``method='higher'`` rounds the empirical quantile up, so the calibrated
-    test is level-alpha up to simulation error rather than slightly above."""
+    test is level-alpha up to simulation error rather than slightly above.
+    The cache is typed, so a boolean seed is checked, not taken for 0 or 1."""
     _check_params(n, d, k, epsilon)
+    check_seed(seed)
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError("alpha must lie strictly between 0 and 1")
     if draws < 100:
@@ -245,6 +248,7 @@ def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[
 def rejection_rate(test: str, hypothesis: str, n: int, d: int, k: int,
                    epsilon: float, alpha: float, trials: int, seed) -> tuple[int, int]:
     """Count rejections over independent instances; returns (rejections, trials)."""
+    check_seed(seed)
     if trials < 1:
         raise InvalidInputError("need at least one trial")
     rejections = 0
@@ -283,6 +287,7 @@ def power_point(test: str, n: int, d: int, k: int, epsilon: float, alpha: float,
                 trials: int, seed) -> PowerPoint:
     """Monte-Carlo power of one test at one sample size, with its Wilson 95%
     confidence interval."""
+    check_seed(seed)
     hits, total = rejection_rate(test, HA, n, d, k, epsilon, alpha, trials, seed)
     lo, hi = wilson_interval(hits, total)
     return PowerPoint(test=test, n=n, d=d, k=k, epsilon=epsilon, alpha=alpha,
@@ -293,5 +298,6 @@ def power_curve(tests, n_grid, d: int, k: int, epsilon: float, alpha: float,
                 trials: int, seed) -> list[PowerPoint]:
     """``power_point`` of each test at each sample size. Rows come out
     sorted by (test, n) regardless of execution order."""
+    check_seed(seed)
     return [power_point(test, n, d, k, epsilon, alpha, trials, seed)
             for test in sorted(set(tests)) for n in sorted(set(int(n) for n in n_grid))]

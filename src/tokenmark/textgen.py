@@ -39,11 +39,13 @@ _CHUNK_BYTES = 16 << 20
 # 1 B colorings, and the chunk in use adds 1 B of signs; deriving a chunk
 # adds only one block of steps' words (128 KiB, or one step's at larger d)
 # and its coloring rule's work arrays, under every key version. Open: the
-# derive_open_steps cache keeps 8 chunks of 8 B Gaussians, and deriving a
-# chunk peaks at 40 B, the float64 temporaries of _gaussian_matrix's
-# Box-Muller; the perturbations are one 8 B copy of the Gaussians with the
-# shift added at the support entries. Either way generation holds under
-# 2.5 x ``_CHUNK_BYTES`` of key material, whatever the text length.
+# derive_open_steps cache keeps 8 chunks of 8 B Gaussians; deriving a chunk
+# adds only one block of steps' words and their Box-Muller temporaries, and
+# the perturbations are one 8 B copy of the Gaussians with the shift added
+# at the support entries. Either way generation holds under 2.5 x
+# ``_CHUNK_BYTES`` of key material, whatever the text length. The open 64 B
+# dates from when deriving a chunk peaked at 40 B; it stays, so that chunk
+# sizes, and with them the derive caches' keys, do not move.
 _ENTRY_BYTES = {CLOSED: 8, OPEN: 64}
 # Prepared state laws the generation loop keeps, the most recently used
 # ones, in bytes. A prepared state holds at most 16 B per token: its intp

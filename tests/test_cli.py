@@ -11,6 +11,7 @@ and is skipped without it.
 """
 
 import importlib.metadata
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -687,3 +688,23 @@ class TestInstalledEntryPoints:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "detect" in proc.stdout
+
+
+class TestStartup:
+    def test_cli_import_loads_traced_layers_only(self):
+        """``import tokenmark.cli`` loads every layer whose entry points the
+        benchmark's tracer wraps, since it wraps only the modules loaded when
+        ``cli.main`` starts. It loads none of the modules that only
+        ``experiment`` uses: ``importlib.metadata`` (its package lookup
+        scans every ``sys.path`` entry), ``concurrent.futures`` (which loads
+        ``logging``) and ``numpy.random``."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        code = "import sys, tokenmark.cli; print(' '.join(sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert {f"tokenmark.{layer}" for layer in tracing.ENTRY_POINTS} <= loaded
+        assert not {"importlib.metadata", "concurrent.futures", "numpy.random"} & loaded

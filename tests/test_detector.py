@@ -2,11 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tokenmark import keystream
+from tokenmark import detector, keystream
 from tokenmark.core import json_text
 from tokenmark.detector import (
     DetectionReport,
@@ -20,7 +21,13 @@ from tokenmark.detector import (
     threshold,
 )
 from tokenmark.errors import CorruptTextError, InvalidInputError
-from tokenmark.keystream import CLOSED, OPEN, WatermarkKey, derive_closed_steps
+from tokenmark.keystream import (
+    CLOSED,
+    OPEN,
+    WatermarkKey,
+    derive_closed_steps,
+    derive_open_gaussians,
+)
 from tokenmark.textgen import generate, uniform_source
 
 SEED = bytes(range(32))
@@ -245,6 +252,73 @@ class TestBatchScoring:
             assert zs[i] == pytest.approx(
                 detect(CLOSED_KEY, texts[i], start=40).statistic, abs=1e-15
             )
+
+
+def reference_statistics(key, tokens, start):
+    """Each row's mean score, from the whole (m, n) matrix of float64
+    scores gathered off the cached batch."""
+    n = tokens.shape[1]
+    steps = np.arange(n)[None, :]
+    if key.scheme == CLOSED:
+        batch = derive_closed_steps(key, n, start)
+        return (batch.colorings[steps, tokens].astype(np.float64) * batch.flips).mean(axis=1)
+    return derive_open_gaussians(key, n, start)[steps, tokens].mean(axis=1)
+
+
+def statistics_peak(key, tokens):
+    """tracemalloc peak of one batched statistic call, its derivation
+    cached by a one-row call first."""
+    scores = closed_statistics if key.scheme == CLOSED else open_statistics
+    scores(key, tokens[:1])
+    tracemalloc.start()
+    try:
+        scores(key, tokens)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBatchBlocks:
+    """The batched statistics hold no (m, n) float64 array, and give every
+    row the same float as the mean of its gathered float64 scores."""
+
+    @pytest.mark.parametrize("d", [8, 512, 1024])
+    @pytest.mark.parametrize("scheme", [CLOSED, OPEN])
+    @pytest.mark.parametrize("start", [0, 37])
+    def test_rows_equal_gathered_means(self, monkeypatch, d, scheme, start):
+        key = (WatermarkKey(master_seed=SEED, d=d, scheme=CLOSED) if scheme == CLOSED else
+               WatermarkKey(master_seed=SEED, d=d, scheme=OPEN, epsilon=0.5, k=2))
+        n = 64
+        tokens = np.random.default_rng(d + start).integers(0, d, size=(50, n))
+        expected = reference_statistics(key, tokens, start)
+        scores = closed_statistics if scheme == CLOSED else open_statistics
+        # 50 rows in blocks of 3 or 7 leave a partial last block; a budget
+        # below one row scores a row at a time.
+        for budget in (detector._SCORE_BLOCK_BYTES, 8 * n * 3, 8 * n * 7 + 5, 1):
+            monkeypatch.setattr(detector, "_SCORE_BLOCK_BYTES", budget)
+            np.testing.assert_array_equal(scores(key, tokens, start), expected)
+
+    def test_closed_memory_one_byte_per_score(self):
+        """Past its input and the cached batch, closed_statistics holds the
+        int8 scores and O(m) sums: about 1 B per (text, step). Gathering
+        float64 scores and their product held 17 B."""
+        m, n = 4000, 256
+        key = WatermarkKey(master_seed=SEED, d=64, scheme=CLOSED)
+        tokens = np.random.default_rng(1).integers(0, 64, size=(m, n))
+        peak = statistics_peak(key, tokens)
+        assert peak < 1.25 * m * n + 32 * m + (256 << 10), (
+            f"peaked at {peak / (m * n):.2f} B per score")
+
+    def test_open_memory_one_block(self):
+        """Past its input and the cached batch, open_statistics holds one
+        block of gathered scores and O(m) means. Gathering every row at once
+        held 8 B per (text, step), here 8 MiB."""
+        m, n = 4000, 256
+        key = WatermarkKey(master_seed=SEED, d=64, scheme=OPEN, epsilon=0.5, k=2)
+        tokens = np.random.default_rng(2).integers(0, 64, size=(m, n))
+        peak = statistics_peak(key, tokens)
+        assert peak < 2 * detector._SCORE_BLOCK_BYTES + 16 * m + (256 << 10), (
+            f"peaked at {peak / 2**20:.2f} MiB")
 
 
 class TestStepStart:

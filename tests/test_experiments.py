@@ -3,9 +3,13 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from tokenmark import experiments
+from tokenmark.cli import main
 from tokenmark.errors import InvalidInputError
 from tokenmark.experiments import (
     CLOSED_COMPLETENESS_HEADER,
@@ -257,6 +261,57 @@ class TestReproducibility:
         run_experiments(config, a)
         run_experiments(other, b)
         assert (a / "closed-fpr.csv").read_bytes() != (b / "closed-fpr.csv").read_bytes()
+
+    def test_soundness_block_size_does_not_change_bytes(self, tmp_path, monkeypatch, capsys):
+        """Soundness texts are generated and scored a block at a time. Blocks
+        of one text, of 7 texts (400 leave a partial last block) and the
+        default single block give the same statistics and the same
+        ``tokenmark experiment`` bytes."""
+        config = {"root_seed": 5, "experiments": [
+            exp for exp in pinned_config()["experiments"] if exp["type"].endswith("soundness")]}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        rate = experiments._rate
+        outputs, statistics = [], []
+
+        def recording_rate(key, z, n, delta):
+            statistics[-1].append(z.copy())
+            return rate(key, z, n, delta)
+
+        monkeypatch.setattr(experiments, "_rate", recording_rate)
+        for budget in (experiments._SOUNDNESS_BLOCK_BYTES, 1, 8 * 200 * 7):
+            monkeypatch.setattr(experiments, "_SOUNDNESS_BLOCK_BYTES", budget)
+            statistics.append([])
+            out = tmp_path / str(budget)
+            assert main(["experiment", "--config", str(config_path),
+                         "--out-dir", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        capsys.readouterr()
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        for run in statistics[1:]:
+            assert len(run) == len(statistics[0]) == 6
+            for z, expected in zip(run, statistics[0]):
+                np.testing.assert_array_equal(z, expected)
+
+    @pytest.mark.parametrize("kind", ["closed-soundness", "open-soundness"])
+    def test_soundness_memory_does_not_grow_with_texts(self, kind):
+        """A soundness run holds one block of texts at a time, so four times
+        the texts peak within a few O(texts) arrays of the same. Drawing all
+        texts at once held 16 B per (text, step) of uniforms and tokens, and
+        the statistics up to 17 B more."""
+        peaks = []
+        for texts in (2048, 8192):
+            exp = {"name": "fpr", "type": kind, "d": 64, "n": 256, "texts": texts,
+                   "epsilon": 0.5, "k": 2, "deltas": [0.05]}
+            experiments._RUNNERS[kind](exp, 3, 1)  # derive the key material once
+            tracemalloc.start()
+            try:
+                experiments._RUNNERS[kind](exp, 3, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 32 * 8192, (
+            f"peaked at {peaks[0] / 2**20:.1f} and {peaks[1] / 2**20:.1f} MiB")
 
     def test_bad_worker_count(self, tmp_path):
         config = small_config()

@@ -590,6 +590,52 @@ def reader_tokens(d, n, rng):
     return np.array(edge + rng.integers(0, d, n - len(edge)).tolist())
 
 
+def unblocked_gaussians(key, start, count):
+    """The Gaussian lane of ``count`` steps as one Box-Muller over all their
+    words, scaled by epsilon after the odd-d sine entry is dropped."""
+    npairs = (key.d + 1) // 2
+    words = keystream._word_matrix(key, keystream.LANE_GAUSSIAN, start, count, 2 * npairs)
+    out = np.empty((count, 2 * npairs))
+    out[:, 0::2], out[:, 1::2] = keystream._box_muller(words[:, 0::2], words[:, 1::2])
+    return key.epsilon * out[:, :key.d]
+
+
+class TestGaussianBlocks:
+    """The Gaussian lane is hashed and transformed a block of steps at a
+    time, bit for bit the one Box-Muller of all the steps' words."""
+
+    @pytest.mark.parametrize("d", [5, 8, 513, 1024, 32768])
+    @pytest.mark.parametrize("block_words", [16, 100, keystream._BLOCK_WORDS])
+    def test_blocks_equal_unblocked(self, monkeypatch, d, block_words):
+        monkeypatch.setattr(keystream, "_BLOCK_WORDS", block_words)
+        key = open_key(d=d, epsilon=0.3, k=1)
+        rows = max(1, block_words // (d + d % 2))
+        count = min(3 * rows + 1, 9)  # a partial last block where rows < 3
+        got = keystream._gaussian_matrix(key, 11, count)
+        assert got.shape == (count, d)
+        expected = unblocked_gaussians(key, 11, count)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        tokens = np.random.default_rng(d).integers(0, d, count)
+        np.testing.assert_array_equal(open_gaussian_entries(key, tokens, 11),
+                                      got[np.arange(count), tokens])
+
+    @pytest.mark.parametrize("d, count", [(4096, 64), (1023, 100), (32768, 4)])
+    def test_memory_near_output(self, d, count):
+        """Past its 8 B per entry output, the lane holds one block's words
+        and Box-Muller work arrays. The unblocked lane peaked at 40 B per
+        entry."""
+        key = open_key(d=d, epsilon=0.5, k=2)
+        tracemalloc.start()
+        try:
+            keystream._gaussian_matrix(key, 3, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 8 * max(keystream._BLOCK_WORDS, d + 1)
+        assert peak < 8 * count * d + 8 * block, (
+            f"peaked at {peak / (count * d):.1f} B per entry")
+
+
 class TestTokenReaders:
     """The per-token readers return exactly the batch material's entries,
     under every key file version."""

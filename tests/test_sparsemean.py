@@ -294,7 +294,7 @@ class TestPower:
         # the same signal; with this much signal each test rejects every
         # planted instance, so they agree trial-by-trial.
         for t in range(200):
-            inst = sample_instance(300, 2, 2, 1.0, HA, seed=(15, t))
+            inst = sample_instance(300, 2, 2, 1.0, HA, seed=derive_seed(15, t))
             a = run_test(THRESHOLD_TEST, inst.data, 2, 1.0, 0.05)
             b = run_test(SCAN_TEST, inst.data, 2, 1.0, 0.05)
             assert a is True and b is True
@@ -320,6 +320,36 @@ class TestPower:
         assert run_test(THRESHOLD_TEST, inst.data, 2, 1.0, 0.05) in (True, False)
         with pytest.raises(InvalidInputError):
             run_test("magic", inst.data, 2, 1.0, 0.05)
+
+
+class TestSeeds:
+    """Every entry point refuses a seed that ``derive_seed`` would hash as
+    text or take for an integer: ``seed=True`` drew the data of ``seed=1``,
+    and ``seed=2.5`` or ``"a"`` ran."""
+
+    @pytest.mark.parametrize("seed", [True, False, 2.5, 1.0, "a", "1", None, (15, 1)])
+    def test_non_integer_seeds_refused(self, seed):
+        # Warm null_quantile's cache at the integers a boolean equals, so the
+        # check must run ahead of a cached answer.
+        for warm in (0, 1):
+            null_quantile(THRESHOLD_TEST, 4, 4, 2, 1.0, 0.05, seed=warm)
+        calls = [lambda: sample_instance(4, 4, 2, 1.0, H0, seed),
+                 lambda: rejection_rate(THRESHOLD_TEST, H0, 4, 4, 2, 1.0, 0.05, 2, seed),
+                 lambda: power_point(THRESHOLD_TEST, 4, 4, 2, 1.0, 0.05, 2, seed),
+                 lambda: power_curve([THRESHOLD_TEST], [4], 4, 2, 1.0, 0.05, 2, seed),
+                 lambda: null_quantile(THRESHOLD_TEST, 4, 4, 2, 1.0, 0.05, seed=seed)]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="seed must be an integer"):
+                call()
+
+    def test_numpy_integer_seeds_accepted(self):
+        for seed in (np.int64(3), np.uint8(3)):
+            np.testing.assert_array_equal(sample_instance(5, 4, 2, 1.0, HA, seed).data,
+                                          sample_instance(5, 4, 2, 1.0, HA, 3).data)
+            assert (null_quantile(THRESHOLD_TEST, 4, 4, 2, 1.0, 0.05, seed=seed)
+                    == null_quantile(THRESHOLD_TEST, 4, 4, 2, 1.0, 0.05, seed=3))
+            assert (power_point(THRESHOLD_TEST, 4, 4, 2, 1.0, 0.05, 5, seed)
+                    == power_point(THRESHOLD_TEST, 4, 4, 2, 1.0, 0.05, 5, 3))
 
 
 class TestWilson:
