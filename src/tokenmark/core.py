@@ -196,7 +196,7 @@ def array_field(obj: dict, name: str, check, dtype) -> np.ndarray:
     every entry; booleans and strings are never silently converted."""
     entries = np.asarray(field(obj, name, lambda value: True), dtype=object)
     if not all(map(check, entries.flat)):
-        raise InvalidInputError(f"{name} has an entry of the wrong type")
+        raise InvalidInputError(f"{name} has an entry of the wrong type or range")
     return entries.astype(dtype)
 
 

@@ -65,8 +65,8 @@ class DetectionReport:
 
 
 def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
-        raise InvalidInputError("delta must lie strictly between 0 and 1")
+    if not is_number(delta) or not 0.0 < delta < 1.0:
+        raise InvalidInputError(f"delta must be a number in (0, 1), got {delta!r}")
 
 
 def _check_n(n: int) -> None:
@@ -147,35 +147,38 @@ def detect(key: WatermarkKey, tokens, delta: float = 0.05,
 # Batched scoring for sweeps: many same-length texts against one key
 
 
-# Texts open_statistics gathers and averages at a time, in bytes of their
+# Texts the batched statistics gather and average at a time, in bytes of
 # float64 scores.
 _SCORE_BLOCK_BYTES = 1 << 20
+
+
+def _row_means(table: np.ndarray, token_matrix: np.ndarray, signs=None) -> np.ndarray:
+    """Each row's mean over steps j of ``table[j, token]`` (times ``signs[j]``
+    if given), gathered a block of ``_SCORE_BLOCK_BYTES`` of rows at a time."""
+    m, n = token_matrix.shape
+    steps = np.arange(n)
+    rows = max(1, _SCORE_BLOCK_BYTES // (8 * n))
+    z = np.empty(m)
+    for lo in range(0, m, rows):
+        scores = table[steps, token_matrix[lo:lo + rows]]
+        if signs is not None:
+            scores *= signs
+        z[lo:lo + rows] = scores.mean(axis=1)
+    return z
 
 
 def closed_statistics(key: WatermarkKey, token_matrix: np.ndarray,
                       start: int = 0) -> np.ndarray:
     """Closed statistic per row of an (m, n) token matrix, one derivation.
-    The int8 scores are +-1, so each row's int64 sum is exact and divided
-    by n is the float64 mean of the scores."""
+    The scores are +-1, so each row's float64 sum is an exact integer."""
     token_matrix = validate_token_matrix(token_matrix, key.d)
-    n = token_matrix.shape[1]
-    batch = keystream.derive_closed_steps(key, n, start)
-    scores = batch.colorings[np.arange(n), token_matrix]
-    scores *= batch.flips
-    return scores.sum(axis=1, dtype=np.int64) / n
+    batch = keystream.derive_closed_steps(key, token_matrix.shape[1], start)
+    return _row_means(batch.colorings, token_matrix, batch.flips)
 
 
 def open_statistics(key: WatermarkKey, token_matrix: np.ndarray,
                     start: int = 0) -> np.ndarray:
-    """Open statistic per row of an (m, n) token matrix, one derivation.
-    Rows are gathered and averaged a block of ``_SCORE_BLOCK_BYTES`` at a
-    time; each row's mean is the same whatever block it is in."""
+    """Open statistic per row of an (m, n) token matrix, one derivation."""
     token_matrix = validate_token_matrix(token_matrix, key.d)
-    m, n = token_matrix.shape
-    gaussians = keystream.derive_open_gaussians(key, n, start)
-    steps = np.arange(n)
-    rows = max(1, _SCORE_BLOCK_BYTES // (8 * n))
-    z = np.empty(m)
-    for lo in range(0, m, rows):
-        z[lo:lo + rows] = gaussians[steps, token_matrix[lo:lo + rows]].mean(axis=1)
-    return z
+    return _row_means(keystream.derive_open_gaussians(key, token_matrix.shape[1], start),
+                      token_matrix)

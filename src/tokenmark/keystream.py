@@ -451,12 +451,12 @@ def derive_closed_step(key: WatermarkKey, step: int) -> ClosedStepKey:
     return ClosedStepKey(coloring=coloring, flip=flip)
 
 
-@functools.lru_cache(maxsize=8, typed=True)
+# Batch derivations cache one batch, the one in use: sweeps score texts
+# against the batch just derived, and no caller re-reads an older one.
+@functools.lru_cache(maxsize=1, typed=True)
 def derive_closed_steps(key: WatermarkKey, count: int, start: int = 0) -> ClosedStepBatch:
-    """Closed key material for ``count`` steps from ``start``; cached because
-    a completeness sweep scores the texts it has just generated, and texts
-    that fit one generation chunk derived these same steps. Detection reads
-    one entry per token instead (``closed_token_colors``)."""
+    """Closed key material for ``count`` steps from ``start`` (cached).
+    Detection reads one entry per token instead (``closed_token_colors``)."""
     _require_scheme(key, CLOSED)
     start, count = _check_step(start, count)
     colorings = _freeze(_coloring_matrix(key, start, count))
@@ -484,12 +484,13 @@ def derive_open_step(key: WatermarkKey, step: int) -> OpenStepKey:
     return OpenStepKey(gaussian=gaussian, support=support, direction=direction)
 
 
-@functools.lru_cache(maxsize=8, typed=True)
+@functools.lru_cache(maxsize=1, typed=True)
 def derive_open_steps(key: WatermarkKey, count: int, start: int = 0) -> OpenStepBatch:
-    """Open sampler material for ``count`` steps from ``start`` (cached)."""
+    """Open sampler material for ``count`` steps from ``start`` (cached);
+    its Gaussians are the ``derive_open_gaussians`` batch that scoring reads."""
     _require_scheme(key, OPEN)
     start, count = _check_step(start, count)
-    gaussians = _freeze(_gaussian_matrix(key, start, count))
+    gaussians = derive_open_gaussians(key, count, start)
     if key.support_mode == FIXED_SUPPORT:
         supports = np.broadcast_to(_fixed_support(key), (count, key.k))
     else:
@@ -498,7 +499,7 @@ def derive_open_steps(key: WatermarkKey, count: int, start: int = 0) -> OpenStep
     return OpenStepBatch(gaussians=gaussians, supports=supports, directions=directions)
 
 
-@functools.lru_cache(maxsize=8, typed=True)
+@functools.lru_cache(maxsize=1, typed=True)
 def derive_open_gaussians(key: WatermarkKey, count: int, start: int = 0) -> np.ndarray:
     """Detector-side material: only the Gaussian vectors, shape (count, d)."""
     _require_scheme(key, OPEN)

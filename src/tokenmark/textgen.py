@@ -20,9 +20,9 @@ import numpy as np
 from . import keystream
 from .closed_scheme import rank_order, watermark_ranked
 from .core import (array_field, as_probs, field, is_int, is_number, read_json, sample_tokens,
-                   softmax, softmax_rows)
+                   softmax, softmax_rows, validate_tokens)
 from .detector import closed_threshold
-from .errors import InvalidInputError, SchemeMismatchError
+from .errors import CorruptTextError, InvalidInputError, SchemeMismatchError
 from .keystream import CLOSED, OPEN, WatermarkKey
 from .open_scheme import perturbations_for
 
@@ -31,26 +31,18 @@ MARKOV = "markov"
 POWERLAW = "powerlaw-logits"
 UNWATERMARKED = "none"
 
-# Key material the generation loop derives at a time, in bytes. A chunk is
-# as many steps as fit at the scheme's bytes per (step, token) entry, and
-# at least one, so its size depends on d but not on the text length.
-_CHUNK_BYTES = 16 << 20
-# Bytes per entry. Closed: the derive_closed_steps cache keeps 8 chunks of
-# 1 B colorings, and the chunk in use adds 1 B of signs; deriving a chunk
-# adds only one block of steps' words (128 KiB, or one step's at larger d)
-# and its coloring rule's work arrays, under every key version. Open: the
-# derive_open_steps cache keeps 8 chunks of 8 B Gaussians; deriving a chunk
-# adds only one block of steps' words and their Box-Muller temporaries, and
-# the perturbations are one 8 B copy of the Gaussians with the shift added
-# at the support entries. Either way generation holds under 2.5 x
-# ``_CHUNK_BYTES`` of key material, whatever the text length. The open 64 B
-# dates from when deriving a chunk peaked at 40 B; it stays, so that chunk
-# sizes, and with them the derive caches' keys, do not move.
-_ENTRY_BYTES = {CLOSED: 8, OPEN: 64}
+# Key material the generation loop derives at a time, in bytes at 8 B per
+# (step, token) entry, an open Gaussian's width: a chunk is as many steps as
+# fit, and at least one. Live are the chunk in use (open: its cached
+# Gaussians and the perturbations' copy; closed: 1 B colorings and signs)
+# and, while the next chunk is derived, that one plus a block of steps'
+# words (128 KiB, or one step's at larger d) and their work arrays: about
+# three budgets open and under half of one closed, for any text length.
+_CHUNK_BYTES = 2 << 20
 # Prepared state laws the generation loop keeps, the most recently used
 # ones, in bytes. A prepared state holds at most 16 B per token: its intp
 # rank order and a padded copy of its law (closed), or its log law (open).
-_PREPARED_BYTES = _CHUNK_BYTES // 2
+_PREPARED_BYTES = 8 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +154,7 @@ def _chain_tokens(model: SourceModel, key: WatermarkKey | None, u: np.ndarray) -
     capacity = max(1, _PREPARED_BYTES // (16 * model.d))
     tokens = np.empty(u.shape, dtype=np.int64)
     states = np.zeros(texts, dtype=np.int64)
-    chunk = n if key is None else max(1, _CHUNK_BYTES // (key.d * _ENTRY_BYTES[key.scheme]))
+    chunk = n if key is None else max(1, _CHUNK_BYTES // (8 * key.d))
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         if closed:
@@ -294,16 +286,19 @@ def record_to_dict(record: GenerationRecord) -> dict:
 
 
 def record_from_dict(obj: dict) -> GenerationRecord:
-    """Parse a text record. ``d`` and the tokens must be integers and the
-    ``pstar`` entries numbers: booleans, strings and fractions are rejected."""
+    """Parse a text record. ``d`` and the tokens must be integers, each token
+    in [0, d), and the ``pstar`` entries numbers in [0, 1]: booleans, strings
+    and fractions are rejected."""
     try:
+        d = field(obj, "d", is_int)
         return GenerationRecord(
-            tokens=array_field(obj, "tokens", is_int, np.int64),
-            per_step_pstar=array_field(obj, "pstar", is_number, np.float64),
+            tokens=validate_tokens(array_field(obj, "tokens", is_int, np.int64), d),
+            per_step_pstar=array_field(obj, "pstar", lambda p: is_number(p) and 0 <= p <= 1,
+                                       np.float64),
             scheme=obj["scheme"],
-            d=field(obj, "d", is_int),
+            d=d,
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (CorruptTextError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed text record: {exc}") from exc
 
 

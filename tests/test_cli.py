@@ -374,6 +374,18 @@ class TestDetect:
         assert run_cli("detect", "--text", str(text), "--key", str(key)) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_record_values_out_of_range(self, tmp_path, capsys):
+        # A d = 7 record holding token 7, the padding token, with p* = 5.0
+        # once loaded and was scored against a padded closed key (exit 1).
+        key = tmp_path / "key.json"
+        run_cli("keygen", "--scheme", "closed", "--d", "7", "--out", str(key))
+        text = tmp_path / "text.json"
+        record = {"d": 7, "scheme": "closed", "tokens": [1, 2], "pstar": [0.5, 0.5]}
+        for name, change in (("token", {"tokens": [1, 7]}), ("pstar", {"pstar": [0.5, 5.0]})):
+            text.write_text(json.dumps({**record, **change}))
+            assert run_cli("detect", "--text", str(text), "--key", str(key)) == 2
+            assert name in capsys.readouterr().err
+
     def test_record_error_is_reported_as_is(self, tmp_path, capsys):
         key = tmp_path / "key.json"
         run_cli("keygen", "--scheme", "closed", "--d", "8", "--out", str(key))

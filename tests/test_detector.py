@@ -28,7 +28,7 @@ from tokenmark.keystream import (
     derive_closed_steps,
     derive_open_gaussians,
 )
-from tokenmark.textgen import generate, uniform_source
+from tokenmark.textgen import generate, generate_many, uniform_source
 
 SEED = bytes(range(32))
 CLOSED_KEY = WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED)
@@ -99,8 +99,19 @@ class TestArgumentTypes:
         with pytest.raises(InvalidInputError):
             open_p_value(z, 10, 0.5)
 
+    @pytest.mark.parametrize("delta", ["0.1", None, True, math.nan, math.inf, -math.inf])
+    def test_non_number_delta_rejected(self, delta):
+        # A string or None delta ended in a bare TypeError.
+        for call in (lambda: detect(CLOSED_KEY, [0, 1], delta=delta),
+                     lambda: detect(OPEN_KEY, [0, 1], delta=delta),
+                     lambda: closed_threshold(10, delta),
+                     lambda: open_threshold(10, delta, 0.5)):
+            with pytest.raises(InvalidInputError, match="delta"):
+                call()
+
     def test_numpy_scalars_accepted(self):
         assert closed_threshold(np.int64(100), 0.05) == closed_threshold(100, 0.05)
+        assert closed_threshold(100, np.float64(0.05)) == closed_threshold(100, 0.05)
         assert open_p_value(np.float64(0.1), np.int32(100), 0.5) == open_p_value(0.1, 100, 0.5)
 
 
@@ -319,6 +330,32 @@ class TestBatchBlocks:
         peak = statistics_peak(key, tokens)
         assert peak < 2 * detector._SCORE_BLOCK_BYTES + 16 * m + (256 << 10), (
             f"peaked at {peak / 2**20:.2f} MiB")
+
+
+class TestCacheTraffic:
+    """The batched statistics read the one batch the derive caches keep:
+    completeness scores texts against the batch their generation derived,
+    and soundness scores block after block of texts against one batch."""
+
+    CASES = [(CLOSED_KEY, derive_closed_steps, closed_statistics),
+             (OPEN_KEY, derive_open_gaussians, open_statistics)]
+
+    @pytest.mark.parametrize("key, derive, statistics", CASES, ids=[CLOSED, OPEN])
+    def test_completeness_scores_the_generated_batch(self, key, derive, statistics):
+        derive.cache_clear()
+        tokens = generate_many(uniform_source(8), 40, key, 30, np.random.default_rng(3))
+        misses = derive.cache_info().misses
+        statistics(key, tokens)
+        assert derive.cache_info().misses == misses
+
+    @pytest.mark.parametrize("key, derive, statistics", CASES, ids=[CLOSED, OPEN])
+    def test_soundness_blocks_share_one_batch(self, key, derive, statistics):
+        derive.cache_clear()
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            statistics(key, rng.integers(0, 8, size=(5, 40)))
+        info = derive.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
 
 
 class TestStepStart:

@@ -20,6 +20,7 @@ from tokenmark.keystream import (
     OPEN,
     WatermarkKey,
     derive_closed_steps,
+    derive_open_gaussians,
     derive_open_steps,
 )
 from tokenmark.open_scheme import perturbations_for, watermarked_softmax
@@ -338,18 +339,26 @@ class TestChunkBudget:
         n = 23
         expected = generate_many(model, n, key, 3, np.random.default_rng(21))
         for steps in (1, 7, n):
-            monkeypatch.setattr(textgen, "_CHUNK_BYTES",
-                                steps * key.d * textgen._ENTRY_BYTES[key.scheme])
+            monkeypatch.setattr(textgen, "_CHUNK_BYTES", 8 * steps * key.d)
             got = generate_many(model, n, key, 3, np.random.default_rng(21))
             np.testing.assert_array_equal(got, expected, err_msg=f"{steps} steps per chunk")
 
 
-# Key material generation may hold, whatever the text length: one chunk's
-# transients (at most 9/8 of the budget: closed holds 8 B intp positions and
-# a 1 B work array per entry, open at most 40 of its 64 B) plus the 8 chunks
-# the derive_* caches keep (closed 8 x 1 B, open 8 x 8 B per entry: one
-# budget), plus room for the vectors of length n or d.
-GENERATE_CEILING = 5 * textgen._CHUNK_BYTES // 2
+# What generation may hold, whatever the text length, with a 2 MiB chunk
+# budget at 8 B per (step, token) entry. Open: the cached chunk of float64
+# Gaussians and its perturbations' copy, the next chunk while it is derived,
+# and one block of words with its Box-Muller temporaries, about 3.4 budgets
+# at d = 4096; 5 budgets leave room for the vectors of length n or d.
+# Closed: the same chunks at 1 B per entry and the coloring rule's work
+# arrays, 1.2-1.8 MiB at d = 4096. With eight cached chunks of a 16 MiB
+# budget both peaked at 12.2 MiB there for n = 2048.
+GENERATE_CEILING = 10 << 20
+CLOSED_GENERATE_CEILING = 4 << 20
+
+
+def clear_derive_caches():
+    for derive in (derive_closed_steps, derive_open_steps, derive_open_gaussians):
+        derive.cache_clear()
 
 
 def generate_peaks(key, lengths):
@@ -357,8 +366,7 @@ def generate_peaks(key, lengths):
     derivation caches cleared first."""
     peaks = []
     for n in lengths:
-        derive_closed_steps.cache_clear()
-        derive_open_steps.cache_clear()
+        clear_derive_caches()
         tracemalloc.start()
         try:
             generate(powerlaw_source(key.d, 1.1), n, key, np.random.default_rng(0))
@@ -373,11 +381,11 @@ class TestRuntime:
         """Closed texts of 256 and 2048 steps at d = 4096, key derivation
         included, peak under one ceiling that does not grow with n."""
         for n, peak in zip((256, 2048), generate_peaks(closed_key(4096), (256, 2048))):
-            assert peak < GENERATE_CEILING, f"n={n} peaked at {peak / 2**20:.1f} MiB"
+            assert peak < CLOSED_GENERATE_CEILING, f"n={n} peaked at {peak / 2**20:.1f} MiB"
 
     def test_open_generate_memory_d4096(self):
         """The same for open texts: at d = 4096 one chunk is 64 steps, so
-        n = 2048 runs through 32 chunks and fills the derivation cache."""
+        n = 2048 runs through 32 chunks."""
         key = open_key(4096, k=64)
         for n, peak in zip((256, 2048), generate_peaks(key, (256, 2048))):
             assert peak < GENERATE_CEILING, f"n={n} peaked at {peak / 2**20:.1f} MiB"
@@ -407,8 +415,7 @@ class TestRuntime:
         32 MiB table) it peaked at 64, 96 and 42 MiB when it sorted, padded
         or took the log of every row."""
         model = markov_model(2047 if key.padded else 2048)
-        derive_closed_steps.cache_clear()
-        derive_open_steps.cache_clear()
+        clear_derive_caches()
         tracemalloc.start()
         try:
             generate(model, 200, key, np.random.default_rng(0))
@@ -426,14 +433,13 @@ class TestRuntime:
         ``_PREPARED_BYTES``. When it kept every state it visited, a text at
         d = 2048 peaked at 34.1 MiB (closed) or 47.4 MiB (open) by n = 2000
         and grew with the states a longer text visits. Cold peaks stay below
-        those figures. With the derivation caches warmed by an identical
-        call first (the closed cache holds more chunks for the longer text
-        until its 8 are full), n = 4000 peaks within 5% of n = 2000."""
+        those figures. Run cold and again after an identical call, which
+        leaves its last chunk in the derivation caches, n = 4000 peaks
+        within 5% of n = 2000."""
         model = markov_model(2048)
         peaks = {}
         for n in (2000, 4000):
-            derive_closed_steps.cache_clear()
-            derive_open_steps.cache_clear()
+            clear_derive_caches()
             for warm in (False, True):
                 tracemalloc.start()
                 try:
@@ -654,6 +660,16 @@ class TestFiles:
         ):
             with pytest.raises(InvalidInputError):
                 record_from_dict({**good, field: value})
+
+    def test_record_values_in_range(self):
+        # A d = 7 record holding token 7, the padding token of a padded
+        # closed key, with p* = 5.0 once loaded and was scored.
+        good = {"d": 7, "scheme": "closed", "tokens": [0, 6], "pstar": [0.0, 1.0]}
+        assert record_from_dict(good).tokens.tolist() == [0, 6]
+        for change in ({"tokens": [1, 7]}, {"tokens": [-1, 2]}, {"tokens": [], "pstar": []},
+                       {"pstar": [0.5, 5.0]}, {"pstar": [-0.1, 0.5]}):
+            with pytest.raises(InvalidInputError):
+                record_from_dict({**good, **change})
 
     def test_token_file_round_trip(self, tmp_path):
         path = tmp_path / "tokens.txt"
