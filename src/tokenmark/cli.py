@@ -69,6 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_keygen(args) -> int:
     d, padded = args.d, False
+    if d < 2:
+        raise InvalidInputError(f"--d must be at least 2, got {d}")
     if args.scheme == CLOSED and d % 2 != 0:
         # An odd dictionary gets one spurious never-sampled token so the
         # coloring can be balanced; detection accounts for it automatically.

@@ -131,8 +131,9 @@ def detect(key: WatermarkKey, tokens, delta: float = 0.05,
     """Score ``tokens`` (generated from step ``start`` onward) against
     ``key``: the mean per-step score, each token's coloring entry times the
     step's flip (closed) or its Gaussian entry (open), against the key's
-    threshold."""
-    tokens = validate_tokens(tokens, key.d)
+    threshold. A padded closed key's last token is never sampled, so it is
+    refused as out of range."""
+    tokens = validate_tokens(tokens, key.d - key.padded)
     n = tokens.size
     t = threshold(key, n, delta)
     scores = (keystream.closed_token_colors if key.scheme == CLOSED
@@ -170,8 +171,9 @@ def _row_means(table: np.ndarray, token_matrix: np.ndarray, signs=None) -> np.nd
 def closed_statistics(key: WatermarkKey, token_matrix: np.ndarray,
                       start: int = 0) -> np.ndarray:
     """Closed statistic per row of an (m, n) token matrix, one derivation.
-    The scores are +-1, so each row's float64 sum is an exact integer."""
-    token_matrix = validate_token_matrix(token_matrix, key.d)
+    The scores are +-1, so each row's float64 sum is an exact integer. As
+    in ``detect``, a padded key's last token is out of range."""
+    token_matrix = validate_token_matrix(token_matrix, key.d - key.padded)
     batch = keystream.derive_closed_steps(key, token_matrix.shape[1], start)
     return _row_means(batch.colorings, token_matrix, batch.flips)
 

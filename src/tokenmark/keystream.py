@@ -154,6 +154,9 @@ class WatermarkKey:
         if self.scheme == CLOSED:
             if self.d % 2 != 0:
                 raise InvalidKeyError("closed scheme needs even d; pad the dictionary first")
+            if self.padded and self.d < 4:
+                raise InvalidKeyError(f"a padded key needs d >= 4 (a dictionary of at least "
+                                      f"3 tokens), got d={self.d}")
             if self.epsilon is not None or self.k is not None or self.support_mode is not None:
                 raise InvalidKeyError("epsilon/k/support_mode only apply to the open scheme")
         elif self.scheme == OPEN:
@@ -235,26 +238,20 @@ def _shake256_blocks(inputs: list[bytes], nbytes: int) -> list[bytes]:
     return [shake(data).digest(nbytes) for data in inputs]
 
 
-def _step_words(key: WatermarkKey, lane: int, start: int, count: int, nwords: int):
-    """Yield the first ``nwords`` words of each of ``count`` consecutive
-    steps, one (nwords,) big-endian uint64 array per step."""
+def _word_matrix(key: WatermarkKey, lane: int, start: int, count: int,
+                 nwords: int) -> np.ndarray:
+    """The first ``nwords`` big-endian words of each of ``count``
+    consecutive steps, shape (count, nwords), one row per step."""
     blocks, block_bytes = _FORMATS[key.version][:2]
     nblocks = -(-8 * nwords // block_bytes)
     nbytes = min(block_bytes, 8 * nwords)  # a one-block lane squeezes only its words
     lane_prefix = key.master_seed + bytes([lane])
     counters = [c.to_bytes(8, "big") for c in range(nblocks)]
-    for step in range(start, start + count):
+    out = np.empty((count, nwords), dtype=np.uint64)
+    for step, row in zip(range(start, start + count), out):
         prefix = lane_prefix + step.to_bytes(8, "big")
         data = b"".join(blocks([prefix + c for c in counters], nbytes))
-        yield np.frombuffer(data, dtype=">u8", count=nwords)
-
-
-def _word_matrix(key: WatermarkKey, lane: int, start: int, count: int,
-                 nwords: int) -> np.ndarray:
-    """Words for ``count`` consecutive steps, shape (count, nwords)."""
-    out = np.empty((count, nwords), dtype=np.uint64)
-    for row, words in zip(out, _step_words(key, lane, start, count, nwords)):
-        row[:] = words
+        row[:] = np.frombuffer(data, dtype=">u8", count=nwords)
     return out
 
 

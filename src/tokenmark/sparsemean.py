@@ -141,7 +141,8 @@ def scan_budget_error(d: int, k: int) -> str | None:
     return None
 
 
-@functools.lru_cache(maxsize=4)
+# One matrix, up to SCAN_MATRIX_BYTES: a sweep scans one (d, k) at a time.
+@functools.lru_cache(maxsize=1)
 def _subset_directions(d: int, k: int) -> np.ndarray:
     """All C(d, k) unit vectors k**-0.5 * 1_T as columns, shape (d, C)."""
     combos = list(itertools.combinations(range(d), k))
@@ -202,10 +203,11 @@ def null_quantile(test: str, n: int, d: int, k: int, epsilon: float, alpha: floa
     The cache is typed, so a boolean seed is checked, not taken for 0 or 1."""
     _check_params(n, d, k, epsilon)
     check_seed(seed)
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInputError("alpha must lie strictly between 0 and 1")
-    if draws < 100:
-        raise InvalidInputError("quantile simulation needs at least 100 draws")
+    if not is_number(alpha) or not 0.0 < alpha < 1.0:
+        raise InvalidInputError(f"alpha must be a number strictly between 0 and 1, got {alpha!r}")
+    if not is_int(draws) or draws < 100:
+        raise InvalidInputError(f"quantile simulation needs an integer >= 100 of draws, "
+                                f"got {draws!r}")
     statistic = _statistic(test)
     rng = np.random.default_rng(derive_seed(seed, "null-calibration", test,
                                             n, d, k, epsilon, draws))
@@ -230,10 +232,18 @@ def run_test(test: str, data, k: int, epsilon: float, alpha: float, *,
 # Power sweeps
 
 
+def _check_trials(trials: int) -> None:
+    if not is_int(trials) or trials < 1:
+        raise InvalidInputError(f"need an integer count >= 1 of trials, got {trials!r}")
+
+
 def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise InvalidInputError("need at least one trial")
+    """Wilson score interval for a binomial proportion: integer counts,
+    0 <= successes <= trials and trials >= 1."""
+    _check_trials(trials)
+    if not is_int(successes) or not 0 <= successes <= trials:
+        raise InvalidInputError(f"successes must be an integer in [0, {trials}], "
+                                f"got {successes!r}")
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom
@@ -249,8 +259,7 @@ def rejection_rate(test: str, hypothesis: str, n: int, d: int, k: int,
                    epsilon: float, alpha: float, trials: int, seed) -> tuple[int, int]:
     """Count rejections over independent instances; returns (rejections, trials)."""
     check_seed(seed)
-    if trials < 1:
-        raise InvalidInputError("need at least one trial")
+    _check_trials(trials)
     rejections = 0
     for t in range(trials):
         inst = sample_instance(n, d, k, epsilon, hypothesis,

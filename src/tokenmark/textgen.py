@@ -10,8 +10,8 @@ completeness condition is checked against.
 
 from __future__ import annotations
 
+import functools
 import json
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,16 +142,25 @@ def _chain_tokens(model: SourceModel, key: WatermarkKey | None, u: np.ndarray) -
     starts in state 0; from a Markov source it moves to state ``token + 1``.
     A state's law is prepared for ``key`` when a text enters it:
     rank-ordered for a closed key (after a zero for the padding token of a
-    padded one), logits for an open key. The most recently used prepared
-    states are kept within ``_PREPARED_BYTES``; a state dropped from them is
-    prepared again, to the same arrays, when a text re-enters it. Each step
-    computes the (watermarked) law of every state in use once and samples
-    that group's uniforms from it."""
+    padded one), logits for an open key. An LRU cache keeps the most
+    recently used prepared states within ``_PREPARED_BYTES``; a state
+    dropped from it is prepared again, to the same arrays, when a text
+    re-enters it. Each step computes the (watermarked) law of every state in
+    use once and samples that group's uniforms from it."""
     texts, n = u.shape
     markov = model.laws.shape[0] > 1
     closed = key is not None and key.scheme == CLOSED
-    prepared = OrderedDict()
-    capacity = max(1, _PREPARED_BYTES // (16 * model.d))
+
+    @functools.lru_cache(maxsize=max(1, _PREPARED_BYTES // (16 * model.d)))
+    def prepare(s):
+        law = model.laws[s]
+        if closed:
+            law = np.append(law, 0.0) if key.padded else law
+            return law, rank_order(law)
+        if key is not None:
+            law = np.log(law) if model.logits is None else model.logits
+        return law, None
+
     tokens = np.empty(u.shape, dtype=np.int64)
     states = np.zeros(texts, dtype=np.int64)
     chunk = n if key is None else max(1, _CHUNK_BYTES // (8 * key.d))
@@ -166,18 +175,7 @@ def _chain_tokens(model: SourceModel, key: WatermarkKey | None, u: np.ndarray) -
             groups = (((s, states == s) for s in np.unique(states)) if markov
                       else [(0, slice(None))])
             for s, group in groups:
-                if s in prepared:
-                    prepared.move_to_end(s)
-                else:
-                    law = model.laws[s]
-                    if closed:
-                        law = np.append(law, 0.0) if key.padded else law
-                    elif key is not None:
-                        law = np.log(law) if model.logits is None else model.logits
-                    prepared[s] = law, (rank_order(law) if closed else None)
-                    if len(prepared) > capacity:
-                        prepared.popitem(last=False)
-                law, order = prepared[s]
+                law, order = prepare(s)
                 if closed:
                     law = watermark_ranked(law, order, signs[j - lo])
                 elif key is not None:

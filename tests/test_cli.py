@@ -1,11 +1,12 @@
 """End-to-end checks for the command line interface.
 
 Everything runs in-process through ``main(argv)`` so exit codes and
-stdout/stderr can be asserted without spawning interpreters. Three smoke
+stdout/stderr can be asserted without spawning interpreters. The smoke
 tests at the bottom start real interpreters. ``test_module_invocation``
 runs ``python -m tokenmark`` and ``test_console_script`` runs a launcher
 built from the ``[project.scripts]`` declaration in ``pyproject.toml``;
-neither needs the package installed. ``test_installed_console_script``
+neither needs the package installed, since their children find this
+checkout's ``src`` through ``child_env``. ``test_installed_console_script``
 runs the script an installer put in place, so it needs ``pip install -e .``
 and is skipped without it.
 """
@@ -13,6 +14,7 @@ and is skipped without it.
 import importlib.metadata
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -42,6 +44,15 @@ SPARSE = {"name": "sparse", "type": "sparse-power", "d": 4, "k": 2, "epsilon": 1
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def child_env():
+    """The environment for a child interpreter, with this checkout's ``src``
+    first on its module path, so that it imports this tokenmark without an
+    install."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 class TestKeygen:
@@ -101,6 +112,28 @@ class TestKeygen:
         assert key.d == 64
         assert key.padded
         assert "padded dictionary to d=64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", [CLOSED, OPEN])
+    @pytest.mark.parametrize("d", ["1", "0", "-3"])
+    def test_dictionary_below_two_is_refused(self, tmp_path, capsys, scheme, d):
+        # `--scheme closed --d 1` wrote a padded d = 2 key, for a one-token
+        # dictionary no model has, and exited 0.
+        out = tmp_path / "key.json"
+        options = ["--epsilon", "0.25", "--k", "1"] if scheme == OPEN else []
+        assert run_cli("keygen", "--scheme", scheme, "--d", d, *options, "--out", str(out)) == 2
+        assert "--d must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_padded_key_below_d4_does_not_load(self, tmp_path, capsys):
+        key = tmp_path / "key.json"
+        assert run_cli("keygen", "--scheme", "closed", "--d", "3", "--out", str(key)) == 0
+        obj = json.loads(key.read_text())
+        assert (obj["d"], obj["padded"]) == (4, True)
+        key.write_text(json.dumps({**obj, "d": 2}))
+        text = tmp_path / "tokens.txt"
+        text.write_text("0 0 0\n")
+        assert run_cli("detect", "--text", str(text), "--key", str(key)) == 2
+        assert "padded key needs d >= 4" in capsys.readouterr().err
 
     def test_keys_are_fresh(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -416,6 +449,22 @@ class TestDetect:
             assert run_cli("detect", "--text", str(text), "--key", str(key)) == 2
             assert "d=8" in capsys.readouterr().err
 
+    def test_padding_token_is_refused(self, tmp_path, capsys):
+        # A bare token file holding a padded key's last token, which sampling
+        # never emits, got a report and exit 1; a text record holding it
+        # already exits 2 (test_record_values_out_of_range).
+        key = tmp_path / "key.json"
+        run_cli("keygen", "--scheme", "closed", "--d", "7", "--out", str(key))
+        capsys.readouterr()
+        text = tmp_path / "tokens.txt"
+        text.write_text("7 7 7 7 7\n")
+        assert run_cli("detect", "--text", str(text), "--key", str(key)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "out of range for dictionary size 7" in captured.err
+        text.write_text("6 6 6 6 6\n")
+        assert run_cli("detect", "--text", str(text), "--key", str(key)) in (0, 1)
+
     def test_padded_key_scores_its_record(self, tmp_path, capsys):
         key = tmp_path / "key.json"
         record = tmp_path / "record.json"
@@ -675,7 +724,7 @@ class TestInstalledEntryPoints:
                             f"from {entry.module} import {entry.attr}\n"
                             f"sys.exit({entry.attr}())\n")
         proc = subprocess.run([sys.executable, str(launcher), "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert "keygen" in proc.stdout
 
@@ -697,7 +746,7 @@ class TestInstalledEntryPoints:
 
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "tokenmark", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert "detect" in proc.stdout
 
@@ -715,7 +764,8 @@ class TestStartup:
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
         code = "import sys, tokenmark.cli; print(' '.join(sys.modules))"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env())
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
         assert {f"tokenmark.{layer}" for layer in tracing.ENTRY_POINTS} <= loaded

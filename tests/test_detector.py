@@ -222,6 +222,18 @@ class TestEndToEnd:
         with pytest.raises(InvalidInputError):
             detect(CLOSED_KEY, [0, 1], delta=1.5)
 
+    def test_padding_token_rejected(self):
+        # Sampling never emits a padded key's last token, so a text holding
+        # it was not generated for the key's d - 1 token dictionary; it was
+        # scored and got a verdict.
+        key = WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED, padded=True)
+        with pytest.raises(CorruptTextError, match="dictionary size 7"):
+            detect(key, [7] * 5)
+        with pytest.raises(CorruptTextError, match="dictionary size 7"):
+            closed_statistics(key, np.array([[0, 1, 2], [6, 7, 0]]))
+        assert detect(key, [6] * 5).n_tokens == 5
+        assert closed_statistics(key, np.array([[0, 6, 2]])).shape == (1,)
+
 
 class TestBatchScoring:
     def test_closed_rows_match_single_calls(self):

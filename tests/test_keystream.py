@@ -414,19 +414,19 @@ class TestAgainstScalarReference:
         """Equal words, which hashing makes vanishingly rare, rank by token
         index in the batch rule and in the per-token reader alike. Odd steps
         here get words in {0, 1, 2}, so a batch mixes tied and untied rows."""
-        real = keystream._step_words
+        real = keystream._word_matrix
 
         def tied_odd_steps(key, lane, start, count, nwords):
-            steps = range(start, start + count)
-            for step, words in zip(steps, real(key, lane, start, count, nwords)):
-                tied = lane == keystream.LANE_COLORING and step % 2
-                yield words % np.uint64(3) if tied else words
+            words = real(key, lane, start, count, nwords)
+            if lane == keystream.LANE_COLORING:
+                words[(start + np.arange(count)) % 2 == 1] %= np.uint64(3)
+            return words
 
         def expected(step, d):
             words = ref_words(SEED, 0, step, d, 3)
             return ref_selection([w % 3 for w in words] if step % 2 else words)
 
-        monkeypatch.setattr(keystream, "_step_words", tied_odd_steps)
+        monkeypatch.setattr(keystream, "_word_matrix", tied_odd_steps)
         for d in (2, 4, 10, 64, 1024):
             key = closed_key(d, version=3)
             batch = derive_closed_steps.__wrapped__(key, 6)  # bypass the cache
@@ -929,6 +929,15 @@ class TestKeyValidation:
     def test_padded_only_for_closed(self):
         with pytest.raises(InvalidKeyError):
             WatermarkKey(master_seed=SEED, d=8, scheme=OPEN, epsilon=0.5, k=2, padded=True)
+
+    def test_padded_key_needs_d_at_least_4(self):
+        # A padded d = 2 key pads a one-token dictionary, which no model has.
+        with pytest.raises(InvalidKeyError, match="d >= 4"):
+            WatermarkKey(master_seed=SEED, d=2, scheme=CLOSED, padded=True)
+        obj = key_to_dict(WatermarkKey(master_seed=SEED, d=4, scheme=CLOSED, padded=True))
+        with pytest.raises(InvalidKeyError, match="d >= 4"):
+            key_from_dict({**obj, "d": 2})
+        assert WatermarkKey(master_seed=SEED, d=2, scheme=CLOSED).d == 2
 
     def test_epsilon_soft_cap_warns(self):
         with pytest.warns(UserWarning):

@@ -217,6 +217,15 @@ class TestStatistics:
         value = scan_statistic(np.random.default_rng(9).normal(size=(4, 20)), 10)
         assert np.isfinite(value)
 
+    def test_direction_cache_holds_one_matrix(self):
+        # Each direction matrix may take SCAN_MATRIX_BYTES (256 MiB); the
+        # cache kept four.
+        data = np.random.default_rng(0).standard_normal((3, 7))
+        scan_statistic(data, 2)
+        scan_statistic(data[:, :6], 3)
+        info = sparsemean._subset_directions.cache_info()
+        assert (info.maxsize, info.currsize) == (1, 1)
+
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):
             threshold_statistic(np.zeros(5), 1)
@@ -259,6 +268,21 @@ class TestCalibration:
             null_quantile(THRESHOLD_TEST, 30, 8, 2, 1.0, 0.0)
         with pytest.raises(InvalidInputError):
             null_quantile(THRESHOLD_TEST, 30, 8, 2, 1.0, 0.05, draws=50)
+
+    # A float or boolean draw count and a string alpha ended in a bare
+    # TypeError or were taken as numbers.
+    @pytest.mark.parametrize("options", [
+        {"draws": 100.0}, {"draws": True}, {"draws": "100"}, {"alpha": "0.05"},
+        {"alpha": True}, {"alpha": float("nan")},
+    ])
+    def test_count_and_alpha_types(self, options):
+        options = {"alpha": 0.05, **options}
+        with pytest.raises(InvalidInputError):
+            null_quantile(THRESHOLD_TEST, 30, 8, 2, 1.0, **options)
+
+    def test_numpy_count_and_alpha_accepted(self):
+        assert (null_quantile(THRESHOLD_TEST, 4, 4, 2, 1.0, np.float64(0.05), draws=np.int64(100))
+                == null_quantile(THRESHOLD_TEST, 4, 4, 2, 1.0, 0.05, draws=100))
 
     def test_threshold_level(self):
         # Empirical false-positive rate within 3 binomial sigmas of alpha.
@@ -314,6 +338,17 @@ class TestPower:
             null_quantile(THRESHOLD_TEST, n, d, k, epsilon, 0.05)
         with pytest.raises(InvalidInputError):
             power_point(THRESHOLD_TEST, n, d, k, epsilon, 0.05, 3, seed=0)
+
+    # trials=True counted one trial and returned (0, True); a float count
+    # ended in a bare TypeError.
+    @pytest.mark.parametrize("trials", [True, 2.0, "2", None, 0])
+    def test_trial_count_must_be_an_integer(self, trials):
+        calls = [lambda: rejection_rate(THRESHOLD_TEST, H0, 4, 4, 2, 1.0, 0.05, trials, 0),
+                 lambda: power_point(THRESHOLD_TEST, 4, 4, 2, 1.0, 0.05, trials, 0),
+                 lambda: power_curve([THRESHOLD_TEST], [4], 4, 2, 1.0, 0.05, trials, 0)]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="trials"):
+                call()
 
     def test_run_test_dispatch(self):
         inst = sample_instance(50, 6, 2, 1.0, H0, seed=16)
@@ -378,6 +413,18 @@ class TestWilson:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             wilson_interval(0, 0)
+
+
+    # Counts out of range raised "math domain error"; a fractional or
+    # boolean count gave an interval.
+    @pytest.mark.parametrize("counts", [(5, 2), (-1, 2), (1, 2.5), (True, 2), (1, True),
+                                        (1.0, 2), ("1", 2), (0, 0)])
+    def test_counts_must_be_integers_in_range(self, counts):
+        with pytest.raises(InvalidInputError):
+            wilson_interval(*counts)
+
+    def test_numpy_counts_accepted(self):
+        assert wilson_interval(np.int64(3), np.uint16(20)) == wilson_interval(3, 20)
 
 
 class TestPowerCurve:

@@ -10,12 +10,14 @@ import pytest
 from scipy import stats
 
 from tokenmark import textgen
-from tokenmark.closed_scheme import watermark_distribution, watermark_distributions
+from tokenmark.closed_scheme import (closed_step, rank_order, watermark_distribution,
+                                     watermark_distributions)
 from tokenmark.core import sample_tokens
 from tokenmark.detector import closed_statistics, detect
 from tokenmark.errors import InvalidInputError, SchemeMismatchError
 from tokenmark.keystream import (
     CLOSED,
+    FIXED_SUPPORT,
     FRESH_SUPPORT,
     OPEN,
     WatermarkKey,
@@ -23,7 +25,7 @@ from tokenmark.keystream import (
     derive_open_gaussians,
     derive_open_steps,
 )
-from tokenmark.open_scheme import perturbations_for, watermarked_softmax
+from tokenmark.open_scheme import open_step, perturbations_for, watermarked_softmax
 from tokenmark.textgen import (
     GenerationRecord,
     condition_lhs,
@@ -342,6 +344,65 @@ class TestChunkBudget:
             monkeypatch.setattr(textgen, "_CHUNK_BYTES", 8 * steps * key.d)
             got = generate_many(model, n, key, 3, np.random.default_rng(21))
             np.testing.assert_array_equal(got, expected, err_msg=f"{steps} steps per chunk")
+
+
+# Keyed Markov (model, key) pairs whose tokens must not depend on how many
+# prepared states generation keeps.
+PREPARED_CASES = {
+    "closed": (markov_model(8), closed_key(8)),
+    "closed-padded": (markov_model(7),
+                      WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED, padded=True)),
+    "open": (markov_model(8), open_key(8, k=3)),
+}
+
+
+class TestPreparedBudget:
+    @pytest.mark.parametrize("case", PREPARED_CASES)
+    def test_tokens_do_not_depend_on_prepared_states_kept(self, monkeypatch, case):
+        # Generation keeps the most recently used prepared state laws within
+        # _PREPARED_BYTES at 16 B per token; keeping 1, 2 or 5 of a source's
+        # 8 or 9 states re-prepares evicted ones, to the same laws.
+        model, key = PREPARED_CASES[case]
+        expected = generate_many(model, 60, key, 4, np.random.default_rng(23))
+        prepared = []
+
+        def counted_rank_order(law):
+            prepared.append(law.size)
+            return rank_order(law)
+
+        monkeypatch.setattr(textgen, "rank_order", counted_rank_order)
+        for states in (1, 2, 5):
+            monkeypatch.setattr(textgen, "_PREPARED_BYTES", 16 * model.d * states)
+            got = generate_many(model, 60, key, 4, np.random.default_rng(23))
+            np.testing.assert_array_equal(got, expected, err_msg=f"{states} states kept")
+        if key.scheme == CLOSED:  # evicted states were prepared again
+            assert len(prepared) > 3 * model.laws.shape[0]
+
+
+class TestSingleStep:
+    """A step sampled on its own equals the same step of the generation
+    loop, bit for bit: the per-step entry points derive one step's material
+    and draw one uniform from the rng, where generation derives chunks and
+    draws all uniforms at once."""
+
+    @pytest.mark.parametrize("d, n", [(8, 200), (32768, 12)])
+    def test_closed_step_equals_generate(self, d, n):
+        key = closed_key(d)
+        p = powerlaw_source(d, 1.1).laws[0]
+        rng = np.random.default_rng(31)
+        steps = [closed_step(key, j, p, rng) for j in range(n)]
+        expected = generate(iid_source(p), n, key, np.random.default_rng(31)).tokens
+        assert steps == expected.tolist()
+
+    @pytest.mark.parametrize("mode", [FIXED_SUPPORT, FRESH_SUPPORT])
+    @pytest.mark.parametrize("d, n, k", [(8, 200, 3), (32768, 12, 64)])
+    def test_open_step_equals_generate(self, d, n, k, mode):
+        key = WatermarkKey(master_seed=SEED, d=d, scheme=OPEN, epsilon=0.5, k=k,
+                           support_mode=mode)
+        model = powerlaw_source(d, 1.1)
+        rng = np.random.default_rng(32)
+        steps = [open_step(key, j, model.logits, rng) for j in range(n)]
+        assert steps == generate(model, n, key, np.random.default_rng(32)).tokens.tolist()
 
 
 # What generation may hold, whatever the text length, with a 2 MiB chunk
