@@ -25,8 +25,8 @@ from .open_scheme import open_step, watermarked_softmax
 from .oracles import (CheckResult, bias_bound_mc, lemma_maxima_exact,
                       lemma_maxima_mc, psi1_bound_mc, tv_gaussians,
                       undetectability_exact, verify_suite)
-from .sparsemean import (SparseMeanInstance, power_curve, sample_instance,
-                         scan_statistic, threshold_statistic)
+from .sparsemean import (SparseMeanInstance, sample_instance, scan_statistic,
+                         threshold_statistic)
 from .textgen import (GenerationRecord, SourceModel, condition_lhs, generate,
                       generate_many, iid_source, load_record, markov_source,
                       powerlaw_source, save_record, uniform_source)
@@ -41,7 +41,7 @@ __all__ = [
     "derive_open_step", "detect", "generate", "generate_many", "iid_source",
     "lemma_maxima_exact", "lemma_maxima_mc", "load_key", "load_record",
     "markov_source", "new_master_seed", "open_p_value", "open_step",
-    "open_threshold", "power_curve", "powerlaw_source", "psi1_bound_mc",
+    "open_threshold", "powerlaw_source", "psi1_bound_mc",
     "sample_instance", "save_key", "save_record", "scan_statistic",
     "threshold_statistic", "tv_gaussians", "undetectability_exact",
     "uniform_source", "verify_suite", "watermark_distribution",

@@ -119,8 +119,11 @@ def watermark_distribution(p, coloring, flip: int) -> np.ndarray:
 
 def closed_step(key: WatermarkKey, step: int, p, rng: np.random.Generator) -> int:
     """Sample one watermarked token: derive the step's coloring and flip,
-    shift ``p``, and draw from the result, as a batch of one."""
-    p = as_probs(p, key.d)
+    shift ``p``, and draw from the result, as a batch of one. ``p`` is the
+    dictionary's law: for a padded key, ``key.d - 1`` entries, to which the
+    padding token's zero is appended, so it is never drawn."""
+    p = as_probs(p, key.d - key.padded)
+    p = np.append(p, 0.0) if key.padded else p
     sk = keystream.derive_closed_step(key, step)
     return int(sample_rows(watermark_distributions(p, sk.coloring[None], [sk.flip]), rng)[0])
 

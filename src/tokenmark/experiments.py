@@ -146,14 +146,14 @@ def _soundness(exp: dict, root, scheme: str) -> tuple[list[str], list[list]]:
     z = np.concatenate([_statistics(key, generate_many(model, n, None, min(rows, texts - lo), rng))
                         for lo in range(0, texts, rows)])
     return SOUNDNESS_HEADER, [[scheme, delta, d, n, texts, *_rate(key, z, n, delta)]
-                              for delta in sorted(exp["deltas"])]
+                              for delta in sorted(set(exp["deltas"]))]
 
 
 def _completeness(exp: dict, root, scheme: str) -> tuple[list[str], list[list]]:
     d, n_grid, texts, delta = exp["d"], exp["n_grid"], exp["texts"], exp["delta"]
     key = _key(exp, root, scheme, d)
     rows = []
-    for n in sorted(n_grid):
+    for n in sorted(set(n_grid)):
         tokens = generate_many(uniform_source(d), n, key, texts,
                                rng_for(root, exp["name"], "texts", n))
         rate = _rate(key, _statistics(key, tokens), n, delta)

@@ -20,7 +20,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,6 +40,9 @@ SCAN_BUDGET = 1_000_000
 SCAN_MATRIX_BYTES = 256 << 20
 NULL_DRAWS = 2000
 _SCAN_CHUNK = 8192
+# Scans read _subset_directions under this lock: lru_cache lets callers
+# that miss at once each build the matrix, a sweep's worker threads too.
+_DIRECTIONS_LOCK = threading.Lock()
 
 # 97.5% standard-normal quantile, pinned so Wilson intervals are stable.
 _WILSON_Z = 1.959963984540054
@@ -145,11 +149,11 @@ def scan_budget_error(d: int, k: int) -> str | None:
 @functools.lru_cache(maxsize=1)
 def _subset_directions(d: int, k: int) -> np.ndarray:
     """All C(d, k) unit vectors k**-0.5 * 1_T as columns, shape (d, C)."""
-    combos = list(itertools.combinations(range(d), k))
-    u = np.zeros((d, len(combos)))
-    val = 1.0 / math.sqrt(k)
-    for col, combo in enumerate(combos):
-        u[list(combo), col] = val
+    count = math.comb(d, k)
+    combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(d), k)),
+                         dtype=np.intp, count=count * k).reshape(count, k)
+    u = np.zeros((d, count))
+    u[combos.T, np.arange(count)] = 1.0 / math.sqrt(k)
     u.flags.writeable = False
     return u
 
@@ -163,7 +167,8 @@ def scan_statistic(data: np.ndarray, k: int) -> float:
     refusal = scan_budget_error(d, k)
     if refusal:
         raise ScanBudgetError(refusal)
-    directions = _subset_directions(d, k)
+    with _DIRECTIONS_LOCK:
+        directions = _subset_directions(d, k)
     n, count = data.shape[0], directions.shape[1]
     # Every chunk's products go into one buffer and take their absolute
     # values in place: fresh (n, chunk) arrays per chunk cost more than the
@@ -237,14 +242,14 @@ def _check_trials(trials: int) -> None:
         raise InvalidInputError(f"need an integer count >= 1 of trials, got {trials!r}")
 
 
-def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion: integer counts,
     0 <= successes <= trials and trials >= 1."""
     _check_trials(trials)
     if not is_int(successes) or not 0 <= successes <= trials:
         raise InvalidInputError(f"successes must be an integer in [0, {trials}], "
                                 f"got {successes!r}")
-    phat = successes / trials
+    phat, z = successes / trials, _WILSON_Z
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials)) / denom
@@ -284,29 +289,19 @@ class PowerPoint:
     ci_hi: float
 
     def to_row(self) -> list:
-        return [self.test, self.n, self.d, self.k, self.epsilon, self.alpha,
-                self.power, self.ci_lo, self.ci_hi]
+        return [getattr(self, name) for name in POWER_CSV_HEADER]
 
 
-POWER_CSV_HEADER = ["test", "n", "d", "k", "epsilon", "alpha",
-                    "power", "ci_lo", "ci_hi"]
+POWER_CSV_HEADER = [f.name for f in fields(PowerPoint)]
 
 
 def power_point(test: str, n: int, d: int, k: int, epsilon: float, alpha: float,
                 trials: int, seed) -> PowerPoint:
     """Monte-Carlo power of one test at one sample size, with its Wilson 95%
-    confidence interval."""
-    check_seed(seed)
+    confidence interval: one cell of a power curve. ``tokenmark experiment``
+    maps it over a sparse-power grid."""
     hits, total = rejection_rate(test, HA, n, d, k, epsilon, alpha, trials, seed)
     lo, hi = wilson_interval(hits, total)
     return PowerPoint(test=test, n=n, d=d, k=k, epsilon=epsilon, alpha=alpha,
                       power=hits / total, ci_lo=lo, ci_hi=hi)
 
-
-def power_curve(tests, n_grid, d: int, k: int, epsilon: float, alpha: float,
-                trials: int, seed) -> list[PowerPoint]:
-    """``power_point`` of each test at each sample size. Rows come out
-    sorted by (test, n) regardless of execution order."""
-    check_seed(seed)
-    return [power_point(test, n, d, k, epsilon, alpha, trials, seed)
-            for test in sorted(set(tests)) for n in sorted(set(int(n) for n in n_grid))]

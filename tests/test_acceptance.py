@@ -36,7 +36,7 @@ from tokenmark.sparsemean import (
     H0,
     SCAN_TEST,
     THRESHOLD_TEST,
-    power_curve,
+    power_point,
     rejection_rate,
 )
 from tokenmark.textgen import (
@@ -262,10 +262,12 @@ def test_criterion_10_sparse_mean_gap():
         se = math.sqrt(alpha * (1.0 - alpha) / trials)
         level_ok = level_ok and abs(hits / trials - alpha) <= 3.0 * se
         levels.append(f"{test} {hits / trials:.3f}")
-    scan_pts = power_curve([SCAN_TEST], [10, 20, 40, 80, 160], d, k, eps,
-                           alpha, 200, seed)
-    thr_pts = power_curve([THRESHOLD_TEST], [20, 40, 80, 160, 320], d, k, eps,
-                          alpha, 200, seed)
+    # Each curve is power_point at each n, the cells `tokenmark experiment`
+    # writes for a sparse-power grid.
+    scan_pts = [power_point(SCAN_TEST, n, d, k, eps, alpha, 200, seed)
+                for n in (10, 20, 40, 80, 160)]
+    thr_pts = [power_point(THRESHOLD_TEST, n, d, k, eps, alpha, 200, seed)
+               for n in (20, 40, 80, 160, 320)]
 
     def first_n(points):
         return min((pt.n for pt in points if pt.power >= 0.9), default=None)

@@ -253,6 +253,33 @@ class TestReproducibility:
         run_experiments(threaded, b)
         assert (a / "sparse-grid.csv").read_bytes() == (b / "sparse-grid.csv").read_bytes()
 
+    def test_duplicate_grid_values_run_once(self, tmp_path):
+        """A value repeated in ``deltas``, ``n_grid`` or ``tests`` writes one
+        row, so a config with repeats writes the CSV bytes of its
+        deduplicated twin. Soundness and completeness wrote, and completeness
+        generated, a repeated value once per entry."""
+        twin = pinned_config()
+        repeated = pinned_config()
+        for exp in repeated["experiments"]:
+            for name in ("deltas", "n_grid", "tests"):
+                if name in exp:
+                    exp[name] = exp[name][::-1] + exp[name][:1]
+        run_experiments(twin, tmp_path / "twin")
+        run_experiments(repeated, tmp_path / "repeated")
+        for path in sorted((tmp_path / "twin").glob("*.csv")):
+            assert (tmp_path / "repeated" / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_sparse_power_rows_sorted_and_unique(self, tmp_path):
+        config = {"root_seed": 17, "workers": 2, "experiments": [
+            {"name": "grid", "type": "sparse-power", "d": 6, "k": 2, "epsilon": 1.0,
+             "alpha": 0.05, "n_grid": [20, 5, 20], "trials": 30,
+             "tests": ["threshold", "scan"]}]}
+        run_experiments(config, tmp_path)
+        header, rows = read_csv(tmp_path / "grid.csv")
+        assert header == POWER_CSV_HEADER
+        assert [(r[0], int(r[1])) for r in rows] == [
+            ("scan", 5), ("scan", 20), ("threshold", 5), ("threshold", 20)]
+
     def test_different_root_seed_changes_results(self, tmp_path):
         config = small_config()
         other = small_config()

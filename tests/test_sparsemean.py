@@ -4,6 +4,8 @@ import concurrent.futures
 import hashlib
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from tokenmark.sparsemean import (
     THRESHOLD_TEST,
     SparseMeanInstance,
     null_quantile,
-    power_curve,
     power_point,
     rejection_rate,
     run_test,
@@ -226,6 +227,38 @@ class TestStatistics:
         info = sparsemean._subset_directions.cache_info()
         assert (info.maxsize, info.currsize) == (1, 1)
 
+    @pytest.mark.parametrize("d, k", [(8, 2), (24, 3), (32, 4)])
+    def test_direction_matrix_equals_column_loop(self, d, k):
+        sparsemean._subset_directions.cache_clear()
+        expected = np.zeros((d, math.comb(d, k)))
+        for col, combo in enumerate(itertools.combinations(range(d), k)):
+            expected[list(combo), col] = 1.0 / math.sqrt(k)
+        directions = sparsemean._subset_directions(d, k)
+        assert directions.tobytes() == expected.tobytes()
+        assert not directions.flags.writeable
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_concurrent_scans_build_the_matrix_once(self, workers):
+        # lru_cache does not hold a second caller while the first computes,
+        # so threads that all missed each built a matrix (misses == workers).
+        sparsemean._subset_directions.cache_clear()
+        data = np.random.default_rng(4).standard_normal((5, 32))
+        barrier = threading.Barrier(workers, timeout=60)
+
+        def scan(_):
+            barrier.wait()
+            return scan_statistic(data, 4)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(scan, range(workers), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [scan_statistic(data, 4)] * workers
+        assert sparsemean._subset_directions.cache_info().misses == 1
+
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):
             threshold_statistic(np.zeros(5), 1)
@@ -344,8 +377,7 @@ class TestPower:
     @pytest.mark.parametrize("trials", [True, 2.0, "2", None, 0])
     def test_trial_count_must_be_an_integer(self, trials):
         calls = [lambda: rejection_rate(THRESHOLD_TEST, H0, 4, 4, 2, 1.0, 0.05, trials, 0),
-                 lambda: power_point(THRESHOLD_TEST, 4, 4, 2, 1.0, 0.05, trials, 0),
-                 lambda: power_curve([THRESHOLD_TEST], [4], 4, 2, 1.0, 0.05, trials, 0)]
+                 lambda: power_point(THRESHOLD_TEST, 4, 4, 2, 1.0, 0.05, trials, 0)]
         for call in calls:
             with pytest.raises(InvalidInputError, match="trials"):
                 call()
@@ -371,7 +403,6 @@ class TestSeeds:
         calls = [lambda: sample_instance(4, 4, 2, 1.0, H0, seed),
                  lambda: rejection_rate(THRESHOLD_TEST, H0, 4, 4, 2, 1.0, 0.05, 2, seed),
                  lambda: power_point(THRESHOLD_TEST, 4, 4, 2, 1.0, 0.05, 2, seed),
-                 lambda: power_curve([THRESHOLD_TEST], [4], 4, 2, 1.0, 0.05, 2, seed),
                  lambda: null_quantile(THRESHOLD_TEST, 4, 4, 2, 1.0, 0.05, seed=seed)]
         for call in calls:
             with pytest.raises(InvalidInputError, match="seed must be an integer"):
@@ -428,23 +459,18 @@ class TestWilson:
 
 
 class TestPowerCurve:
-    def test_rows_sorted_and_complete(self):
-        points = power_curve(
-            [SCAN_TEST, THRESHOLD_TEST], [20, 5, 20], d=6, k=2, epsilon=1.0,
-            alpha=0.05, trials=30, seed=17,
-        )
-        keys = [(p.test, p.n) for p in points]
-        assert keys == sorted(keys)
-        # Duplicate n collapses; two tests times two sizes.
-        assert len(points) == 4
+    """A power curve is ``power_point`` at each grid size; sorting and
+    deduplicating a grid is the experiment runner's job (test_experiments)."""
 
     def test_row_schema(self):
-        points = power_curve([THRESHOLD_TEST], [10], d=6, k=2, epsilon=1.0,
-                             alpha=0.05, trials=20, seed=18)
-        row = points[0].to_row()
-        assert len(row) == len(POWER_CSV_HEADER)
-        assert row[0] == THRESHOLD_TEST
-        assert 0.0 <= points[0].ci_lo <= points[0].power <= points[0].ci_hi <= 1.0
+        point = power_point(THRESHOLD_TEST, 10, d=6, k=2, epsilon=1.0,
+                            alpha=0.05, trials=20, seed=18)
+        row = point.to_row()
+        assert POWER_CSV_HEADER == ["test", "n", "d", "k", "epsilon", "alpha",
+                                    "power", "ci_lo", "ci_hi"]
+        assert row == [THRESHOLD_TEST, 10, 6, 2, 1.0, 0.05, point.power,
+                       point.ci_lo, point.ci_hi]
+        assert 0.0 <= point.ci_lo <= point.power <= point.ci_hi <= 1.0
 
     def test_default_draw_count(self):
         assert NULL_DRAWS == 2000

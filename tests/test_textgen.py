@@ -385,14 +385,22 @@ class TestSingleStep:
     and draw one uniform from the rng, where generation derives chunks and
     draws all uniforms at once."""
 
-    @pytest.mark.parametrize("d, n", [(8, 200), (32768, 12)])
+    # An odd d is a dictionary under a padded key of d + 1 tokens: closed_step
+    # takes the dictionary's d-entry law, as generate does. It refused that
+    # law and took a (d + 1)-entry one, whose padding token it could emit.
+    @pytest.mark.parametrize("d, n", [(8, 200), (32768, 12), (7, 200), (32767, 12)])
     def test_closed_step_equals_generate(self, d, n):
-        key = closed_key(d)
+        padded = d % 2 == 1
+        key = WatermarkKey(master_seed=SEED, d=d + padded, scheme=CLOSED, padded=padded)
         p = powerlaw_source(d, 1.1).laws[0]
         rng = np.random.default_rng(31)
         steps = [closed_step(key, j, p, rng) for j in range(n)]
         expected = generate(iid_source(p), n, key, np.random.default_rng(31)).tokens
         assert steps == expected.tolist()
+        assert max(steps) < d
+        if padded:
+            with pytest.raises(InvalidInputError):
+                closed_step(key, 0, np.append(p, 0.0), rng)
 
     @pytest.mark.parametrize("mode", [FIXED_SUPPORT, FRESH_SUPPORT])
     @pytest.mark.parametrize("d, n, k", [(8, 200, 3), (32768, 12, 64)])
