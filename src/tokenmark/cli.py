@@ -110,7 +110,7 @@ def _load_text_tokens(path, key: WatermarkKey) -> np.ndarray:
     if not text.lstrip().startswith("{"):
         return textgen.tokens_from_text(text, path)
     record = textgen.record_from_dict(parse_json(text, f"text record {path}"))
-    textgen.check_key_d(record.d, key)
+    keystream.check_key_d(record.d, key)
     return record.tokens
 
 

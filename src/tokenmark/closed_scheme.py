@@ -122,8 +122,7 @@ def closed_step(key: WatermarkKey, step: int, p, rng: np.random.Generator) -> in
     shift ``p``, and draw from the result, as a batch of one. ``p`` is the
     dictionary's law: for a padded key, ``key.d - 1`` entries, to which the
     padding token's zero is appended, so it is never drawn."""
-    p = as_probs(p, key.d - key.padded)
-    p = np.append(p, 0.0) if key.padded else p
+    p = key.pad_law(as_probs(p, key.dictionary_size))
     sk = keystream.derive_closed_step(key, step)
     return int(sample_rows(watermark_distributions(p, sk.coloring[None], [sk.flip]), rng)[0])
 

@@ -45,7 +45,10 @@ _SEARCH_BLOCK = 1 << 15
 def _vector(values, d: int | None, what: str) -> np.ndarray:
     """``values`` as a float64 array after checking it is 1-d with at least
     two entries (``d`` of them when given), all finite."""
-    arr = np.asarray(values, dtype=np.float64)
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{what} must hold numbers: {exc}") from exc
     if arr.ndim != 1 or arr.size < 2 or (d is not None and arr.size != d):
         size = "at least 2" if d is None else d
         raise InvalidInputError(f"{what} must be 1-d with {size} entries, got shape {arr.shape}")

@@ -133,7 +133,7 @@ def detect(key: WatermarkKey, tokens, delta: float = 0.05,
     step's flip (closed) or its Gaussian entry (open), against the key's
     threshold. A padded closed key's last token is never sampled, so it is
     refused as out of range."""
-    tokens = validate_tokens(tokens, key.d - key.padded)
+    tokens = validate_tokens(tokens, key.dictionary_size)
     n = tokens.size
     t = threshold(key, n, delta)
     scores = (keystream.closed_token_colors if key.scheme == CLOSED
@@ -173,7 +173,7 @@ def closed_statistics(key: WatermarkKey, token_matrix: np.ndarray,
     """Closed statistic per row of an (m, n) token matrix, one derivation.
     The scores are +-1, so each row's float64 sum is an exact integer. As
     in ``detect``, a padded key's last token is out of range."""
-    token_matrix = validate_token_matrix(token_matrix, key.d - key.padded)
+    token_matrix = validate_token_matrix(token_matrix, key.dictionary_size)
     batch = keystream.derive_closed_steps(key, token_matrix.shape[1], start)
     return _row_means(batch.colorings, token_matrix, batch.flips)
 

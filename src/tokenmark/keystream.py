@@ -146,8 +146,10 @@ class WatermarkKey:
     def __post_init__(self):
         if not is_int(self.version) or self.version not in _FORMATS:
             raise InvalidKeyError(f"unsupported key file version {self.version!r}")
-        if len(self.master_seed) != SEED_BYTES:
+        if not isinstance(self.master_seed, bytes) or len(self.master_seed) != SEED_BYTES:
             raise InvalidKeyError(f"master seed must be {SEED_BYTES} bytes")
+        if not isinstance(self.padded, bool):
+            raise InvalidKeyError(f"padded must be a boolean, got {self.padded!r}")
         if not is_int(self.d) or self.d < 2:
             raise InvalidKeyError(f"dictionary size must be an integer >= 2, got {self.d!r}")
         object.__setattr__(self, "d", int(self.d))
@@ -181,6 +183,21 @@ class WatermarkKey:
                 )
         else:
             raise InvalidKeyError(f"unknown scheme {self.scheme!r}")
+
+    @property
+    def dictionary_size(self) -> int:
+        """The dictionary's size: ``d``, less the padding token of a padded key."""
+        return self.d - self.padded
+
+    def pad_law(self, law: np.ndarray) -> np.ndarray:
+        """``law`` with a padded key's never-drawn padding token appended."""
+        return np.append(law, 0.0) if self.padded else law
+
+
+def check_key_d(d: int, key: WatermarkKey) -> None:
+    """Raise SchemeMismatchError unless ``key`` is for a d-token dictionary."""
+    if key.dictionary_size != d:
+        raise SchemeMismatchError(f"key is for d={key.dictionary_size}, not d={d}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,14 +455,19 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 # Public derivation API
 
 
-def derive_closed_step(key: WatermarkKey, step: int) -> ClosedStepKey:
-    """Re-derive the balanced coloring and flip for one step. Pure and
-    bit-identical on repeated calls."""
+def _closed_steps(key: WatermarkKey, count: int, start: int) -> ClosedStepBatch:
+    """Closed key material for ``count`` steps from ``start``, uncached."""
     _require_scheme(key, CLOSED)
-    step, _ = _check_step(step)
-    coloring = _freeze(_coloring_matrix(key, step, 1)[0])
-    flip = int(_sign_words(key, LANE_FLIP, step, 1)[0])
-    return ClosedStepKey(coloring=coloring, flip=flip)
+    start, count = _check_step(start, count)
+    return ClosedStepBatch(colorings=_freeze(_coloring_matrix(key, start, count)),
+                           flips=_freeze(_sign_words(key, LANE_FLIP, start, count)))
+
+
+def derive_closed_step(key: WatermarkKey, step: int) -> ClosedStepKey:
+    """Re-derive the balanced coloring and flip for one step, row 0 of an
+    uncached batch of one. Pure and bit-identical on repeated calls."""
+    batch = _closed_steps(key, 1, step)
+    return ClosedStepKey(coloring=batch.colorings[0], flip=int(batch.flips[0]))
 
 
 # Batch derivations cache one batch, the one in use: sweeps score texts
@@ -454,11 +476,7 @@ def derive_closed_step(key: WatermarkKey, step: int) -> ClosedStepKey:
 def derive_closed_steps(key: WatermarkKey, count: int, start: int = 0) -> ClosedStepBatch:
     """Closed key material for ``count`` steps from ``start`` (cached).
     Detection reads one entry per token instead (``closed_token_colors``)."""
-    _require_scheme(key, CLOSED)
-    start, count = _check_step(start, count)
-    colorings = _freeze(_coloring_matrix(key, start, count))
-    flips = _freeze(_sign_words(key, LANE_FLIP, start, count))
-    return ClosedStepBatch(colorings=colorings, flips=flips)
+    return _closed_steps(key, count, start)
 
 
 @functools.lru_cache(maxsize=8)
@@ -468,32 +486,32 @@ def _fixed_support(key: WatermarkKey) -> np.ndarray:
     return _freeze(_support_matrix(key, 0, 1)[0])
 
 
-def derive_open_step(key: WatermarkKey, step: int) -> OpenStepKey:
-    """Re-derive one step's Gaussian vector, support, and direction."""
-    _require_scheme(key, OPEN)
-    step, _ = _check_step(step)
-    gaussian = _freeze(_gaussian_matrix(key, step, 1)[0])
-    if key.support_mode == FIXED_SUPPORT:
-        support = _fixed_support(key)
-    else:
-        support = _freeze(_support_matrix(key, step, 1)[0])
-    direction = int(_sign_words(key, LANE_DIRECTION, step, 1)[0])
-    return OpenStepKey(gaussian=gaussian, support=support, direction=direction)
-
-
-@functools.lru_cache(maxsize=1, typed=True)
-def derive_open_steps(key: WatermarkKey, count: int, start: int = 0) -> OpenStepBatch:
-    """Open sampler material for ``count`` steps from ``start`` (cached);
-    its Gaussians are the ``derive_open_gaussians`` batch that scoring reads."""
+def _open_steps(key: WatermarkKey, count: int, start: int, cached: bool) -> OpenStepBatch:
+    """Open sampler material for ``count`` steps from ``start``, uncached but
+    for a ``cached`` run's Gaussians, the batch that scoring reads."""
     _require_scheme(key, OPEN)
     start, count = _check_step(start, count)
-    gaussians = derive_open_gaussians(key, count, start)
+    gaussians = (derive_open_gaussians(key, count, start) if cached
+                 else _freeze(_gaussian_matrix(key, start, count)))
     if key.support_mode == FIXED_SUPPORT:
         supports = np.broadcast_to(_fixed_support(key), (count, key.k))
     else:
         supports = _freeze(_support_matrix(key, start, count))
     directions = _freeze(_sign_words(key, LANE_DIRECTION, start, count))
     return OpenStepBatch(gaussians=gaussians, supports=supports, directions=directions)
+
+
+def derive_open_step(key: WatermarkKey, step: int) -> OpenStepKey:
+    """Re-derive one step's Gaussian vector, support, and direction, row 0
+    of an uncached batch of one."""
+    batch = _open_steps(key, 1, step, cached=False)
+    return OpenStepKey(batch.gaussians[0], batch.supports[0], int(batch.directions[0]))
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def derive_open_steps(key: WatermarkKey, count: int, start: int = 0) -> OpenStepBatch:
+    """Open sampler material for ``count`` steps from ``start`` (cached)."""
+    return _open_steps(key, count, start, cached=True)
 
 
 @functools.lru_cache(maxsize=1, typed=True)

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import keystream
 from .core import as_logits, sample_rows, softmax, softmax_rows
-from .errors import InvalidInputError
 from .keystream import WatermarkKey
 
 
@@ -36,10 +35,7 @@ def watermarked_softmax(logits, delta) -> np.ndarray:
     """Distribution the watermarked sampler draws from: softmax of the
     perturbed logits."""
     logits = as_logits(logits)
-    delta = np.asarray(delta, dtype=np.float64)
-    if delta.shape != logits.shape:
-        raise InvalidInputError("perturbation shape does not match logits")
-    return softmax(logits + delta)
+    return softmax(logits + as_logits(delta, logits.size))
 
 
 def open_step(key: WatermarkKey, step: int, logits, rng: np.random.Generator) -> int:

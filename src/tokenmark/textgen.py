@@ -22,7 +22,7 @@ from .closed_scheme import rank_order, watermark_ranked
 from .core import (array_field, as_probs, field, is_int, is_number, read_json, sample_tokens,
                    softmax, softmax_rows, validate_tokens)
 from .detector import closed_threshold
-from .errors import CorruptTextError, InvalidInputError, SchemeMismatchError
+from .errors import CorruptTextError, InvalidInputError
 from .keystream import CLOSED, OPEN, WatermarkKey
 from .open_scheme import perturbations_for
 
@@ -129,14 +129,6 @@ class GenerationRecord:
 # Generation
 
 
-def check_key_d(d: int, key: WatermarkKey) -> None:
-    """Raise SchemeMismatchError unless ``key`` is for a d-token dictionary,
-    a model's or a text record's; a padded closed key has one token past d."""
-    if key.d - key.padded != d:
-        kind = "padded key" if key.padded else "key"
-        raise SchemeMismatchError(f"{kind} is for d={key.d - key.padded}, not d={d}")
-
-
 def _chain_tokens(model: SourceModel, key: WatermarkKey | None, u: np.ndarray) -> np.ndarray:
     """Tokens from uniforms ``u`` (texts, n), one step at a time. Every text
     starts in state 0; from a Markov source it moves to state ``token + 1``.
@@ -155,7 +147,7 @@ def _chain_tokens(model: SourceModel, key: WatermarkKey | None, u: np.ndarray) -
     def prepare(s):
         law = model.laws[s]
         if closed:
-            law = np.append(law, 0.0) if key.padded else law
+            law = key.pad_law(law)
             return law, rank_order(law)
         if key is not None:
             law = np.log(law) if model.logits is None else model.logits
@@ -227,7 +219,7 @@ def generate_many(model: SourceModel, n: int, key: WatermarkKey | None,
     if texts < 1 or n < 1:
         raise InvalidInputError("need at least one text and one step")
     if key is not None:
-        check_key_d(model.d, key)
+        keystream.check_key_d(model.d, key)
         if key.scheme == OPEN and model.logits is None and model.laws.min() <= 0:
             raise InvalidInputError("logit-space sampling needs strictly positive state laws")
     u = rng.random((texts, n))

@@ -903,6 +903,39 @@ class TestKeyValidation:
         with pytest.raises(InvalidKeyError):
             WatermarkKey(master_seed=b"short", d=8, scheme=CLOSED)
 
+    def test_seed_bytearray_refused(self):
+        # A bytearray seed constructed, then the first batch derivation
+        # failed with TypeError: unhashable type: 'bytearray'.
+        with pytest.raises(InvalidKeyError, match="master seed"):
+            WatermarkKey(master_seed=bytearray(SEED), d=8, scheme=CLOSED)
+
+    def test_seed_str_refused(self):
+        # A 32-character str constructed and failed at the first derivation.
+        with pytest.raises(InvalidKeyError, match="master seed"):
+            WatermarkKey(master_seed="k" * 32, d=8, scheme=CLOSED)
+
+    def test_padded_string_refused(self):
+        # padded="yes" constructed and ended in a bare TypeError in detect.
+        with pytest.raises(InvalidKeyError, match="padded must be a boolean"):
+            WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED, padded="yes")
+
+    def test_padded_int_refused(self):
+        # padded=1 passed as True.
+        with pytest.raises(InvalidKeyError, match="padded must be a boolean"):
+            WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED, padded=1)
+
+    def test_dictionary_size_and_pad_law(self):
+        law = np.full(7, 1 / 7)
+        padded = WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED, padded=True)
+        assert padded.dictionary_size == 7
+        assert padded.pad_law(law).tolist() == law.tolist() + [0.0]
+        plain = WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED)
+        assert plain.dictionary_size == 8
+        assert plain.pad_law(law) is law
+        keystream.check_key_d(7, padded)
+        with pytest.raises(SchemeMismatchError, match="key is for d=7, not d=8"):
+            keystream.check_key_d(8, padded)
+
     def test_minimum_dictionary(self):
         with pytest.raises(InvalidKeyError):
             WatermarkKey(master_seed=SEED, d=1, scheme=OPEN, epsilon=0.5, k=1)

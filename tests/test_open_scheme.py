@@ -83,6 +83,13 @@ class TestWatermarkedSoftmax:
         with pytest.raises(InvalidInputError):
             watermarked_softmax([0.0, 0.0], [0.1, 0.2, 0.3])
 
+    def test_perturbation_checked_as_logits(self):
+        # A non-numeric entry ended in numpy's bare ValueError.
+        with pytest.raises(InvalidInputError, match="must hold numbers"):
+            watermarked_softmax([0.0, 0.0], [0.1, "x"])
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            watermarked_softmax([0.0, 0.0], [0.1, math.nan])
+
     @given(
         st.lists(st.floats(-30, 30), min_size=2, max_size=12),
         st.integers(0, 2**32 - 1),
