@@ -205,28 +205,36 @@ def array_field(obj: dict, name: str, check, dtype) -> np.ndarray:
 
 def validate_tokens(tokens, d: int) -> np.ndarray:
     """Validate a token sequence against dictionary size ``d``."""
-    arr = np.asarray(tokens)
-    if arr.ndim != 1 or arr.size < 1:
-        raise CorruptTextError("token sequence must be a non-empty 1-d list")
-    return _token_entries(arr, d)
+    return _token_entries(tokens, d, 1, "token sequence must be a non-empty 1-d list")
 
 
 def validate_token_matrix(tokens, d: int) -> np.ndarray:
     """Validate an (m, n) matrix of token sequences against dictionary size
     ``d``."""
-    arr = np.asarray(tokens)
-    if arr.ndim != 2 or arr.size < 1:
-        raise CorruptTextError("token matrix must be a non-empty 2-d array")
-    return _token_entries(arr, d)
+    return _token_entries(tokens, d, 2, "token matrix must be a non-empty 2-d array")
 
 
-def _token_entries(arr: np.ndarray, d: int) -> np.ndarray:
-    """``arr`` as int64 after checking every entry is an integer in [0, d)."""
-    if not np.issubdtype(arr.dtype, np.integer):
-        as_int = arr.astype(np.int64)
-        if np.any(as_int != arr):
+def _token_entries(tokens, d: int, ndim: int, shape_error: str) -> np.ndarray:
+    """``tokens`` as an int64 array of ``ndim`` dimensions after checking
+    every entry is an integer in [0, d). Other entries are checked as
+    float64 before any cast, so no bad token ends in a bare error or warning."""
+    try:
+        arr = np.asarray(tokens)
+    except (TypeError, ValueError) as exc:  # ragged lists
+        raise CorruptTextError(f"{shape_error}: {exc}") from exc
+    if arr.ndim != ndim or arr.size < 1:
+        raise CorruptTextError(shape_error)
+    if arr.dtype.kind not in "iu":
+        # An object array holds None or an integer past int64.
+        numeric = arr.dtype.kind in "bf" or (
+            arr.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in arr.flat))
+        try:
+            values = arr.astype(np.float64) if numeric else None
+        except OverflowError as exc:
+            raise CorruptTextError(f"token out of range for dictionary size {d}") from exc
+        if values is None or not np.all(values == np.floor(values)):
             raise CorruptTextError("token sequence has non-integer entries")
-        arr = as_int
+        arr = values
     if arr.min() < 0 or arr.max() >= d:
         raise CorruptTextError(f"token out of range for dictionary size {d}")
     return arr.astype(np.int64, copy=False)

@@ -26,7 +26,7 @@ from .keystream import CLOSED, FRESH_SUPPORT, OPEN, WatermarkKey
 from .seeds import check_seed, derive_master_seed, derive_seed, rng_for
 from .sparsemean import (POWER_CSV_HEADER, SCAN_TEST, THRESHOLD_TEST, power_point,
                          scan_budget_error, wilson_interval)
-from .textgen import GenerationRecord, condition_lhs, generate_many, uniform_source
+from .textgen import _condition_slack, generate_many, generate_statistics, uniform_source
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
@@ -154,13 +154,13 @@ def _completeness(exp: dict, root, scheme: str) -> tuple[list[str], list[list]]:
     key = _key(exp, root, scheme, d)
     rows = []
     for n in sorted(set(n_grid)):
-        tokens = generate_many(uniform_source(d), n, key, texts,
-                               rng_for(root, exp["name"], "texts", n))
-        rate = _rate(key, _statistics(key, tokens), n, delta)
+        z = generate_statistics(uniform_source(d), n, key, texts,
+                                rng_for(root, exp["name"], "texts", n))
+        rate = _rate(key, z, n, delta)
         if scheme == CLOSED:
-            record = GenerationRecord(tokens=tokens[0], per_step_pstar=np.full(n, 1.0 / d),
-                                      scheme=CLOSED, d=d)
-            rows.append([CLOSED, n, d, delta, texts, condition_lhs(record, delta), *rate])
+            # Every step of a uniform source has top probability 1/d.
+            gamma = _condition_slack(np.full(n, 1.0 / d), delta)
+            rows.append([CLOSED, n, d, delta, texts, gamma, *rate])
         else:
             rows.append([OPEN, n, d, key.epsilon, key.k, delta, texts, *rate])
     return (CLOSED_COMPLETENESS_HEADER if scheme == CLOSED else OPEN_COMPLETENESS_HEADER), rows

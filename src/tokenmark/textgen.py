@@ -129,7 +129,8 @@ class GenerationRecord:
 # Generation
 
 
-def _chain_tokens(model: SourceModel, key: WatermarkKey | None, u: np.ndarray) -> np.ndarray:
+def _chain_tokens(model: SourceModel, key: WatermarkKey | None, u: np.ndarray,
+                  score: bool = False) -> np.ndarray:
     """Tokens from uniforms ``u`` (texts, n), one step at a time. Every text
     starts in state 0; from a Markov source it moves to state ``token + 1``.
     A state's law is prepared for ``key`` when a text enters it:
@@ -138,7 +139,10 @@ def _chain_tokens(model: SourceModel, key: WatermarkKey | None, u: np.ndarray) -
     recently used prepared states within ``_PREPARED_BYTES``; a state
     dropped from it is prepared again, to the same arrays, when a text
     re-enters it. Each step computes the (watermarked) law of every state in
-    use once and samples that group's uniforms from it."""
+    use once and samples that group's uniforms from it. With ``score``, no
+    token matrix is kept: a step's tokens are scored against the chunk they
+    were sampled from (signed coloring or Gaussian entry) into the column of
+    ``u`` they used, and ``u`` is returned."""
     texts, n = u.shape
     markov = model.laws.shape[0] > 1
     closed = key is not None and key.scheme == CLOSED
@@ -153,29 +157,34 @@ def _chain_tokens(model: SourceModel, key: WatermarkKey | None, u: np.ndarray) -
             law = np.log(law) if model.logits is None else model.logits
         return law, None
 
-    tokens = np.empty(u.shape, dtype=np.int64)
+    tokens = np.empty(texts if score else u.shape, dtype=np.int64)
     states = np.zeros(texts, dtype=np.int64)
     chunk = n if key is None else max(1, _CHUNK_BYTES // (8 * key.d))
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         if closed:
             batch = keystream.derive_closed_steps(key, hi - lo, lo)
-            signs = batch.colorings * batch.flips[:, None]
+            scores = batch.colorings * batch.flips[:, None]
         elif key is not None:
             deltas = perturbations_for(key, hi - lo, lo)
+            if score:  # the Gaussians perturbations_for just derived, cached
+                scores = keystream.derive_open_gaussians(key, hi - lo, lo)
         for j in range(lo, hi):
+            step = tokens if score else tokens[:, j]
             groups = (((s, states == s) for s in np.unique(states)) if markov
                       else [(0, slice(None))])
             for s, group in groups:
                 law, order = prepare(s)
                 if closed:
-                    law = watermark_ranked(law, order, signs[j - lo])
+                    law = watermark_ranked(law, order, scores[j - lo])
                 elif key is not None:
                     law = softmax_rows(law + deltas[j - lo])
-                tokens[group, j] = sample_tokens(law, u[group, j])
+                step[group] = sample_tokens(law, u[group, j])
             if markov:
-                states = tokens[:, j] + 1
-    return tokens
+                states = step + 1
+            if score:
+                u[:, j] = scores[j - lo].take(step)
+    return u if score else tokens
 
 
 def _pstar_series(model: SourceModel, tokens: np.ndarray) -> np.ndarray:
@@ -214,6 +223,27 @@ def generate_many(model: SourceModel, n: int, key: WatermarkKey | None,
     so a call equals ``texts`` successive one-text calls on the same rng.
     The per-step watermarked laws of a memoryless source are computed once
     for all texts; this is what makes thousand-text detector sweeps cheap."""
+    u = _uniforms(model, n, key, texts, rng)
+    if model.laws.shape[0] == 1 and key is None:
+        return sample_tokens(model.laws[0], u)
+    return _chain_tokens(model, key, u)
+
+
+def generate_statistics(model: SourceModel, n: int, key: WatermarkKey, texts: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """The detector statistics, shape (texts,), of ``generate_many(model, n,
+    key, texts, rng)``, bit for bit and with the rng left as it leaves it,
+    each step scored as it is sampled: only the uniforms are kept, which the
+    scores overwrite. Closed scores are +-1, so a row's float64 sum is
+    exact; an open row is reduced as one contiguous row, as in detector."""
+    if not isinstance(key, WatermarkKey):
+        raise InvalidInputError(f"statistics need a watermark key, got {key!r}")
+    return _chain_tokens(model, key, _uniforms(model, n, key, texts, rng), score=True).mean(axis=1)
+
+
+def _uniforms(model: SourceModel, n: int, key: WatermarkKey | None, texts: int,
+              rng: np.random.Generator) -> np.ndarray:
+    """The (texts, n) uniforms of a generation call, after checking it."""
     if not (is_int(n) and is_int(texts)):
         raise InvalidInputError(f"n and texts must be integers, got {n!r} and {texts!r}")
     if texts < 1 or n < 1:
@@ -222,10 +252,7 @@ def generate_many(model: SourceModel, n: int, key: WatermarkKey | None,
         keystream.check_key_d(model.d, key)
         if key.scheme == OPEN and model.logits is None and model.laws.min() <= 0:
             raise InvalidInputError("logit-space sampling needs strictly positive state laws")
-    u = rng.random((texts, n))
-    if model.laws.shape[0] == 1 and key is None:
-        return sample_tokens(model.laws[0], u)
-    return _chain_tokens(model, key, u)
+    return rng.random((texts, n))
 
 
 def condition_lhs(record: GenerationRecord, delta: float) -> float:
@@ -233,9 +260,13 @@ def condition_lhs(record: GenerationRecord, delta: float) -> float:
     ``(1 - p*_j) / 20`` minus the closed detection threshold. Detection of a
     watermarked text is guaranteed (with probability depending on the slack)
     exactly when this is positive."""
-    n = record.tokens.size
-    threshold = closed_threshold(n, delta)
-    return float(np.sum(1.0 - record.per_step_pstar)) / (20.0 * n) - threshold
+    return _condition_slack(record.per_step_pstar, delta)
+
+
+def _condition_slack(pstar: np.ndarray, delta: float) -> float:
+    """``condition_lhs`` of a text with per-step top probabilities ``pstar``."""
+    n = pstar.size
+    return float(np.sum(1.0 - pstar)) / (20.0 * n) - closed_threshold(n, delta)
 
 
 def model_from_dict(obj: dict) -> SourceModel:

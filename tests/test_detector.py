@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,26 @@ class TestEndToEnd:
             closed_statistics(key, np.array([[0, 1, 2], [6, 7, 0]]))
         assert detect(key, [6] * 5).n_tokens == 5
         assert closed_statistics(key, np.array([[0, 6, 2]])).shape == (1,)
+
+
+# Token lists numpy cannot turn into integers: a string, None, a ragged list
+# and a float past int64 each ended in a bare error or a cast warning.
+MALFORMED_TOKENS = {"string": ["a", "b"], "none": [None, 1], "ragged": [[1, 2], [3]],
+                    "past-int64": [1e30, 2.0]}
+
+
+class TestMalformedTokens:
+    @pytest.mark.parametrize("case", MALFORMED_TOKENS)
+    def test_refused_without_warning(self, case):
+        tokens = MALFORMED_TOKENS[case]
+        matrix = tokens if case == "ragged" else [tokens, tokens]
+        calls = [(detect, CLOSED_KEY, tokens), (detect, OPEN_KEY, tokens),
+                 (closed_statistics, CLOSED_KEY, matrix), (open_statistics, OPEN_KEY, matrix)]
+        for score, key, arg in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(CorruptTextError):
+                    score(key, arg)
 
 
 class TestBatchScoring:

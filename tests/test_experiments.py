@@ -340,6 +340,26 @@ class TestReproducibility:
         assert peaks[1] < peaks[0] + 32 * 8192, (
             f"peaked at {peaks[0] / 2**20:.1f} and {peaks[1] / 2**20:.1f} MiB")
 
+    @pytest.mark.parametrize("kind", ["closed-completeness", "open-completeness"])
+    def test_completeness_memory_per_text_step(self, kind):
+        """Completeness scores each step as it is sampled and keeps only the
+        uniforms, which the scores overwrite: four times the texts of one
+        n = 256 grid point peak within 8 B per added (text, step) plus a few
+        O(texts) arrays. A token matrix beside the uniforms held 16 B."""
+        peaks = []
+        for texts in (2048, 8192):
+            exp = {"name": "power", "type": kind, "d": 64, "n_grid": [256], "texts": texts,
+                   "delta": 0.05, "epsilon": 0.5, "k": 2}
+            experiments._RUNNERS[kind](exp, 3, 1)  # derive the key material once
+            tracemalloc.start()
+            try:
+                experiments._RUNNERS[kind](exp, 3, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 10 * (8192 - 2048) * 256, (
+            f"peaked at {peaks[0] / 2**20:.1f} and {peaks[1] / 2**20:.1f} MiB")
+
     def test_bad_worker_count(self, tmp_path):
         config = small_config()
         config["workers"] = 0

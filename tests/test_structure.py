@@ -4,7 +4,8 @@
 ``padded`` flag or appends the padding token's zero, so the rule has one
 place to be right. Each scheme derives a run of steps in one uncached body,
 and a single step is row 0 of a batch of one that goes through no batch
-cache.
+cache. The experiments generate keyed texts only through the scored pass,
+which keeps no token matrix.
 """
 
 import ast
@@ -120,3 +121,17 @@ class TestDerivationBodies:
             assert opened_step.gaussian.shape == (16,)
             assert opened_step.support.shape == (3,)
         assert [cache.cache_info() for cache in caches] == before
+
+
+class TestExperimentGeneration:
+    def test_experiments_generate_no_keyed_token_matrix(self):
+        # generate_many keeps a (texts, n) token matrix; the experiments call
+        # it only for unkeyed soundness texts, with the key argument None.
+        tree = parsed_modules()["experiments.py"]
+        calls = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and called_name(node) == "generate_many"]
+        assert calls
+        for call in calls:
+            keys = [kw.value for kw in call.keywords if kw.arg == "key"] + call.args[2:3]
+            assert [isinstance(key, ast.Constant) and key.value is None
+                    for key in keys] == [True], ast.unparse(call)

@@ -13,7 +13,7 @@ from tokenmark import textgen
 from tokenmark.closed_scheme import (closed_step, rank_order, watermark_distribution,
                                      watermark_distributions)
 from tokenmark.core import sample_tokens
-from tokenmark.detector import closed_statistics, detect
+from tokenmark.detector import closed_statistics, detect, open_statistics
 from tokenmark.errors import InvalidInputError, SchemeMismatchError
 from tokenmark.keystream import (
     CLOSED,
@@ -31,6 +31,7 @@ from tokenmark.textgen import (
     condition_lhs,
     generate,
     generate_many,
+    generate_statistics,
     iid_source,
     load_record,
     markov_source,
@@ -344,6 +345,39 @@ class TestChunkBudget:
             monkeypatch.setattr(textgen, "_CHUNK_BYTES", 8 * steps * key.d)
             got = generate_many(model, n, key, 3, np.random.default_rng(21))
             np.testing.assert_array_equal(got, expected, err_msg=f"{steps} steps per chunk")
+
+
+# (model, key) pairs whose scored pass must give the detector statistics of
+# the texts generate_many makes: the chunk cases plus iid sources, which
+# open keys sample in log space.
+IID_LAW = np.array([0.05, 0.3, 0.1, 0.15, 0.2, 0.05, 0.1, 0.05])
+SCORED_CASES = {**CHUNK_CASES,
+                "iid-closed": (iid_source(IID_LAW), closed_key(8)),
+                "iid-open": (iid_source(IID_LAW), open_key(8, k=3))}
+
+
+class TestScoredPass:
+    @pytest.mark.parametrize("n", [23, 128, 256])
+    @pytest.mark.parametrize("case", SCORED_CASES)
+    def test_statistics_equal_scored_token_matrix(self, monkeypatch, case, n):
+        # generate_statistics scores each step as it is sampled; with chunks
+        # of 1, 7 or n steps its statistics equal, bit for bit, the batched
+        # statistics of generate_many's texts from the same rng, and it
+        # leaves the rng where generate_many does.
+        model, key = SCORED_CASES[case]
+        statistics = closed_statistics if key.scheme == CLOSED else open_statistics
+        rng = np.random.default_rng(31)
+        expected = statistics(key, generate_many(model, n, key, 5, rng))
+        for steps in (1, 7, n):
+            monkeypatch.setattr(textgen, "_CHUNK_BYTES", 8 * steps * key.d)
+            scored_rng = np.random.default_rng(31)
+            got = generate_statistics(model, n, key, 5, scored_rng)
+            np.testing.assert_array_equal(got, expected, err_msg=f"{steps} steps per chunk")
+            assert scored_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_needs_a_key(self):
+        with pytest.raises(InvalidInputError, match="watermark key"):
+            generate_statistics(uniform_source(4), 5, None, 2, np.random.default_rng(0))
 
 
 # Keyed Markov (model, key) pairs whose tokens must not depend on how many
