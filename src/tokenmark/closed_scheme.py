@@ -29,33 +29,47 @@ def _check_coloring(coloring, d: int) -> np.ndarray:
     return coloring
 
 
-def _rank_shift(ps: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """The pairing kernel: the signed shift ``flip * epsilon * coloring`` of
-    every token, in rank order.
+# Below this many signs in a call, one stable argsort of the ranked signs
+# splits them into the two classes faster than two nonzero scans; above
+# it, the scans win. Measured on one CPU of a two-vCPU KVM guest: the
+# argsort takes about 0.5 / 3.3 / 93 us at 8 / 1024 / 32768 signs, the
+# two scans about 1.4 / 3.4 / 50 us.
+_SPLIT_SCAN_MIN = 2048
 
-    ``signs`` holds ``flip * coloring`` permuted into rank order, (d,) or
-    (n, d), and ``ps`` the probabilities sorted the same way: one row per
-    row of ``signs``, or one (d,) row shared by all of them. The i-th +1
-    and the i-th -1 entry of a row form a pair (the flip only swaps the
-    names of the two classes), and the later of the two ranks holds the
-    pair's smaller probability, its shift magnitude.
+
+def _rank_shift(probs: np.ndarray, order: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The pairing kernel: the signed shift ``flip * epsilon * coloring`` of
+    every token, in token order, shaped like ``signs``.
+
+    ``signs``, ``order`` and ``probs`` are as in ``watermark_ranked``. In
+    rank order, the i-th +1 and the i-th -1 entry of a row form a pair (the
+    flip only swaps the names of the two classes); the later of the two
+    ranks holds the pair's smaller probability, its shift magnitude, which
+    the +1 token gains and the -1 token loses.
     """
-    # A stable sort of the flat signs lists every -1 index and then every +1
-    # index, each ascending; with d/2 of each per row, entry i of the two
-    # halves is the same pair of the same row.
-    by_sign = signs.reshape(-1).argsort(kind="stable")
-    half = by_sign.size // 2
-    minus, plus = by_sign[:half], by_sign[half:]
-    # Flat indices of one row differ by less than d, so the larger index of
-    # a pair is its later rank. A shared (d,) row is read at index mod d.
-    later = np.maximum(plus, minus)
-    if ps.ndim < signs.ndim:
-        later %= ps.size
-    pairmin = ps.take(later)
+    d = signs.shape[-1]
+    # at[r] is the flat index, into signs and the shift, of flat rank r: a
+    # row's ranks read through its order, offset by the row's start.
+    at = order.ravel()
+    if signs.size > d:
+        at = (order + np.arange(0, signs.size, d)[:, None]).ravel()
+    ranked = signs.take(at)
+    # Each row holds d/2 of each sign, so the i-th entries of the two
+    # ascending lists below are the same pair of the same row.
+    if ranked.size < _SPLIT_SCAN_MIN:
+        # A stable sort lists every -1 rank and then every +1 rank.
+        by_sign = ranked.argsort(kind="stable")
+        half = by_sign.size // 2
+        minus, plus = by_sign[:half], by_sign[half:]
+    else:
+        boosted = ranked > 0
+        plus, minus = boosted.nonzero()[0], (~boosted).nonzero()[0]
+    # A shared (d,) law is read at flat index mod d.
+    pairmin = probs.take(at[np.maximum(plus, minus)], mode="wrap")
     shift = np.empty(signs.shape)
     flat = shift.reshape(-1)
-    flat[plus] = pairmin
-    flat[minus] = -pairmin
+    flat[at[plus]] = pairmin
+    flat[at[minus]] = np.negative(pairmin, out=pairmin)
     return shift
 
 
@@ -92,14 +106,7 @@ def watermark_ranked(probs: np.ndarray, order: np.ndarray, signs: np.ndarray) ->
     ``order`` is ``rank_order(probs)``: of one (d,) distribution shared by
     every row, or of one distribution per row.
     """
-    q = np.empty(signs.shape)
-    if order.ndim == 1:
-        # Indexing the transpose's first axis is the last axis of q.
-        q.T[order] = _rank_shift(probs[order], signs.take(order, axis=-1)).T
-    else:
-        np.put_along_axis(q, order, _rank_shift(np.take_along_axis(probs, order, axis=-1),
-                                                np.take_along_axis(signs, order, axis=-1)),
-                          axis=-1)
+    q = _rank_shift(probs, order, signs)
     q += probs
     return q
 

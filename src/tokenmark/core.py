@@ -88,9 +88,12 @@ def softmax(logits) -> np.ndarray:
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Softmax along the last axis of a (d,) or (n, d) array of logits (no
-    per-row validation)."""
-    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return shifted / shifted.sum(axis=-1, keepdims=True)
+    per-row validation). The max shift is the one fresh array; the
+    exponential and the division overwrite it."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=-1, keepdims=True)
+    return shifted
 
 
 def sample_tokens(probs: np.ndarray, u) -> np.ndarray:
@@ -224,9 +227,14 @@ def _token_entries(tokens, d: int, ndim: int, shape_error: str) -> np.ndarray:
         raise CorruptTextError(f"{shape_error}: {exc}") from exc
     if arr.ndim != ndim or arr.size < 1:
         raise CorruptTextError(shape_error)
+    # numpy reads True as 1, also among integers; a boolean is no token, as
+    # in the text-record reader.
+    if arr.dtype.kind == "b" or (not isinstance(tokens, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(tokens, dtype=object).flat)):
+        raise CorruptTextError("token sequence has boolean entries")
     if arr.dtype.kind not in "iu":
         # An object array holds None or an integer past int64.
-        numeric = arr.dtype.kind in "bf" or (
+        numeric = arr.dtype.kind == "f" or (
             arr.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in arr.flat))
         try:
             values = arr.astype(np.float64) if numeric else None

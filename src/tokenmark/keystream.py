@@ -330,7 +330,7 @@ def _select_rows(words: np.ndarray) -> np.ndarray:
     for row in np.flatnonzero(np.count_nonzero(plus, axis=1) > half):
         ties = np.flatnonzero(words[row] == kth[row])
         plus[row, ties[half - np.count_nonzero(words[row] < kth[row]):]] = False
-    return np.where(plus, np.int8(1), np.int8(-1))
+    return plus.view(np.int8) * np.int8(2) - np.int8(1)
 
 
 def _select_color(key: WatermarkKey, step: int, t: int) -> int:
@@ -385,11 +385,20 @@ def _box_muller(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.n
     words of each pair. The full lane and the per-token reader both call
     this, so the same ufuncs produce the same bits."""
     scale = 2.0 ** -53
-    u1 = ((first >> np.uint64(11)).astype(np.float64) + 1.0) * scale
-    u2 = (second >> np.uint64(11)).astype(np.float64) * scale
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    return radius * np.cos(angle), radius * np.sin(angle)
+    radius = (first >> np.uint64(11)).astype(np.float64)
+    radius += 1.0
+    radius *= scale                 # u1 in (0, 1]
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = (second >> np.uint64(11)).astype(np.float64)
+    angle *= scale                  # u2 in [0, 1)
+    angle *= 2.0 * np.pi
+    cos = np.cos(angle)
+    sin = np.sin(angle, out=angle)
+    cos *= radius
+    sin *= radius
+    return cos, sin
 
 
 def _gaussian_matrix(key: WatermarkKey, start: int, count: int) -> np.ndarray:

@@ -43,9 +43,15 @@ def open_step(key: WatermarkKey, step: int, logits, rng: np.random.Generator) ->
     of one."""
     logits = as_logits(logits, key.d)
     sk = keystream.derive_open_step(key, step)
+    # The perturbed logits are summed into the perturbations' own copy, and
+    # no name outlives its use, so each d-sized array is freed once read.
     delta = _perturbations(sk.gaussian[None], sk.support[None],
                            np.array([sk.direction]), key.epsilon)
-    return int(sample_rows(softmax_rows(logits + delta), rng)[0])
+    del sk
+    delta += logits
+    probs = softmax_rows(delta)
+    del delta
+    return int(sample_rows(probs, rng)[0])
 
 
 def perturbations_for(key: WatermarkKey, count: int, start: int = 0) -> np.ndarray:

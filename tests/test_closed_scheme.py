@@ -52,11 +52,8 @@ def reference_distribution(p, coloring, flip):
 
 
 def kernel_shift(p, coloring, flip):
-    """``_rank_shift`` of one step, put back in token order."""
-    order = rank_order(p)
-    shift = np.empty(p.size)
-    shift[order] = _rank_shift(p[order], (flip * coloring)[order])
-    return shift
+    """``_rank_shift`` of one step, in token order."""
+    return _rank_shift(p, rank_order(p), flip * coloring)
 
 
 class TestRankMatch:

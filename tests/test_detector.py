@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tokenmark import detector, keystream
-from tokenmark.core import json_text
+from tokenmark.core import json_text, validate_tokens
 from tokenmark.detector import (
     DetectionReport,
     closed_p_value,
@@ -239,7 +239,9 @@ class TestEndToEnd:
 # Token lists numpy cannot turn into integers: a string, None, a ragged list
 # and a float past int64 each ended in a bare error or a cast warning.
 MALFORMED_TOKENS = {"string": ["a", "b"], "none": [None, 1], "ragged": [[1, 2], [3]],
-                    "past-int64": [1e30, 2.0]}
+                    "past-int64": [1e30, 2.0], "booleans": [True, False, True],
+                    "boolean-among-integers": [1, True, 2],
+                    "numpy-boolean": [1, np.True_, 2]}
 
 
 class TestMalformedTokens:
@@ -254,6 +256,18 @@ class TestMalformedTokens:
                 warnings.simplefilter("error")
                 with pytest.raises(CorruptTextError):
                     score(key, arg)
+
+    def test_boolean_arrays_refused(self):
+        # numpy reads True as token 1; a boolean array is refused like a
+        # boolean list, as the text-record reader refuses booleans.
+        tokens = np.array([True, False, True])
+        matrix = np.ones((2, 3), dtype=bool)
+        calls = [(detect, CLOSED_KEY, tokens), (detect, OPEN_KEY, tokens),
+                 (closed_statistics, CLOSED_KEY, matrix), (open_statistics, OPEN_KEY, matrix)]
+        for score, key, arg in calls:
+            with pytest.raises(CorruptTextError, match="boolean"):
+                score(key, arg)
+        np.testing.assert_array_equal(validate_tokens(np.array([1, 0, 1]), 8), [1, 0, 1])
 
 
 class TestBatchScoring:

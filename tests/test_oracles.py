@@ -166,9 +166,9 @@ class TestUndetectabilityExact:
         the closed tokens ``generate`` draws, memoryless and Markov."""
         real = tokenmark.closed_scheme._rank_shift
 
-        def overshooting(ps, signs):
-            q = np.clip(ps + 2.0 * real(ps, signs), 0.0, None)
-            return q / q.sum(axis=-1, keepdims=True) - ps
+        def overshooting(probs, order, signs):
+            q = np.clip(probs + 2.0 * real(probs, order, signs), 0.0, None)
+            return q / q.sum(axis=-1, keepdims=True) - probs
 
         key = WatermarkKey(master_seed=bytes(32), d=8, scheme=CLOSED)
         base = np.array([0.3, 0.2, 0.15, 0.12, 0.1, 0.06, 0.04, 0.03])

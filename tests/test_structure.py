@@ -5,7 +5,8 @@
 place to be right. Each scheme derives a run of steps in one uncached body,
 and a single step is row 0 of a batch of one that goes through no batch
 cache. The experiments generate keyed texts only through the scored pass,
-which keeps no token matrix.
+which keeps no token matrix. Every closed shift comes from one pairing
+kernel, which only ``watermark_ranked`` calls.
 """
 
 import ast
@@ -14,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tokenmark import keystream
+from tokenmark import closed_scheme, keystream
+from tokenmark.closed_scheme import closed_step, watermark_distribution, watermark_distributions
 from tokenmark.detector import closed_statistics, detect
 from tokenmark.errors import CorruptTextError
 from tokenmark.keystream import (
@@ -29,7 +31,7 @@ from tokenmark.keystream import (
     derive_open_step,
     derive_open_steps,
 )
-from tokenmark.textgen import generate_many, iid_source
+from tokenmark.textgen import generate, generate_many, iid_source, markov_source
 
 SRC = Path(keystream.__file__).resolve().parent
 SEED = bytes(range(32))
@@ -135,3 +137,70 @@ class TestExperimentGeneration:
             keys = [kw.value for kw in call.keywords if kw.arg == "key"] + call.args[2:3]
             assert [isinstance(key, ast.Constant) and key.value is None
                     for key in keys] == [True], ast.unparse(call)
+
+
+def function_calls():
+    """{(module, function): names it calls} for every module-level function."""
+    return {(module, fn.name): {called_name(node) for node in ast.walk(fn)
+                                if isinstance(node, ast.Call)}
+            for module, tree in parsed_modules().items()
+            for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+
+
+def module_function(module, name):
+    return next(fn for fn in parsed_modules()[module].body
+                if isinstance(fn, ast.FunctionDef) and fn.name == name)
+
+
+def calls_in(fn):
+    return {called_name(node) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+
+
+class TestPairingKernel:
+    def test_only_watermark_ranked_calls_the_kernel(self):
+        # _rank_shift splits the ranked signs into pairs; no other function
+        # in the package reaches that code, and only closed_scheme names it.
+        callers = sorted(key for key, names in function_calls().items() if "_rank_shift" in names)
+        assert callers == [("closed_scheme.py", "watermark_ranked")]
+        named = {module for module, tree in parsed_modules().items()
+                 if any(isinstance(node, (ast.Name, ast.Attribute))
+                        and getattr(node, "id", getattr(node, "attr", None)) == "_rank_shift"
+                        for node in ast.walk(tree))}
+        assert named == {"closed_scheme.py"}
+        # The split itself (stable argsort, nonzero scans) sits in the kernel.
+        kernel = module_function("closed_scheme.py", "_rank_shift")
+        assert {"argsort", "nonzero"} <= calls_in(kernel)
+
+    def test_callers_reach_pairing_through_watermark_ranked(self):
+        calls = function_calls()
+        assert "watermark_ranked" in calls[("closed_scheme.py", "watermark_distributions")]
+        assert "watermark_ranked" in calls[("closed_scheme.py", "watermark_distribution")]
+        assert "watermark_distributions" in calls[("closed_scheme.py", "closed_step")]
+        assert {"rank_order", "watermark_ranked"} <= calls_in(
+            module_function("textgen.py", "_chain_tokens"))
+
+    def test_every_closed_path_runs_the_kernel(self, monkeypatch):
+        # The same kernel, counted: one call per single step, per batch, and
+        # per step and state of keyed generation.
+        real, counted = closed_scheme._rank_shift, []
+
+        def counting(probs, order, signs):
+            counted.append(signs.shape)
+            return real(probs, order, signs)
+
+        monkeypatch.setattr(closed_scheme, "_rank_shift", counting)
+        key = WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED)
+        p = np.array([0.3, 0.2, 0.15, 0.12, 0.1, 0.06, 0.04, 0.03])
+        closed_step(key, 3, p, np.random.default_rng(0))
+        assert counted == [(1, 8)]
+        watermark_distribution(p, np.array([1, -1] * 4), -1)
+        batch = derive_closed_steps(key, 5)
+        watermark_distributions(p, batch.colorings, batch.flips)
+        assert counted[1:] == [(8,), (5, 8)]
+        del counted[:]
+        generate(iid_source(p), 6, key, np.random.default_rng(1))
+        assert counted == [(8,)] * 6
+        del counted[:]
+        markov = markov_source(np.vstack([np.roll(p, i) for i in range(8)]), p)
+        generate_many(markov, 4, key, 1, np.random.default_rng(2))
+        assert counted == [(8,)] * 4
