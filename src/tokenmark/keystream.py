@@ -2,9 +2,10 @@
 
 The sampler and the detector never share state; both re-derive the same
 per-step secrets from a 32-byte master seed. The derivation below is part
-of the key-file format contract. Each key-file version's derivation is
-frozen: a key written under a version gives the same bits for as long as
-that version can be read.
+of the key-file format contract of version 3, the one version ``keygen``
+writes and the only one read. It is frozen: a version 3 key gives the same
+bits for as long as the version can be read. Versions 1 and 2 are retired
+(``WatermarkKey``).
 
 PRF stream
 ----------
@@ -13,30 +14,18 @@ Block ``c`` of lane ``L`` at step ``j`` hashes the 49 bytes::
     master_seed (32 bytes) || L (1 byte)
         || j (8 bytes, big-endian) || c (8 bytes, big-endian)
 
-with the block function of the key's version:
-
-* version 1: SHA-256, 32 bytes (4 words) per block;
-* versions 2 and 3: SHAKE-256 squeezed to 1024 bytes (128 words) per block.
+with SHAKE-256 squeezed to 1024 bytes (128 words) per block.
 
 Blocks are concatenated and split into big-endian unsigned 64-bit words;
 word ``t`` of a lane is bytes ``[8t, 8t+8)`` of that stream. Lanes: 0
-coloring, 1 flip, 2 gaussian, 3 support, 4 direction. Besides the block
-function the versions differ only in the coloring rule: versions 1 and 2
-shuffle, version 3 selects (below). ``keygen`` writes version 3; versions
-1 and 2 are still read.
+coloring, 1 flip, 2 gaussian, 3 support, 4 direction.
 
 Derived quantities
 ------------------
 * Bounded integers: word ``w`` reduced to ``w mod n``. The modulo bias is
   below ``n / 2**64`` (< 2**-40 for any realistic dictionary) and is
   accepted by this format.
-* Coloring (closed scheme), versions 1 and 2, by shuffling: start from the
-  sign array ``[+1]*(d/2) + [-1]*(d/2)`` indexed by token, then
-  Fisher-Yates shuffle downward: for ``i = d-1 .. 1``, word ``t = d-1-i``
-  gives ``pos = word_t mod (i+1)`` and entries ``i`` and ``pos`` are
-  swapped. Uniform over balanced colorings because every permutation of
-  the sign multiset is equally likely.
-* Coloring, version 3, by selection: the step's first ``d`` words
+* Coloring (closed scheme), by selection: the step's first ``d`` words
   ``w_0 .. w_{d-1}``, one per token. Token ``t`` is ``+1`` iff its rank
   ``#{i : w_i < w_t} + #{i < t : w_i = w_t}`` is below ``d/2``: the d/2
   smallest words, ties broken by token index. If the words are
@@ -67,25 +56,11 @@ definitions, not another format, and give bit-identical values.
 
 * Gaussian entry ``t``: it needs only words ``2 floor(t/2)`` and
   ``2 floor(t/2) + 1``, bytes ``[16 floor(t/2), 16 floor(t/2) + 16)`` of the
-  lane: one block per token (``floor(t/4)`` in version 1,
-  ``floor(t/128)`` in versions 2 and 3). SHAKE-256 output is a prefix of
-  any longer squeeze, so it squeezes only up to the pair's last byte.
-* Coloring entry ``t``, version 3: hash the step's ``d`` words and count
-  the rank of ``w_t`` as defined above, one comparison pass over the
-  words, with no sort: ``d / 128`` blocks per token.
-* Coloring entry ``t``, versions 1 and 2, by the swap chain. Write
-  ``pos_i`` for the swap position of round ``i``. No round after round
-  ``i`` touches entry ``i`` (later rounds swap below ``i``), so entry
-  ``t >= 1`` ends up holding what entry ``pos_t`` held just before round
-  ``t``. The value entry ``y`` holds just before round ``b`` (``y <= b``)
-  came from the latest earlier round that swapped it, which is the
-  smallest ``i' > b`` with ``pos_{i'} = y``: it received what entry
-  ``i'`` held just before round ``i'``. So start from ``y = pos_t`` and
-  ``b = t`` (``y = b = 0`` for ``t = 0``), move to ``y = b = i'`` while
-  such an ``i'`` exists, and read the starting sign of entry ``y``:
-  ``+1`` iff ``y < d/2``. Only rounds ``i >= t``, that is words
-  ``0 .. min(d-1, d-t) - 1``, are needed: about ``(d - t) / 128`` blocks
-  in version 2.
+  lane: one block per token, ``floor(t/128)``. SHAKE-256 output is a prefix
+  of any longer squeeze, so it squeezes only up to the pair's last byte.
+* Coloring entry ``t``: hash the step's ``d`` words and count the rank of
+  ``w_t`` as defined above, one comparison pass over the words, with no
+  sort: ``d / 128`` blocks per token.
 """
 
 from __future__ import annotations
@@ -94,10 +69,10 @@ import base64
 import functools
 import hashlib
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -130,8 +105,8 @@ class WatermarkKey:
     ``padded`` records that the dictionary had odd size and a zero-probability
     spurious token was appended to make ``d`` even; the spurious token is
     never sampled because its shift magnitude is always zero. ``version``
-    selects the key-file version's PRF block function and coloring rule
-    (module docstring).
+    must be ``KEY_FILE_VERSION``: keys of the retired versions 1 and 2 are
+    refused, and texts watermarked under them can no longer be detected.
     """
 
     master_seed: bytes
@@ -144,7 +119,11 @@ class WatermarkKey:
     version: int = KEY_FILE_VERSION
 
     def __post_init__(self):
-        if not is_int(self.version) or self.version not in _FORMATS:
+        if not is_int(self.version) or self.version != KEY_FILE_VERSION:
+            if is_int(self.version) and 1 <= self.version < KEY_FILE_VERSION:
+                raise InvalidKeyError(
+                    f"key file version {self.version} is retired and can no longer be read; "
+                    f"`tokenmark keygen` writes a supported key (version {KEY_FILE_VERSION})")
             raise InvalidKeyError(f"unsupported key file version {self.version!r}")
         if not isinstance(self.master_seed, bytes) or len(self.master_seed) != SEED_BYTES:
             raise InvalidKeyError(f"master seed must be {SEED_BYTES} bytes")
@@ -245,29 +224,33 @@ class OpenStepBatch:
 _STEP_LIMIT = 2 ** 64
 
 
-def _sha256_blocks(inputs: list[bytes], nbytes: int) -> list[bytes]:
-    sha = hashlib.sha256
-    return [sha(data).digest() for data in inputs]
-
-
-def _shake256_blocks(inputs: list[bytes], nbytes: int) -> list[bytes]:
-    shake = hashlib.shake_256
-    return [shake(data).digest(nbytes) for data in inputs]
+# Bytes per SHAKE-256 block. A block's first ``nbytes`` bytes are a prefix
+# of the whole block, so a lane squeezes no more of its last block than its
+# words need.
+_BLOCK_BYTES = 1024
 
 
 def _word_matrix(key: WatermarkKey, lane: int, start: int, count: int,
                  nwords: int) -> np.ndarray:
     """The first ``nwords`` big-endian words of each of ``count``
-    consecutive steps, shape (count, nwords), one row per step."""
-    blocks, block_bytes = _FORMATS[key.version][:2]
-    nblocks = -(-8 * nwords // block_bytes)
-    nbytes = min(block_bytes, 8 * nwords)  # a one-block lane squeezes only its words
+    consecutive steps, shape (count, nwords), one row per step.
+
+    Words no array can hold (a closed key's coloring at d = 2**62, say)
+    are refused before anything is hashed. The output is allocated before
+    the one counter per block is listed, so a request that memory cannot
+    hold fails at once."""
+    if 8 * count * nwords > sys.maxsize:  # numpy's limit on an array's bytes
+        raise InvalidKeyError(f"d={key.d} is too large to derive: {count} x {nwords} words "
+                              "exceed the largest array")
+    out = np.empty((count, nwords), dtype=np.uint64)
+    nblocks = -(-8 * nwords // _BLOCK_BYTES)
+    nbytes = min(_BLOCK_BYTES, 8 * nwords)  # a one-block lane squeezes only its words
     lane_prefix = key.master_seed + bytes([lane])
     counters = [c.to_bytes(8, "big") for c in range(nblocks)]
-    out = np.empty((count, nwords), dtype=np.uint64)
+    shake = hashlib.shake_256
     for step, row in zip(range(start, start + count), out):
         prefix = lane_prefix + step.to_bytes(8, "big")
-        data = b"".join(blocks([prefix + c for c in counters], nbytes))
+        data = b"".join([shake(prefix + c).digest(nbytes) for c in counters])
         row[:] = np.frombuffer(data, dtype=">u8", count=nwords)
     return out
 
@@ -278,49 +261,14 @@ def _sign_words(key: WatermarkKey, lane: int, start: int, count: int) -> np.ndar
 
 
 # --------------------------------------------------------------------------
-# Coloring rules (module docstring). Each has two readings: the colorings
-# of a block of steps from their words, one (d,) row of uint64 words per
-# step, and one token's colour at one step.
-
-
-def _shuffle_rows(words: np.ndarray) -> np.ndarray:
-    """Versions 1 and 2: the colorings of steps by per-step Fisher-Yates on
-    a Python list, reading the first d - 1 words of each row. The list holds
-    each sign as its int8 byte (-1 as 255), so a shuffled row converts as
-    one bytes object, and the swap positions are read one at a time."""
-    d = words.shape[1]
-    moduli = np.arange(d, 1, -1, dtype=np.uint64)
-    signs = [1] * (d // 2) + [255] * (d // 2)
-    out = np.empty(words.shape, dtype=np.int8)
-    for row, row_words in zip(out, words):
-        a = signs.copy()
-        for i, pos in zip(range(d - 1, 0, -1), memoryview(row_words[:d - 1] % moduli)):
-            a[i], a[pos] = a[pos], a[i]
-        row[:] = np.frombuffer(bytes(a), dtype=np.int8)
-    return out
-
-
-def _shuffle_color(key: WatermarkKey, step: int, t: int) -> int:
-    """Versions 1 and 2: token ``t``'s colour read off the swap chain,
-    hashing only the words of rounds at or above ``t``."""
-    d = key.d
-    nwords = min(d - 1, d - t)
-    words = _word_matrix(key, LANE_COLORING, step, 1, nwords)[0]
-    # positions[k] is pos_i of round i = d-1-k.
-    positions = words % np.arange(d, d - nwords, -1, dtype=np.uint64)
-    y = int(positions[d - 1 - t]) if t else 0
-    bound = t
-    while True:
-        hits = np.flatnonzero(positions[: d - 1 - bound] == y)
-        if hits.size == 0:
-            break
-        y = bound = d - 1 - int(hits[-1])
-    return 1 if y < d // 2 else -1
+# The coloring rule (module docstring), read two ways: the colorings of a
+# block of steps from their words, one (d,) row of uint64 words per step,
+# and one token's colour at one step.
 
 
 def _select_rows(words: np.ndarray) -> np.ndarray:
-    """Version 3: the colorings of steps from their words, one (d,) row of
-    uint64 words per step: +1 for the d/2 smallest words of a row, ties
+    """The colorings of steps from their words, one (d,) row of uint64
+    words per step: +1 for the d/2 smallest words of a row, ties
     broken by token index. A partition finds each row's (d/2)-th smallest
     word; where words equal to it would make the +1 class too large, only
     the lowest indices among them keep +1."""
@@ -334,32 +282,12 @@ def _select_rows(words: np.ndarray) -> np.ndarray:
 
 
 def _select_color(key: WatermarkKey, step: int, t: int) -> int:
-    """Version 3: token ``t``'s colour from the rank of its word."""
+    """Token ``t``'s colour from the rank of its word."""
     words = _word_matrix(key, LANE_COLORING, step, 1, key.d)[0]
     word = words[t]
     rank = np.count_nonzero(words < word) + np.count_nonzero(words[:t] == word)
     return 1 if rank < key.d // 2 else -1
 
-
-class _Format(NamedTuple):
-    """What one key file version derives differently from the others."""
-
-    blocks: Callable       # block function
-    block_bytes: int       # bytes per block
-    colorings: Callable    # (rows, d) uint64 words -> (rows, d) int8 colorings
-    color: Callable        # one token's colour at one step
-
-
-# Key file version -> its format; the only place the versions differ. A
-# block function hashes each input to one block. SHAKE-256 squeezes just
-# the first ``nbytes`` bytes of it, a prefix of the whole block; SHA-256
-# always returns its 32 bytes. The shuffle reads d - 1 of the d words it is
-# given; for even d they span the same blocks.
-_FORMATS = {
-    1: _Format(_sha256_blocks, 32, _shuffle_rows, _shuffle_color),
-    2: _Format(_shake256_blocks, 1024, _shuffle_rows, _shuffle_color),
-    3: _Format(_shake256_blocks, 1024, _select_rows, _select_color),
-}
 
 # Batches colour, or Box-Muller transform, blocks of steps holding about
 # this many words (128 KiB) as they are hashed, so their work arrays do not
@@ -368,15 +296,14 @@ _BLOCK_WORDS = 1 << 14
 
 
 def _coloring_matrix(key: WatermarkKey, start: int, count: int) -> np.ndarray:
-    """Balanced colorings for consecutive steps, shape (count, d), by the
-    coloring rule of the key's version, a block of steps at a time."""
+    """Balanced colorings for consecutive steps, shape (count, d), a block
+    of steps at a time."""
     d = key.d
-    colorings = _FORMATS[key.version].colorings
     out = np.empty((count, d), dtype=np.int8)
     rows = max(1, _BLOCK_WORDS // d)
     for lo in range(0, count, rows):
         hi = min(lo + rows, count)
-        out[lo:hi] = colorings(_word_matrix(key, LANE_COLORING, start + lo, hi - lo, d))
+        out[lo:hi] = _select_rows(_word_matrix(key, LANE_COLORING, start + lo, hi - lo, d))
     return out
 
 
@@ -541,13 +468,12 @@ def open_gaussian_entries(key: WatermarkKey, tokens, start: int = 0) -> np.ndarr
     _require_scheme(key, OPEN)
     tokens = validate_tokens(tokens, key.d)
     start, _ = _check_step(start, tokens.size)
-    blocks, block_bytes = _FORMATS[key.version][:2]
     prefix = key.master_seed + bytes([LANE_GAUSSIAN])
     pairs = []
     for step, t in zip(range(start, start + tokens.size), tokens.tolist()):
-        block, off = divmod(16 * (t // 2), block_bytes)
+        block, off = divmod(16 * (t // 2), _BLOCK_BYTES)
         data = prefix + step.to_bytes(8, "big") + block.to_bytes(8, "big")
-        pairs.append(blocks([data], off + 16)[0][off:off + 16])
+        pairs.append(hashlib.shake_256(data).digest(off + 16)[off:off + 16])
     words = np.frombuffer(b"".join(pairs), dtype=">u8").astype(np.uint64).reshape(-1, 2)
     cos, sin = _box_muller(words[:, 0], words[:, 1])
     return key.epsilon * np.where(tokens % 2 == 0, cos, sin)
@@ -558,14 +484,13 @@ def closed_token_colors(key: WatermarkKey, tokens, start: int = 0) -> np.ndarray
     each step, shape (n,) int8.
 
     Bit-identical to the same entries of ``derive_closed_steps``. Each
-    colour is read by the one-entry reading of the key's coloring rule
-    (module docstring), which holds O(d) memory for one step at a time.
+    colour is read by the one-entry reading of the coloring rule (module
+    docstring), which holds O(d) memory for one step at a time.
     """
     _require_scheme(key, CLOSED)
     tokens = validate_tokens(tokens, key.d)
     start, _ = _check_step(start, tokens.size)
-    color = _FORMATS[key.version].color
-    colors = np.array([color(key, start + j, t) for j, t in enumerate(tokens.tolist())],
+    colors = np.array([_select_color(key, start + j, t) for j, t in enumerate(tokens.tolist())],
                       dtype=np.int8)
     return colors * _sign_words(key, LANE_FLIP, start, tokens.size)
 
@@ -595,7 +520,7 @@ def key_to_dict(key: WatermarkKey) -> dict:
 
 
 def key_from_dict(obj: dict) -> WatermarkKey:
-    """Parse a key file object: ``version`` (a supported one), ``d`` and ``k``
+    """Parse a key file object: ``version`` (``KEY_FILE_VERSION``), ``d`` and ``k``
     integers, ``epsilon`` a finite number, ``padded`` a boolean, and the seed
     strict base64. Booleans, strings and fractions are never converted."""
     try:

@@ -15,10 +15,12 @@ import importlib.metadata
 import importlib.util
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 import warnings
 from pathlib import Path
 
@@ -44,6 +46,13 @@ SPARSE = {"name": "sparse", "type": "sparse-power", "d": 4, "k": 2, "epsilon": 1
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def cap_address_space():
+    """Cap a child interpreter's address space at 4 GB."""
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = 2**32 if hard == resource.RLIM_INFINITY else min(2**32, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
 
 
 def child_env():
@@ -73,17 +82,14 @@ class TestKeygen:
         assert json.loads(out.read_text())["version"] == 3
         assert load_key(out).version == 3
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
     @pytest.mark.parametrize("scheme", [CLOSED, OPEN])
-    def test_every_version_generates_and_detects(self, tmp_path, capsys, scheme, version):
-        # A key file of any readable version watermarks a text through
-        # `generate` and scores it through `detect` under its own version.
+    def test_key_file_generates_and_detects(self, tmp_path, capsys, scheme):
+        # A saved key file watermarks a text through `generate` and scores it
+        # through `detect`, as the key itself scores it.
         key_path, record = tmp_path / "key.json", tmp_path / "text.json"
         options = {"epsilon": 0.5, "k": 4} if scheme == OPEN else {}
-        key = WatermarkKey(master_seed=bytes(range(32)), d=64, scheme=scheme,
-                           version=version, **options)
+        key = WatermarkKey(master_seed=bytes(range(32)), d=64, scheme=scheme, **options)
         save_key(key, key_path)
-        assert json.loads(key_path.read_text())["version"] == version
         assert run_cli("generate", "--model", UNIFORM64, "--n", "300", "--seed", "3",
                        "--key", str(key_path), "--out", str(record)) == 0
         capsys.readouterr()
@@ -475,6 +481,35 @@ class TestDetect:
         assert load_record(record).d == 7
         assert run_cli("detect", "--text", str(record), "--key", str(key)) == 0
         assert json.loads(capsys.readouterr().out)["n_tokens"] == 300
+
+    @pytest.mark.parametrize("log2_d", [62, 70])
+    def test_huge_closed_key_exits_2(self, tmp_path, log2_d):
+        # A closed key at d = 2**62 listed one block counter per 128 words
+        # before allocating anything and was killed for memory; at d = 2**70
+        # it ran past a minute. No array holds its coloring, so detect now
+        # exits 2 at once. An open key at the same d still scores, one block
+        # per token. The child's address space is capped, so that a
+        # regression fails here instead of filling the machine's memory.
+        text = tmp_path / "tokens.txt"
+        text.write_text("0 1 2\n")
+        for scheme, options, codes in ((CLOSED, {}, {2}), (OPEN, {"epsilon": 0.5, "k": 4}, {0, 1})):
+            key = tmp_path / f"{scheme}.json"
+            save_key(WatermarkKey(master_seed=bytes(32), d=2**log2_d, scheme=scheme, **options),
+                     key)
+            start = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-m", "tokenmark", "detect", "--text", str(text), "--key", str(key)],
+                capture_output=True, text=True, env=child_env(), timeout=30,
+                preexec_fn=cap_address_space)
+            elapsed = time.perf_counter() - start
+            assert proc.returncode in codes, proc.stderr
+            assert elapsed < 10, f"{scheme} detect at d=2**{log2_d} took {elapsed:.1f}s"
+            if scheme == CLOSED:
+                assert proc.stdout == ""
+                assert proc.stderr == (f"error: d={2**log2_d} is too large to derive: "
+                                       f"1 x {2**log2_d} words exceed the largest array\n")
+            else:
+                assert json.loads(proc.stdout)["n_tokens"] == 3
 
     def test_bad_delta(self, tmp_path, capsys):
         key = tmp_path / "key.json"

@@ -6,9 +6,7 @@ closed scheme, one pairing kernel, and ``generate`` is the one-text case of
 samplers at d = 32768 and of every generation path: memoryless and Markov,
 one text and many, unkeyed, closed, padded closed and open, and texts
 longer than one derivation chunk. A refactor of the sampler, the kernels or
-the generation loops must keep every one of them. The closed keys are
-version 2 keys, whose streams were pinned before version 3 existed; the
-open lanes are the same in versions 2 and 3.
+the generation loops must keep every one of them.
 """
 
 import hashlib
@@ -29,8 +27,8 @@ P8 = np.array([0.4, 0.02, 0.25, 0.15, 0.1, 0.05, 0.02, 0.01])
 # One step past a derivation chunk of 2**16 steps, and 99 more.
 LONG = 65536 + 100
 
-CLOSED8 = WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED, version=2)
-PADDED8 = WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED, padded=True, version=2)
+CLOSED8 = WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED)
+PADDED8 = WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED, padded=True)
 OPEN8 = WatermarkKey(master_seed=SEED, d=8, scheme=OPEN, epsilon=0.4, k=2)
 
 
@@ -64,12 +62,12 @@ def large_inputs():
 
 def test_single_steps_d32768():
     p, logits = large_inputs()
-    closed = WatermarkKey(master_seed=SEED, d=D, scheme=CLOSED, version=2)
+    closed = WatermarkKey(master_seed=SEED, d=D, scheme=CLOSED)
     opened = WatermarkKey(master_seed=SEED, d=D, scheme=OPEN, epsilon=0.3, k=16)
     rng = np.random.default_rng(5)
     tokens = [closed_step(closed, s, p, rng) for s in STEPS for _ in range(6)]
-    assert tokens[:6] == [26155, 26199, 17180, 9478, 1326, 12923]
-    assert digest(tokens) == "fc0ae80b6ac7a8d1a0c514669a9e234f50b31388f3b40ceaef4c6a6b234221ef"
+    assert tokens[:6] == [26513, 26634, 17165, 8912, 1224, 12618]
+    assert digest(tokens) == "6dfa48c0a764dacff807b371e0349939ddad95053410a7213c09ba8b1db3fe62"
     rng = np.random.default_rng(6)
     tokens = [open_step(opened, s, logits, rng) for s in STEPS for _ in range(6)]
     assert tokens[:6] == [17725, 11098, 11968, 12114, 32366, 20791]
@@ -77,10 +75,10 @@ def test_single_steps_d32768():
 
 
 def test_generate_memoryless():
-    padded = WatermarkKey(master_seed=SEED, d=10, scheme=CLOSED, padded=True, version=2)
+    padded = WatermarkKey(master_seed=SEED, d=10, scheme=CLOSED, padded=True)
     record = generate(iid_source(P9), 3000, padded, np.random.default_rng(7))
     assert digest(record.tokens) == \
-        "7840a73fc2aa7416933a33dbe1261e95401be157e61f03c906664f21adcfba93"
+        "9f8196a57632b89d1dd5051d6a92cfc8dadaf50855920a2e5d966c8623d4dd68"
     key = WatermarkKey(master_seed=SEED, d=64, scheme=OPEN, epsilon=0.3, k=4)
     record = generate(powerlaw_source(64, 1.1), 3000, key, np.random.default_rng(8))
     assert digest(record.tokens) == \
@@ -106,42 +104,42 @@ def test_markov_unkeyed():
 def test_markov_keyed():
     record = generate(markov8(), 4000, CLOSED8, np.random.default_rng(31))
     assert digest(record.tokens) == \
-        "dfcad23d10e0d7866dc7833d6e39e2c72afafa6e6a8f1ff398868d20e4080480"
+        "06d23196e2aff656a9e80121ea3de4289caf4efad3078016b4c1b564302a0900"
     record = generate(markov7(), 4000, PADDED8, np.random.default_rng(32))
     assert digest(record.tokens) == \
-        "504cae26ec6670aae0f1ddef45cc1d30e46582d656a7e796d134b6cbc99d8f3f"
+        "50697348f128f157310927f5352183debe6494f3d05034acd3b6500a1659758a"
     record = generate(markov8(), 4000, OPEN8, np.random.default_rng(33))
     assert digest(record.tokens) == \
         "ce6bd2debc87d767747f6bb61bea5624317f7a21731e3c3be28cc79f6562a6a5"
 
 
 def test_generate_many_keyed():
-    padded = WatermarkKey(master_seed=SEED, d=10, scheme=CLOSED, padded=True, version=2)
+    padded = WatermarkKey(master_seed=SEED, d=10, scheme=CLOSED, padded=True)
     tokens = generate_many(iid_source(P9), 500, padded, 7, np.random.default_rng(34))
-    assert digest(tokens) == "951298e54b6a42e99f592937d92d94cbb492bdaf18a0ee14f362083e969ea174"
+    assert digest(tokens) == "61645c848b5240b070e8a52e4b28d8f4e2a4ed5120815d2484ebb772a8bd62aa"
     key = WatermarkKey(master_seed=SEED, d=64, scheme=OPEN, epsilon=0.3, k=4)
     tokens = generate_many(powerlaw_source(64, 1.1), 500, key, 7, np.random.default_rng(35))
     assert digest(tokens) == "32d8f009f617bd78fee28c47e142a6dafd36f447492ee85664f321c7416941a7"
     tokens = generate_many(markov8(), 400, CLOSED8, 5, np.random.default_rng(36))
-    assert digest(tokens) == "b609d5e8c0b04921333f9f79e68ac8053f959ac28e45cf372daa5ad4fed0ea7f"
+    assert digest(tokens) == "d44241dcedf37c5290ad78daf8d77d5020028ced0ef3a0d2b9a3f54494a45a02"
 
 
 def test_texts_longer_than_a_chunk():
     record = generate(iid_source(P8), LONG, CLOSED8, np.random.default_rng(37))
     assert digest(record.tokens) == \
-        "8857165f8ffed0252c0848105836221cb8482564a670a192e3edefd18411e248"
+        "08c89c8d315134854a47ca1634c13e6f028e95418b6d77252be8692fd7986aba"
     record = generate(powerlaw_source(8, 0.9), LONG, OPEN8, np.random.default_rng(38))
     assert digest(record.tokens) == \
         "fab9bc69b3b89162631002ebc6602ac860a296d84492f84753c76582539848d2"
     tokens = generate_many(iid_source(P8), LONG, CLOSED8, 2, np.random.default_rng(39))
-    assert digest(tokens) == "92471bef1f80aa6ca29d41cfbdc81802f575572724e05d6885eca7037956ad5a"
+    assert digest(tokens) == "5c20bc8c7a4ba214680a20bd1a6ffe80245a5d4d23e9ad4f62bab3f5276e4ee4"
     record = generate(markov8(), LONG, CLOSED8, np.random.default_rng(40))
     assert digest(record.tokens) == \
-        "b6e2b989bdcb0279c44ff2373bcf4fc83ae8feb41801645b0e9da2628aae3e94"
+        "0a0e9d97150504d9d3af7bef47b4f2ce1ed52cef84c2ee2810abc341ffd09647"
 
 
 def test_generate_is_the_one_text_case():
-    padded = WatermarkKey(master_seed=SEED, d=10, scheme=CLOSED, padded=True, version=2)
+    padded = WatermarkKey(master_seed=SEED, d=10, scheme=CLOSED, padded=True)
     opened = WatermarkKey(master_seed=SEED, d=64, scheme=OPEN, epsilon=0.3, k=4)
     for model, key in ((iid_source(P9), padded), (powerlaw_source(64, 1.1), opened),
                        (iid_source(P8), CLOSED8)):

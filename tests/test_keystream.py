@@ -5,9 +5,9 @@ The reference implementation below uses only hashlib and math, no numpy, so
 it cannot share bugs with the production vectorized path. Integer lanes must
 match it exactly; the Gaussian lane is compared at few-ulp tolerance because
 vectorized transcendental kernels may differ from libm in the last ulp.
-Golden vectors exist for every key-file version; the version 1 ones were
-computed before version 2 existed, the version 2 ones before version 3,
-and none may ever change.
+The golden vectors pin key-file version 3, the one version read. Its flip,
+support, direction and Gaussian vectors were computed under version 2,
+which shares those lanes. None may ever change.
 """
 
 import hashlib
@@ -56,49 +56,38 @@ SEED = bytes(range(32))
 # Scalar reference implementation (hashlib + math only)
 
 
-def ref_words(seed, lane, step, n, version):
-    """Words of version 1 (SHA-256 blocks) or versions 2 and 3 (SHAKE-256
-    blocks of 1024 bytes)."""
+def ref_words(seed, lane, step, n):
+    """Words of SHAKE-256 blocks of 1024 bytes."""
     out = []
     counter = 0
     while len(out) < n:
         data = seed + bytes([lane]) + step.to_bytes(8, "big") + counter.to_bytes(8, "big")
-        if version == 1:
-            block = hashlib.sha256(data).digest()
-        else:
-            block = hashlib.shake_256(data).digest(1024)
+        block = hashlib.shake_256(data).digest(1024)
         out.extend(int.from_bytes(block[i : i + 8], "big") for i in range(0, len(block), 8))
         counter += 1
     return out[:n]
 
 
 def ref_selection(words):
-    """The version 3 coloring of one step's words: a sort of the (word,
-    index) pairs, +1 for the first half."""
+    """The coloring of one step's words: a sort of the (word, index) pairs,
+    +1 for the first half."""
     colors = [-1] * len(words)
     for _, i in sorted(zip(words, range(len(words))))[: len(words) // 2]:
         colors[i] = 1
     return colors
 
 
-def ref_coloring(seed, step, d, version):
-    if version == 3:
-        return ref_selection(ref_words(seed, 0, step, d, version))
-    perm = [1] * (d // 2) + [-1] * (d // 2)
-    words = ref_words(seed, 0, step, d - 1, version)
-    for t, i in enumerate(range(d - 1, 0, -1)):
-        pos = words[t] % (i + 1)
-        perm[i], perm[pos] = perm[pos], perm[i]
-    return perm
+def ref_coloring(seed, step, d):
+    return ref_selection(ref_words(seed, 0, step, d))
 
 
-def ref_sign(seed, lane, step, version):
-    return 1 if ref_words(seed, lane, step, 1, version)[0] & 1 else -1
+def ref_sign(seed, lane, step):
+    return 1 if ref_words(seed, lane, step, 1)[0] & 1 else -1
 
 
-def ref_gaussian(seed, step, d, epsilon, version):
+def ref_gaussian(seed, step, d, epsilon):
     npairs = (d + 1) // 2
-    words = ref_words(seed, 2, step, 2 * npairs, version)
+    words = ref_words(seed, 2, step, 2 * npairs)
     out = []
     for m in range(npairs):
         u1 = ((words[2 * m] >> 11) + 1) * 2.0**-53
@@ -109,9 +98,9 @@ def ref_gaussian(seed, step, d, epsilon, version):
     return [epsilon * g for g in out[:d]]
 
 
-def ref_support(seed, step, d, k, version):
+def ref_support(seed, step, d, k):
     chosen = set()
-    words = ref_words(seed, 3, step, k, version)
+    words = ref_words(seed, 3, step, k)
     for t in range(k):
         j = d - k + t
         pos = words[t] % (j + 1)
@@ -123,50 +112,25 @@ def ref_support(seed, step, d, k, version):
 # Frozen golden vectors for the all-zeros..31 seed
 
 
-GOLDEN_COLORINGS_D8 = [
-    [-1, 1, -1, -1, 1, -1, 1, 1],
-    [1, -1, -1, 1, -1, -1, 1, 1],
-    [-1, 1, 1, 1, 1, -1, -1, -1],
-    [1, -1, 1, 1, -1, -1, 1, -1],
-]
-GOLDEN_FLIPS = [1, 1, 1, -1]
-GOLDEN_SUPPORT_D4_K2 = [1, 2]
-GOLDEN_DIRECTIONS = [1, 1, -1]
-GOLDEN_GAUSSIAN_STEP0 = [-0.71138, -0.90014, 0.15406, 0.11297]
-# SHA-256 of v1 colorings at d = 32768: single steps 0, 1 and 2**40 + 3
-# concatenated, and the 65-row batch of steps 5 .. 69.
+# Digests are SHA-256 of d = 32768 material: single steps 0, 1 and
+# 2**40 + 3 concatenated, and the 65-row batch of steps 5 .. 69. Supports
+# (k = 64, fresh per step) are hashed as little-endian int64.
 GOLDEN_SINGLE_STEPS_D32768 = (0, 1, 2**40 + 3)
-GOLDEN_SINGLE_DIGEST_D32768 = "0a2c70d96812b58c5ea4ed42289fccdb7b935981e956b9c933d9f2f2cc787bc3"
-GOLDEN_BATCH_DIGEST_D32768 = "7b685a21f0a88ccbc9e12f7103ec51df47162e81f1bb0e335d356a8aa09c606a"
-# SHA-256 of v1 supports (k = 64, fresh per step, little-endian int64) at
-# d = 32768: the same single steps, and the 65-row batch of steps 5 .. 69.
-GOLDEN_SUPPORT_DIGEST_D32768 = "59fcb7b731408cd3644703d980689b1815e324d3b8cd21bc1dfc6013121aae6a"
-GOLDEN_SUPPORT_BATCH_DIGEST_D32768 = "c1132f7b9f11c3eeadfc6d315b1c5548233cd804b45cd21c09ee148c22d42140"
-# SHA-256 of the v1 flips (int8) of steps 0 .. 4095, then of steps
+# SHA-256 of the flips (int8) of steps 0 .. 4095, then of steps
 # 2**40 + 3 and 2**64 - 1.
-GOLDEN_FLIP_DIGEST = "ee6921381d63410808f694ffee46373217e538b52906b43e4ff06704c6a27893"
+GOLDEN_FLIP_DIGEST = "53b51f115d0b698bdcfefefa91ce5a5e66c4018eab907b702e6ade20f034cff7"
 
-# Version 2 counterparts of the vectors above, computed from the scalar
-# reference: the same seed, steps, sizes and byte layouts.
-GOLDEN_V2_COLORINGS_D8 = [
-    [1, 1, -1, -1, -1, -1, 1, 1],
-    [-1, -1, 1, -1, -1, 1, 1, 1],
-    [-1, 1, 1, -1, -1, -1, 1, 1],
-    [1, 1, -1, 1, -1, -1, -1, 1],
-]
+# The lanes version 3 shares with version 2, computed from the scalar
+# reference before version 3 existed.
 GOLDEN_V2_FLIPS = [-1, -1, -1, 1]
 GOLDEN_V2_SUPPORT_D4_K2 = [0, 3]
 GOLDEN_V2_DIRECTIONS = [-1, -1, 1]
 GOLDEN_V2_GAUSSIAN_STEP0 = [0.44925, -0.23029, -0.53911, 0.49121]
-GOLDEN_V2_SINGLE_DIGEST_D32768 = "91ac85bb7be0433aded8c3e86779ea4b5bada72048a9cd413473e56b284b355f"
-GOLDEN_V2_BATCH_DIGEST_D32768 = "a7c0156cca46261ef79e15ac7d4d4f71995116962cbe9e1542aa52a4906a118c"
 GOLDEN_V2_SUPPORT_DIGEST_D32768 = "ed97e491ae7839b04d4b5992b49c53a08550f50de4c78585d2ff6e6c8d39c297"
 GOLDEN_V2_SUPPORT_BATCH_DIGEST_D32768 = (
     "aa8608fbcb73ec7ebc5b7e37089e5296da79e570d9155d15ad67921825b4d055")
 
-# Version 3 counterparts, computed from the scalar reference. Version 3
-# changes only the coloring rule, so its flip, support, direction and
-# Gaussian lanes are version 2's, and pinned to the same values.
+# Version 3 colorings, computed from the scalar reference.
 GOLDEN_V3_COLORINGS_D8 = [
     [-1, -1, 1, -1, -1, 1, 1, 1],
     [1, -1, 1, -1, -1, 1, 1, -1],
@@ -176,114 +140,52 @@ GOLDEN_V3_COLORINGS_D8 = [
 GOLDEN_V3_SINGLE_DIGEST_D32768 = "7c626694addce1a5d5b15a6714bc9a5f487e4e8b829e5dcca7ce34abc7304651"
 GOLDEN_V3_BATCH_DIGEST_D32768 = "e9c8d895379b75ef29cdb4392ec70108491455ce57e8ae3bbf7a425056daa0c4"
 
-# Every readable version's golden vectors at d = 8 (colorings, flips) and
-# d = 4, k = 2 (fixed support, directions, step-0 Gaussian to 1e-5).
-GOLDEN_VECTORS = {
-    1: {"colorings": GOLDEN_COLORINGS_D8, "flips": GOLDEN_FLIPS,
-        "support": GOLDEN_SUPPORT_D4_K2, "directions": GOLDEN_DIRECTIONS,
-        "gaussian": GOLDEN_GAUSSIAN_STEP0},
-    2: {"colorings": GOLDEN_V2_COLORINGS_D8, "flips": GOLDEN_V2_FLIPS,
-        "support": GOLDEN_V2_SUPPORT_D4_K2, "directions": GOLDEN_V2_DIRECTIONS,
-        "gaussian": GOLDEN_V2_GAUSSIAN_STEP0},
-    3: {"colorings": GOLDEN_V3_COLORINGS_D8, "flips": GOLDEN_V2_FLIPS,
-        "support": GOLDEN_V2_SUPPORT_D4_K2, "directions": GOLDEN_V2_DIRECTIONS,
-        "gaussian": GOLDEN_V2_GAUSSIAN_STEP0},
-}
+
+def closed_key(d=8):
+    return WatermarkKey(master_seed=SEED, d=d, scheme=CLOSED)
 
 
-def closed_key(d=8, version=KEY_FILE_VERSION):
-    return WatermarkKey(master_seed=SEED, d=d, scheme=CLOSED, version=version)
-
-
-def open_key(d=4, epsilon=0.5, k=2, mode=None, version=KEY_FILE_VERSION):
+def open_key(d=4, epsilon=0.5, k=2, mode=None):
     return WatermarkKey(master_seed=SEED, d=d, scheme=OPEN, epsilon=epsilon, k=k,
-                        support_mode=mode, version=version)
+                        support_mode=mode)
 
 
 class TestGoldenVectors:
     def test_colorings(self):
-        batch = derive_closed_steps(closed_key(version=1), 4)
-        np.testing.assert_array_equal(batch.colorings, GOLDEN_COLORINGS_D8)
+        batch = derive_closed_steps(closed_key(), 4)
+        np.testing.assert_array_equal(batch.colorings, GOLDEN_V3_COLORINGS_D8)
 
     def test_flips(self):
-        batch = derive_closed_steps(closed_key(version=1), 4)
-        np.testing.assert_array_equal(batch.flips, GOLDEN_FLIPS)
-
-    def test_fixed_support_and_directions(self):
-        batch = derive_open_steps(open_key(version=1), 3)
-        np.testing.assert_array_equal(batch.supports, [GOLDEN_SUPPORT_D4_K2] * 3)
-        np.testing.assert_array_equal(batch.directions, GOLDEN_DIRECTIONS)
-
-    def test_gaussian_step0(self):
-        got = derive_open_step(open_key(version=1), 0).gaussian
-        np.testing.assert_allclose(got, GOLDEN_GAUSSIAN_STEP0, atol=1e-5)
-
-    def test_coloring_digests_d32768(self):
-        key = closed_key(32768, version=1)
-        digest = hashlib.sha256()
-        for step in GOLDEN_SINGLE_STEPS_D32768:
-            digest.update(derive_closed_step(key, step).coloring.tobytes())
-        assert digest.hexdigest() == GOLDEN_SINGLE_DIGEST_D32768
-        batch = derive_closed_steps(key, 65, start=5)
-        assert hashlib.sha256(batch.colorings.tobytes()).hexdigest() == GOLDEN_BATCH_DIGEST_D32768
-
-    def test_support_digests_d32768(self):
-        key = open_key(d=32768, epsilon=0.5, k=64, mode=FRESH_SUPPORT, version=1)
-        digest = hashlib.sha256()
-        for step in GOLDEN_SINGLE_STEPS_D32768:
-            digest.update(derive_open_step(key, step).support.astype("<i8").tobytes())
-        assert digest.hexdigest() == GOLDEN_SUPPORT_DIGEST_D32768
-        supports = derive_open_steps(key, 65, start=5).supports
-        assert hashlib.sha256(supports.astype("<i8").tobytes()).hexdigest() == (
-            GOLDEN_SUPPORT_BATCH_DIGEST_D32768)
-        for row in (0, 31, 64):
-            assert supports[row].tolist() == ref_support(SEED, 5 + row, 32768, 64, version=1)
-
-    def test_v1_flip_digest(self):
-        key = closed_key(version=1)
+        key = closed_key()
+        np.testing.assert_array_equal(derive_closed_steps(key, 4).flips, GOLDEN_V2_FLIPS)
         digest = hashlib.sha256(derive_closed_steps(key, 4096).flips.tobytes())
         for step in (2**40 + 3, 2**64 - 1):
             digest.update(np.int8(derive_closed_step(key, step).flip).tobytes())
         assert digest.hexdigest() == GOLDEN_FLIP_DIGEST
 
-    def test_v2_vectors_d8(self):
-        batch = derive_closed_steps(closed_key(version=2), 4)
-        np.testing.assert_array_equal(batch.colorings, GOLDEN_V2_COLORINGS_D8)
-        np.testing.assert_array_equal(batch.flips, GOLDEN_V2_FLIPS)
-        opened = derive_open_steps(open_key(version=2), 3)
-        np.testing.assert_array_equal(opened.supports, [GOLDEN_V2_SUPPORT_D4_K2] * 3)
-        np.testing.assert_array_equal(opened.directions, GOLDEN_V2_DIRECTIONS)
-        np.testing.assert_allclose(derive_open_step(open_key(version=2), 0).gaussian,
-                                   GOLDEN_V2_GAUSSIAN_STEP0, atol=1e-5)
+    def test_fixed_support_and_directions(self):
+        batch = derive_open_steps(open_key(), 3)
+        np.testing.assert_array_equal(batch.supports, [GOLDEN_V2_SUPPORT_D4_K2] * 3)
+        np.testing.assert_array_equal(batch.directions, GOLDEN_V2_DIRECTIONS)
 
-    def test_v2_coloring_digests_d32768(self):
-        key = closed_key(32768, version=2)
+    def test_gaussian_step0(self):
+        got = derive_open_step(open_key(), 0).gaussian
+        np.testing.assert_allclose(got, GOLDEN_V2_GAUSSIAN_STEP0, atol=1e-5)
+
+    def test_support_digests_d32768(self):
+        key = open_key(d=32768, epsilon=0.5, k=64, mode=FRESH_SUPPORT)
         digest = hashlib.sha256()
         for step in GOLDEN_SINGLE_STEPS_D32768:
-            digest.update(derive_closed_step(key, step).coloring.tobytes())
-        assert digest.hexdigest() == GOLDEN_V2_SINGLE_DIGEST_D32768
-        batch = derive_closed_steps(key, 65, start=5)
-        assert hashlib.sha256(batch.colorings.tobytes()).hexdigest() == (
-            GOLDEN_V2_BATCH_DIGEST_D32768)
-
-    def test_every_readable_version_has_goldens(self):
-        """The format contract: a version the key files may name has golden
-        coloring, flip, Gaussian and support vectors, and derives them."""
-        for version in keystream._FORMATS:
-            assert version in GOLDEN_VECTORS, f"version {version} has no golden vectors"
-            golden = GOLDEN_VECTORS[version]
-            assert set(golden) == {"colorings", "flips", "support", "directions", "gaussian"}
-            batch = derive_closed_steps(closed_key(version=version), 4)
-            np.testing.assert_array_equal(batch.colorings, golden["colorings"])
-            np.testing.assert_array_equal(batch.flips, golden["flips"])
-            opened = derive_open_steps(open_key(version=version), 3)
-            np.testing.assert_array_equal(opened.supports, [golden["support"]] * 3)
-            np.testing.assert_array_equal(opened.directions, golden["directions"])
-            np.testing.assert_allclose(derive_open_step(open_key(version=version), 0).gaussian,
-                                       golden["gaussian"], atol=1e-5)
+            digest.update(derive_open_step(key, step).support.astype("<i8").tobytes())
+        assert digest.hexdigest() == GOLDEN_V2_SUPPORT_DIGEST_D32768
+        supports = derive_open_steps(key, 65, start=5).supports
+        assert hashlib.sha256(supports.astype("<i8").tobytes()).hexdigest() == (
+            GOLDEN_V2_SUPPORT_BATCH_DIGEST_D32768)
+        for row in (0, 31, 64):
+            assert supports[row].tolist() == ref_support(SEED, 5 + row, 32768, 64)
 
     def test_v3_coloring_digests_d32768(self):
-        key = closed_key(32768, version=3)
+        key = closed_key(32768)
         digest = hashlib.sha256()
         for step in GOLDEN_SINGLE_STEPS_D32768:
             digest.update(derive_closed_step(key, step).coloring.tobytes())
@@ -292,17 +194,7 @@ class TestGoldenVectors:
         assert hashlib.sha256(batch.colorings.tobytes()).hexdigest() == (
             GOLDEN_V3_BATCH_DIGEST_D32768)
         for row in (0, 64):
-            assert batch.colorings[row].tolist() == ref_coloring(SEED, 5 + row, 32768, 3)
-
-    def test_v2_support_digests_d32768(self):
-        key = open_key(d=32768, epsilon=0.5, k=64, mode=FRESH_SUPPORT, version=2)
-        digest = hashlib.sha256()
-        for step in GOLDEN_SINGLE_STEPS_D32768:
-            digest.update(derive_open_step(key, step).support.astype("<i8").tobytes())
-        assert digest.hexdigest() == GOLDEN_V2_SUPPORT_DIGEST_D32768
-        supports = derive_open_steps(key, 65, start=5).supports
-        assert hashlib.sha256(supports.astype("<i8").tobytes()).hexdigest() == (
-            GOLDEN_V2_SUPPORT_BATCH_DIGEST_D32768)
+            assert batch.colorings[row].tolist() == ref_coloring(SEED, 5 + row, 32768)
 
 
 class TestAgainstScalarReference:
@@ -310,73 +202,71 @@ class TestAgainstScalarReference:
         # At d = 1024 a block holds 16 steps: batches end one row short of,
         # at and one row past a block boundary.
         for d, count in ((2, 40), (8, 40), (12, 40), (1024, 63), (1024, 64), (1024, 65)):
-            key = closed_key(d, version=1)
+            key = closed_key(d)
             batch = derive_closed_steps(key, count)
             for step in range(count):
-                assert batch.colorings[step].tolist() == ref_coloring(SEED, step, d, version=1), (
-                    d, step)
-        key = closed_key(32768, version=1)
+                assert batch.colorings[step].tolist() == ref_coloring(SEED, step, d), (d, step)
+        key = closed_key(32768)
         for step in (0, 2**40 + 3):
             assert derive_closed_step(key, step).coloring.tolist() == ref_coloring(
-                SEED, step, 32768, version=1)
+                SEED, step, 32768)
 
     def test_flips_exact(self):
-        batch = derive_closed_steps(closed_key(version=1), 40)
-        assert batch.flips.tolist() == [ref_sign(SEED, 1, s, version=1) for s in range(40)]
+        batch = derive_closed_steps(closed_key(), 40)
+        assert batch.flips.tolist() == [ref_sign(SEED, 1, s) for s in range(40)]
 
     def test_directions_exact(self):
-        batch = derive_open_steps(open_key(version=1), 40)
-        assert batch.directions.tolist() == [ref_sign(SEED, 4, s, version=1) for s in range(40)]
+        batch = derive_open_steps(open_key(), 40)
+        assert batch.directions.tolist() == [ref_sign(SEED, 4, s) for s in range(40)]
 
     def test_supports_exact_fresh(self):
         for d, k in ((4, 2), (7, 3), (16, 16), (9, 1)):
-            key = open_key(d=d, epsilon=0.3, k=k, mode=FRESH_SUPPORT, version=1)
+            key = open_key(d=d, epsilon=0.3, k=k, mode=FRESH_SUPPORT)
             batch = derive_open_steps(key, 40)
             for step in range(40):
-                assert batch.supports[step].tolist() == ref_support(SEED, step, d, k, version=1), (
-                    d, k, step)
+                assert batch.supports[step].tolist() == ref_support(SEED, step, d, k), (d, k, step)
 
     def test_supports_fixed_mode_reuses_step_zero(self):
-        key = open_key(d=16, epsilon=0.3, k=5, mode=FIXED_SUPPORT, version=1)
+        key = open_key(d=16, epsilon=0.3, k=5, mode=FIXED_SUPPORT)
         batch = derive_open_steps(key, 40)
-        expected = ref_support(SEED, 0, 16, 5, version=1)
+        expected = ref_support(SEED, 0, 16, 5)
         for step in range(40):
             assert batch.supports[step].tolist() == expected
 
     def test_gaussians_few_ulp(self):
         for d in (2, 4, 7, 5):
-            key = open_key(d=d, epsilon=0.5, k=1, version=1)
+            key = open_key(d=d, epsilon=0.5, k=1)
             batch = derive_open_steps(key, 40)
-            ref = np.array([ref_gaussian(SEED, s, d, 0.5, version=1) for s in range(40)])
+            ref = np.array([ref_gaussian(SEED, s, d, 0.5) for s in range(40)])
             np.testing.assert_allclose(batch.gaussians, ref, rtol=1e-13, atol=1e-13)
-        key = open_key(d=32768, epsilon=0.5, k=1, version=1)
+        key = open_key(d=32768, epsilon=0.5, k=1)
         for step in (0, 2**40 + 3):
             np.testing.assert_allclose(derive_open_step(key, step).gaussian,
-                                       ref_gaussian(SEED, step, 32768, 0.5, version=1),
+                                       ref_gaussian(SEED, step, 32768, 0.5),
                                        rtol=1e-13, atol=1e-13)
 
-    def test_v2_matches_reference(self):
+    def test_block_boundaries_match_reference(self):
         # Word counts on both sides of the 128-word block boundary.
         for d, count in ((2, 40), (128, 3), (130, 3), (258, 3), (1024, 63), (1024, 65)):
-            batch = derive_closed_steps(closed_key(d, version=2), count)
+            batch = derive_closed_steps(closed_key(d), count)
             for step in range(count):
-                assert batch.colorings[step].tolist() == ref_coloring(SEED, step, d, 2), (d, step)
-        key = closed_key(32768, version=2)
+                assert batch.colorings[step].tolist() == ref_coloring(SEED, step, d), (d, step)
+        key = closed_key(32768)
         for step in (0, 2**40 + 3, 2**64 - 1):
             assert derive_closed_step(key, step).coloring.tolist() == ref_coloring(
-                SEED, step, 32768, 2)
-        batch = derive_closed_steps(closed_key(version=2), 40, start=2**64 - 40)
-        assert batch.flips.tolist() == [ref_sign(SEED, 1, 2**64 - 40 + s, 2) for s in range(40)]
-        directions = derive_open_steps(open_key(version=2), 40).directions
-        assert directions.tolist() == [ref_sign(SEED, 4, s, 2) for s in range(40)]
+                SEED, step, 32768)
+        batch = derive_closed_steps(closed_key(), 40, start=2**64 - 40)
+        assert batch.flips.tolist() == [ref_sign(SEED, 1, 2**64 - 40 + s) for s in range(40)]
+        directions = derive_open_steps(open_key(), 40).directions
+        assert directions.tolist() == [ref_sign(SEED, 4, s) for s in range(40)]
         for d, k in ((7, 3), (200, 128), (300, 129)):
-            key = open_key(d=d, epsilon=0.3, k=k, mode=FRESH_SUPPORT, version=2)
+            key = open_key(d=d, epsilon=0.3, k=k, mode=FRESH_SUPPORT)
             supports = derive_open_steps(key, 5).supports
             for step in range(5):
-                assert supports[step].tolist() == ref_support(SEED, step, d, k, 2), (d, k, step)
+                assert supports[step].tolist() == ref_support(SEED, step, d, k), (d, k, step)
         for d in (5, 127, 128, 129, 256, 301):
-            gaussians = derive_open_steps(open_key(d=d, epsilon=0.5, k=1, version=2), 4).gaussians
-            ref = np.array([ref_gaussian(SEED, s, d, 0.5, 2) for s in range(4)])
+            gaussians = derive_open_steps(open_key(d=d, epsilon=0.5, k=1), 4).gaussians
+            ref = np.array([ref_gaussian(SEED, s, d, 0.5) for s in range(4)])
             np.testing.assert_allclose(gaussians, ref, rtol=1e-13, atol=1e-13)
 
     def test_v3_matches_reference(self):
@@ -384,23 +274,23 @@ class TestAgainstScalarReference:
         against a sort of the (word, index) pairs."""
         rng = np.random.default_rng(12)
         for d in (4, 6, 8, 10, 1024, 32768):
-            key = closed_key(d, version=3)
+            key = closed_key(d)
             count, start = (12, 2**40 + 3) if d > 1000 else (40, 0)
             batch = derive_closed_steps(key, count, start)
             tokens = reader_tokens(d, count, rng)
             got = closed_token_colors(key, tokens, start)
             for row in range(count):
                 step = start + row
-                expected = ref_coloring(SEED, step, d, 3)
+                expected = ref_coloring(SEED, step, d)
                 assert batch.colorings[row].tolist() == expected, (d, step)
                 assert derive_closed_step(key, step).coloring.tolist() == expected, (d, step)
-                assert int(got[row]) == expected[tokens[row]] * ref_sign(SEED, 1, step, 3), (
+                assert int(got[row]) == expected[tokens[row]] * ref_sign(SEED, 1, step), (
                     d, step)
-        key = closed_key(8, version=3)
+        key = closed_key(8)
         assert derive_closed_step(key, 2**64 - 1).coloring.tolist() == ref_coloring(
-            SEED, 2**64 - 1, 8, 3)
+            SEED, 2**64 - 1, 8)
         # 130 rows at d = 1024 span several selection blocks.
-        key = closed_key(1024, version=3)
+        key = closed_key(1024)
         batch = derive_closed_steps(key, 130, 7)
         for row in range(130):
             np.testing.assert_array_equal(batch.colorings[row],
@@ -408,7 +298,7 @@ class TestAgainstScalarReference:
         block = keystream._BLOCK_WORDS // 1024
         assert 1 < block < 130
         for row in (block - 1, block, 129):
-            assert batch.colorings[row].tolist() == ref_coloring(SEED, 7 + row, 1024, 3)
+            assert batch.colorings[row].tolist() == ref_coloring(SEED, 7 + row, 1024)
 
     def test_v3_ties_break_by_token_index(self, monkeypatch):
         """Equal words, which hashing makes vanishingly rare, rank by token
@@ -423,12 +313,12 @@ class TestAgainstScalarReference:
             return words
 
         def expected(step, d):
-            words = ref_words(SEED, 0, step, d, 3)
+            words = ref_words(SEED, 0, step, d)
             return ref_selection([w % 3 for w in words] if step % 2 else words)
 
         monkeypatch.setattr(keystream, "_word_matrix", tied_odd_steps)
         for d in (2, 4, 10, 64, 1024):
-            key = closed_key(d, version=3)
+            key = closed_key(d)
             batch = derive_closed_steps.__wrapped__(key, 6)  # bypass the cache
             for step in range(6):
                 assert batch.colorings[step].tolist() == expected(step, d), (d, step)
@@ -437,19 +327,6 @@ class TestAgainstScalarReference:
             tokens = np.arange(6) * 7 % d
             np.testing.assert_array_equal(closed_token_colors(key, tokens),
                                           batch.colorings[np.arange(6), tokens] * batch.flips)
-
-    def test_v3_shares_the_other_lanes_with_v2(self):
-        v2, v3 = closed_key(64, version=2), closed_key(64, version=3)
-        np.testing.assert_array_equal(derive_closed_steps(v2, 16).flips,
-                                      derive_closed_steps(v3, 16).flips)
-        assert not np.array_equal(derive_closed_steps(v2, 16).colorings,
-                                  derive_closed_steps(v3, 16).colorings)
-        for mode in (FIXED_SUPPORT, FRESH_SUPPORT):
-            two = derive_open_steps(open_key(d=64, k=5, mode=mode, version=2), 8)
-            three = derive_open_steps(open_key(d=64, k=5, mode=mode, version=3), 8)
-            np.testing.assert_array_equal(two.gaussians, three.gaussians)
-            np.testing.assert_array_equal(two.supports, three.supports)
-            np.testing.assert_array_equal(two.directions, three.directions)
 
     def test_odd_d_truncates_final_pair(self):
         # d=5 and d=6 consume the same word budget; the first five entries of
@@ -476,26 +353,24 @@ class TestDerivationProperties:
             np.testing.assert_array_equal(batch.colorings[offset], single.coloring)
             assert int(batch.flips[offset]) == single.flip
 
-    def test_batches_span_blocks_every_version(self):
-        """For every readable key version, batches from a step past 0 that
-        span two blocks of steps: every row equals single-step derivation
-        and the scalar reference, and every scored entry the per-token
-        reader."""
+    def test_batches_span_blocks(self):
+        """Batches from a step past 0 that span two blocks of steps: every
+        row equals single-step derivation and the scalar reference, and
+        every scored entry the per-token reader."""
         rng = np.random.default_rng(6)
-        for version in keystream._FORMATS:
-            for d in (10, 1024, 32768):
-                key = closed_key(d, version)
-                start, count = 9, keystream._BLOCK_WORDS // d + 2
-                batch = derive_closed_steps(key, count, start)
-                for row in range(count):
-                    expected = ref_coloring(SEED, start + row, d, version)
-                    assert batch.colorings[row].tolist() == expected, (version, d, row)
-                    np.testing.assert_array_equal(
-                        derive_closed_step(key, start + row).coloring, batch.colorings[row])
-                tokens = rng.integers(0, d, count)
+        for d in (10, 1024, 32768):
+            key = closed_key(d)
+            start, count = 9, keystream._BLOCK_WORDS // d + 2
+            batch = derive_closed_steps(key, count, start)
+            for row in range(count):
+                expected = ref_coloring(SEED, start + row, d)
+                assert batch.colorings[row].tolist() == expected, (d, row)
                 np.testing.assert_array_equal(
-                    closed_token_colors(key, tokens, start),
-                    batch.colorings[np.arange(count), tokens] * batch.flips)
+                    derive_closed_step(key, start + row).coloring, batch.colorings[row])
+            tokens = rng.integers(0, d, count)
+            np.testing.assert_array_equal(
+                closed_token_colors(key, tokens, start),
+                batch.colorings[np.arange(count), tokens] * batch.flips)
 
     def test_open_single_matches_batch_row(self):
         key = open_key(d=10, epsilon=0.4, k=3, mode=FRESH_SUPPORT)
@@ -555,7 +430,7 @@ class TestDerivationProperties:
             derive_closed_step(closed_key(), -1)
         with pytest.raises(InvalidInputError):
             derive_open_steps(open_key(), 4, start=-2)
-        # The v1 step field holds 8 bytes; counts must be non-negative.
+        # The step field holds 8 bytes; counts must be non-negative.
         last = 2**64 - 1
         with pytest.raises(InvalidInputError):
             closed_step(closed_key(), 2**64, np.full(8, 1 / 8), np.random.default_rng(0))
@@ -569,11 +444,10 @@ class TestDerivationProperties:
             derive_closed_steps(closed_key(), 2, start=last)
         with pytest.raises(InvalidInputError):
             derive_open_steps(open_key(), 1, start=2**64)
-        key = closed_key(version=1)
-        assert derive_closed_step(key, last).coloring.tolist() == ref_coloring(
-            SEED, last, 8, version=1)
+        key = closed_key()
+        assert derive_closed_step(key, last).coloring.tolist() == ref_coloring(SEED, last, 8)
         assert derive_closed_steps(key, 1, start=last).flips.tolist() == [
-            ref_sign(SEED, 1, last, version=1)]
+            ref_sign(SEED, 1, last)]
 
     def test_scheme_mismatch(self):
         with pytest.raises(SchemeMismatchError):
@@ -586,7 +460,7 @@ class TestDerivationProperties:
 
 def reader_tokens(d, n, rng):
     """Edge tokens (those that exist), then random ones. 127 and 128 sit on
-    either side of the first version 2 block boundary of the Gaussian lane;
+    either side of the first block boundary of the Gaussian lane;
     d-128 and d-129 make the coloring reader hash exactly one whole block
     and just over one."""
     edge = {0, 1, 127, 128, d // 2 - 1, d // 2, d - 129, d - 128, d - 1}
@@ -641,22 +515,20 @@ class TestGaussianBlocks:
 
 
 class TestTokenReaders:
-    """The per-token readers return exactly the batch material's entries,
-    under every key file version."""
+    """The per-token readers return exactly the batch material's entries."""
 
     STARTS = (0, 2**40 + 3)
 
     def cases(self, sizes):
         rng = np.random.default_rng(11)
-        for version in (1, 2, 3):
-            for d in sizes:
-                n = 40 if d < 1000 else 12
-                for start in self.STARTS + (2**64 - n,):
-                    yield version, d, n, start, reader_tokens(d, n, rng)
+        for d in sizes:
+            n = 40 if d < 1000 else 12
+            for start in self.STARTS + (2**64 - n,):
+                yield d, n, start, reader_tokens(d, n, rng)
 
     def test_closed_matches_batch_and_reference(self):
-        for version, d, n, start, tokens in self.cases((2, 8192, 32768)):
-            key = closed_key(d, version)
+        for d, n, start, tokens in self.cases((2, 8192, 32768)):
+            key = closed_key(d)
             got = closed_token_colors(key, tokens, start)
             batch = derive_closed_steps(key, n, start)
             steps = np.arange(n)
@@ -666,13 +538,12 @@ class TestTokenReaders:
             assert detect(key, tokens, start=start).statistic == float(score.mean())
             for j in range(0, n, 3 if d > 1000 else 1):
                 step = start + j
-                expected = (ref_coloring(SEED, step, d, version)[tokens[j]]
-                            * ref_sign(SEED, 1, step, version))
-                assert int(got[j]) == expected, (version, d, step)
+                expected = ref_coloring(SEED, step, d)[tokens[j]] * ref_sign(SEED, 1, step)
+                assert int(got[j]) == expected, (d, step)
 
     def test_open_matches_batch_and_reference(self):
-        for version, d, n, start, tokens in self.cases((2, 5, 8192, 32768)):
-            key = open_key(d=d, epsilon=0.3, k=1, version=version)
+        for d, n, start, tokens in self.cases((2, 5, 8192, 32768)):
+            key = open_key(d=d, epsilon=0.3, k=1)
             got = open_gaussian_entries(key, tokens, start)
             gaussians = derive_open_gaussians(key, n, start)
             entries = gaussians[np.arange(n), tokens]
@@ -680,17 +551,15 @@ class TestTokenReaders:
             np.testing.assert_array_equal(got.view(np.uint64), entries.view(np.uint64))
             assert detect(key, tokens, start=start).statistic == float(entries.mean())
             for j in range(0, n, 3 if d > 1000 else 1):
-                ref = ref_gaussian(SEED, start + j, d, 0.3, version)[tokens[j]]
-                assert got[j] == pytest.approx(ref, rel=1e-13, abs=1e-13), (
-                    version, d, start + j)
+                ref = ref_gaussian(SEED, start + j, d, 0.3)[tokens[j]]
+                assert got[j] == pytest.approx(ref, rel=1e-13, abs=1e-13), (d, start + j)
 
     def test_odd_d_final_token(self):
         # d = 5: token 4 is the cosine half of the truncated last pair.
-        for version in (1, 2, 3):
-            key = open_key(d=5, epsilon=0.3, k=1, version=version)
-            tokens = np.full(6, 4)
-            expected = derive_open_gaussians(key, 6)[:, 4]
-            np.testing.assert_array_equal(open_gaussian_entries(key, tokens), expected)
+        key = open_key(d=5, epsilon=0.3, k=1)
+        tokens = np.full(6, 4)
+        expected = derive_open_gaussians(key, 6)[:, 4]
+        np.testing.assert_array_equal(open_gaussian_entries(key, tokens), expected)
 
     def test_step_range_and_scheme_checked(self):
         tokens = np.array([0, 1, 2])
@@ -777,24 +646,6 @@ class TestRuntime:
             derive_closed_step(key, step)
         elapsed = time.perf_counter() - start
         assert elapsed < 2.0, f"20 closed steps took {elapsed:.2f}s >= 2s"
-
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_shuffle_batch_memory_d32768(self, version):
-        """A version 1 or 2 batch shuffles one block of steps at a time, so
-        past its output of 1 B per entry it holds under 96 B per token
-        whatever the row count."""
-        d = 32768
-        key = closed_key(d, version)
-        for count in (15, 64):
-            tracemalloc.start()
-            try:
-                derive_closed_steps.__wrapped__(key, count, 5)  # bypass the cache
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < count * d + 96 * d, (
-                f"{count} rows peaked at {peak / (count * d):.1f} B per entry")
-
 
 class TestDistributions:
     def test_coloring_flip_pairs_uniform(self):
@@ -1107,8 +958,8 @@ class TestKeyFiles:
             key_from_dict(obj)
 
 
-# Key files written by the v1 code (before version 2 existed), and what
-# `tokenmark detect` reported for them on V1_TOKENS.
+# Key files written by the version 1 code, before version 2 existed, and
+# the same files as version 2. Both versions are retired.
 V1_CLOSED_KEY_FILE = {
     "d": 64, "epsilon": None, "k": None, "scheme": "closed", "support_mode": None,
     "master_seed_base64": "KCkqKywtLi8wMTIzNDU2Nzg5Ojs8PT4/QEFCQ0RFRkc=", "version": 1,
@@ -1117,73 +968,45 @@ V1_OPEN_KEY_FILE = {
     "d": 64, "epsilon": 0.5, "k": 8, "scheme": "open", "support_mode": "fixed-per-key",
     "master_seed_base64": "SElKS0xNTk9QUVJTVFVWV1hZWltcXV5fYGFiY2RlZmc=", "version": 1,
 }
+RETIRED_KEY_FILES = [{**obj, "version": version} for version in (1, 2)
+                     for obj in (V1_CLOSED_KEY_FILE, V1_OPEN_KEY_FILE)]
 V1_TOKENS = [(37 * j + 11) % 64 for j in range(48)]
-V1_CLOSED_STATISTIC = -0.16666666666666666
-V1_OPEN_STATISTIC = -0.015355687202160982
+
+
+def retired_message(version):
+    return f"key file version {version} is retired .*`tokenmark keygen` writes a supported key"
 
 
 class TestKeyFormatVersions:
-    def test_v1_key_file_loads_as_version_1(self, tmp_path):
-        for obj in (V1_CLOSED_KEY_FILE, V1_OPEN_KEY_FILE):
-            path = tmp_path / "v1.json"
-            path.write_text(json.dumps(obj))
-            key = load_key(path)
-            assert key.version == 1
-            assert key_to_dict(key) == obj
-
-    def test_v1_key_file_matches_reference(self):
-        key = key_from_dict(V1_CLOSED_KEY_FILE)
-        seed, tokens = key.master_seed, np.array(V1_TOKENS)
-        for step in (0, 5, 2**40 + 3):
-            derived = derive_closed_step(key, step)
-            assert derived.coloring.tolist() == ref_coloring(seed, step, 64, version=1)
-            assert derived.flip == ref_sign(seed, 1, step, version=1)
-        expected = [ref_coloring(seed, j, 64, version=1)[t] * ref_sign(seed, 1, j, version=1)
-                    for j, t in enumerate(V1_TOKENS)]
-        assert closed_token_colors(key, tokens).tolist() == expected
-        key = key_from_dict(V1_OPEN_KEY_FILE)
-        expected = [ref_gaussian(key.master_seed, j, 64, 0.5, version=1)[t]
-                    for j, t in enumerate(V1_TOKENS)]
-        np.testing.assert_allclose(open_gaussian_entries(key, tokens), expected,
-                                   rtol=1e-13, atol=1e-13)
-
-    def test_cli_detect_with_v1_key_file(self, tmp_path, capsys):
-        text = tmp_path / "tokens.txt"
-        text.write_text(" ".join(map(str, V1_TOKENS)) + "\n")
-        for obj, statistic in ((V1_CLOSED_KEY_FILE, V1_CLOSED_STATISTIC),
-                               (V1_OPEN_KEY_FILE, V1_OPEN_STATISTIC)):
+    def test_retired_key_files_refused(self, tmp_path):
+        for obj in RETIRED_KEY_FILES:
             path = tmp_path / "key.json"
             path.write_text(json.dumps(obj))
-            assert main(["detect", "--text", str(text), "--key", str(path)]) == 1
-            report = json.loads(capsys.readouterr().out)
-            assert report["n_tokens"] == len(V1_TOKENS)
-            if obj["scheme"] == CLOSED:
-                assert report["statistic"] == statistic
-            else:
-                # Gaussian entries may move by an ulp across math libraries.
-                assert report["statistic"] == pytest.approx(statistic, rel=1e-13)
+            with pytest.raises(InvalidKeyError, match=retired_message(obj["version"])):
+                load_key(path)
+        for version in (1, 2, np.int64(2)):
+            with pytest.raises(InvalidKeyError, match=retired_message(version)):
+                WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED, version=version)
 
-    def test_round_trip_each_version(self, tmp_path):
-        for version in (1, 2, 3):
-            for key in (closed_key(64, version),
-                        open_key(d=100, epsilon=0.25, k=10, mode=FRESH_SUPPORT, version=version)):
-                path = tmp_path / "key.json"
-                save_key(key, path)
-                assert json.loads(path.read_text())["version"] == version
-                loaded = load_key(path)
-                assert loaded == key and loaded.version == version
+    def test_cli_detect_with_v1_key_file(self, tmp_path, capsys):
+        # `detect`, and `generate` too, exit 2 on a version 1 or 2 key file
+        # with the message and nothing on stdout; `generate` writes no record.
+        text, record = tmp_path / "tokens.txt", tmp_path / "text.json"
+        text.write_text(" ".join(map(str, V1_TOKENS)) + "\n")
+        model = json.dumps({"kind": "uniform", "d": 64})
+        for obj in RETIRED_KEY_FILES:
+            path = tmp_path / "key.json"
+            path.write_text(json.dumps(obj))
+            for argv in (["detect", "--text", str(text), "--key", str(path)],
+                         ["generate", "--model", model, "--n", "10", "--seed", "1",
+                          "--key", str(path), "--out", str(record)]):
+                assert main(argv) == 2
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err.startswith(f"error: key file version {obj['version']} is retired")
+                assert "`tokenmark keygen` writes a supported key" in err
+            assert not record.exists()
 
     def test_default_version_is_3(self):
         assert KEY_FILE_VERSION == 3
         assert WatermarkKey(master_seed=SEED, d=8, scheme=CLOSED).version == 3
-
-    def test_versions_give_different_streams(self):
-        v1, v2 = closed_key(64, version=1), closed_key(64, version=2)
-        assert v1 != v2
-        ones = derive_closed_steps(v1, 16)
-        twos = derive_closed_steps(v2, 16)
-        assert not np.array_equal(ones.colorings, twos.colorings)
-        assert not np.array_equal(ones.flips, twos.flips)
-        g1 = derive_open_gaussians(open_key(d=64, version=1), 4)
-        g2 = derive_open_gaussians(open_key(d=64, version=2), 4)
-        assert not np.any(g1 == g2)

@@ -6,7 +6,9 @@ place to be right. Each scheme derives a run of steps in one uncached body,
 and a single step is row 0 of a batch of one that goes through no batch
 cache. The experiments generate keyed texts only through the scored pass,
 which keeps no token matrix. Every closed shift comes from one pairing
-kernel, which only ``watermark_ranked`` calls.
+kernel, which only ``watermark_ranked`` calls. ``keystream`` reads one
+key-file format: one block function and one coloring rule, with no table
+of versions.
 """
 
 import ast
@@ -204,3 +206,31 @@ class TestPairingKernel:
         markov = markov_source(np.vstack([np.roll(p, i) for i in range(8)]), p)
         generate_many(markov, 4, key, 1, np.random.default_rng(2))
         assert counted == [(8,)] * 4
+
+
+class TestSingleFormat:
+    def test_one_block_function(self):
+        tree = parsed_modules()["keystream.py"]
+        hashes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id == "hashlib"}
+        assert hashes == {"shake_256"}
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "hashlib"]
+
+    def test_no_mapping_keyed_by_version(self):
+        # No dict literal with integer keys, and no lookup by a key's version.
+        tree = parsed_modules()["keystream.py"]
+        int_keys = [ast.unparse(key) for node in ast.walk(tree) if isinstance(node, ast.Dict)
+                    for key in node.keys if isinstance(key, ast.Constant)
+                    and isinstance(key.value, int)]
+        assert int_keys == []
+        by_version = [ast.unparse(node) for node in ast.walk(tree)
+                      if isinstance(node, ast.Subscript) and "version" in ast.unparse(node.slice)]
+        assert by_version == []
+
+    def test_coloring_readers_call_the_rule_directly(self):
+        calls = function_calls()
+        assert sorted(key for key, names in calls.items() if "_select_rows" in names) == [
+            ("keystream.py", "_coloring_matrix")]
+        assert sorted(key for key, names in calls.items() if "_select_color" in names) == [
+            ("keystream.py", "closed_token_colors")]
