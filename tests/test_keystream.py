@@ -174,6 +174,17 @@ class TestGoldenVectors:
 
     def test_support_digests_d32768(self):
         key = open_key(d=32768, epsilon=0.5, k=64, mode=FRESH_SUPPORT)
+        supports = derive_open_steps(key, 65, start=5).supports
+        for row in (0, 31, 64):
+            assert supports[row].tolist() == ref_support(SEED, 5 + row, 32768, 64)
+        for step in GOLDEN_SINGLE_STEPS_D32768:
+            assert derive_open_step(key, step).support.tolist() == (
+                ref_support(SEED, step, 32768, 64))
+
+    def test_v2_support_digests_d32768(self):
+        # Digests pinned under version 2 keys: version 3 shares the support
+        # lane, so its keys must reproduce them.
+        key = open_key(d=32768, epsilon=0.5, k=64, mode=FRESH_SUPPORT)
         digest = hashlib.sha256()
         for step in GOLDEN_SINGLE_STEPS_D32768:
             digest.update(derive_open_step(key, step).support.astype("<i8").tobytes())
@@ -181,8 +192,6 @@ class TestGoldenVectors:
         supports = derive_open_steps(key, 65, start=5).supports
         assert hashlib.sha256(supports.astype("<i8").tobytes()).hexdigest() == (
             GOLDEN_V2_SUPPORT_BATCH_DIGEST_D32768)
-        for row in (0, 31, 64):
-            assert supports[row].tolist() == ref_support(SEED, 5 + row, 32768, 64)
 
     def test_v3_coloring_digests_d32768(self):
         key = closed_key(32768)
