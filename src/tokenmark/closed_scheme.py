@@ -136,21 +136,29 @@ def closed_step(key: WatermarkKey, step: int, p, rng: np.random.Generator) -> in
 
 # --------------------------------------------------------------------------
 # Batch paths over many steps at once. These trust their coloring input
-# (it comes from the keystream) and skip the per-row balance check.
+# (it comes from the keystream) and skip the per-row balance check. The
+# flips are checked: any flip but +-1 makes rows that are not laws.
 
 
 def watermark_distributions(probs, colorings, flips) -> np.ndarray:
     """Watermarked distributions for ``n`` steps, shape (n, d).
 
     ``probs`` is (n, d) or a single (d,) distribution shared by all steps;
-    ``colorings`` is (n, d) and ``flips`` (n,).
+    ``colorings`` is (n, d) and ``flips`` (n,), each the integer +1 or -1.
     """
     colorings = np.asarray(colorings)
     if colorings.ndim != 2:
         raise InvalidInputError("colorings must be 2-d")
-    probs = np.asarray(probs, dtype=np.float64)
+    try:
+        probs = np.asarray(probs, dtype=np.float64)
+        flips = np.asarray(flips)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"probs and flips must be numeric arrays: {exc}") from exc
     if probs.shape not in (colorings.shape, colorings.shape[1:]):
         raise InvalidInputError("probs shape does not match colorings")
-    signs = colorings * np.asarray(flips, dtype=colorings.dtype).reshape(-1, 1)
+    if (flips.shape != colorings.shape[:1] or flips.dtype.kind not in "iu"
+            or not ((flips == 1) | (flips == -1)).all()):
+        raise InvalidInputError("flips must be one integer +1 or -1 per coloring row")
+    signs = colorings * flips.astype(colorings.dtype).reshape(-1, 1)
     return watermark_ranked(probs, rank_order(probs), signs)
 

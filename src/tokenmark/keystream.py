@@ -230,18 +230,24 @@ _STEP_LIMIT = 2 ** 64
 _BLOCK_BYTES = 1024
 
 
+def _check_words(key: WatermarkKey, count: int, nwords: int) -> None:
+    """Refuse ``count`` steps of ``nwords`` words or entries each that, at
+    8 bytes an entry, exceed the largest array numpy allows (a closed key's
+    coloring at d = 2**62, say). Every derivation of (count, d) material
+    calls this before it allocates or hashes anything."""
+    if 8 * count * nwords > sys.maxsize:  # numpy's limit on an array's bytes
+        raise InvalidKeyError(f"d={key.d} is too large to derive: {count} x {nwords} words "
+                              "exceed the largest array")
+
+
 def _word_matrix(key: WatermarkKey, lane: int, start: int, count: int,
                  nwords: int) -> np.ndarray:
     """The first ``nwords`` big-endian words of each of ``count``
     consecutive steps, shape (count, nwords), one row per step.
 
-    Words no array can hold (a closed key's coloring at d = 2**62, say)
-    are refused before anything is hashed. The output is allocated before
-    the one counter per block is listed, so a request that memory cannot
-    hold fails at once."""
-    if 8 * count * nwords > sys.maxsize:  # numpy's limit on an array's bytes
-        raise InvalidKeyError(f"d={key.d} is too large to derive: {count} x {nwords} words "
-                              "exceed the largest array")
+    The output is allocated before the one counter per block is listed, so
+    a request that memory cannot hold fails at once."""
+    _check_words(key, count, nwords)
     out = np.empty((count, nwords), dtype=np.uint64)
     nblocks = -(-8 * nwords // _BLOCK_BYTES)
     nbytes = min(_BLOCK_BYTES, 8 * nwords)  # a one-block lane squeezes only its words
@@ -299,6 +305,7 @@ def _coloring_matrix(key: WatermarkKey, start: int, count: int) -> np.ndarray:
     """Balanced colorings for consecutive steps, shape (count, d), a block
     of steps at a time."""
     d = key.d
+    _check_words(key, count, d)
     out = np.empty((count, d), dtype=np.int8)
     rows = max(1, _BLOCK_WORDS // d)
     for lo in range(0, count, rows):
@@ -334,6 +341,7 @@ def _gaussian_matrix(key: WatermarkKey, start: int, count: int) -> np.ndarray:
     block scaled by epsilon into the output."""
     d = key.d
     nwords = 2 * ((d + 1) // 2)
+    _check_words(key, count, nwords)
     out = np.empty((count, d))
     rows = max(1, _BLOCK_WORDS // nwords)
     for lo in range(0, count, rows):
@@ -348,6 +356,7 @@ def _gaussian_matrix(key: WatermarkKey, start: int, count: int) -> np.ndarray:
 def _support_matrix(key: WatermarkKey, start: int, count: int) -> np.ndarray:
     """Floyd's algorithm per step, vectorized over steps."""
     d, k = key.d, key.k
+    _check_words(key, count, d)  # the (count, d) membership table
     words = _word_matrix(key, LANE_SUPPORT, start, count, k)
     member = np.zeros((count, d), dtype=bool)
     rows = np.arange(count)

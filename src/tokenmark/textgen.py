@@ -129,20 +129,18 @@ class GenerationRecord:
 # Generation
 
 
-def _chain_tokens(model: SourceModel, key: WatermarkKey | None, u: np.ndarray,
-                  score: bool = False) -> np.ndarray:
-    """Tokens from uniforms ``u`` (texts, n), one step at a time. Every text
-    starts in state 0; from a Markov source it moves to state ``token + 1``.
-    A state's law is prepared for ``key`` when a text enters it:
-    rank-ordered for a closed key (after a zero for the padding token of a
-    padded one), logits for an open key. An LRU cache keeps the most
-    recently used prepared states within ``_PREPARED_BYTES``; a state
-    dropped from it is prepared again, to the same arrays, when a text
-    re-enters it. Each step computes the (watermarked) law of every state in
-    use once and samples that group's uniforms from it. With ``score``, no
-    token matrix is kept: a step's tokens are scored against the chunk they
-    were sampled from (signed coloring or Gaussian entry) into the column of
-    ``u`` they used, and ``u`` is returned."""
+def _chain_tokens(model: SourceModel, key: WatermarkKey | None, u: np.ndarray):
+    """Yield ``(j, tokens, scores)`` per step j of texts sampled from
+    uniforms ``u`` (texts, n): the step's (texts,) tokens, in one buffer the
+    next step overwrites, and the (d,) row it was keyed with (a closed key's
+    signed coloring, an open key's Gaussians; None without a key). Texts
+    start in state 0; from a Markov source a text moves to state
+    ``token + 1``. A state's law is prepared for ``key`` when a text enters
+    it: rank-ordered for a closed key (after a zero for the padding token of
+    a padded one), logits for an open key. An LRU cache keeps the most
+    recently used prepared states within ``_PREPARED_BYTES`` and prepares a
+    dropped one again, to the same arrays, on re-entry. Each step computes
+    the (watermarked) law of each state in use once, for all its texts."""
     texts, n = u.shape
     markov = model.laws.shape[0] > 1
     closed = key is not None and key.scheme == CLOSED
@@ -157,7 +155,7 @@ def _chain_tokens(model: SourceModel, key: WatermarkKey | None, u: np.ndarray,
             law = np.log(law) if model.logits is None else model.logits
         return law, None
 
-    tokens = np.empty(texts if score else u.shape, dtype=np.int64)
+    tokens = np.empty(texts, dtype=np.int64)
     states = np.zeros(texts, dtype=np.int64)
     chunk = n if key is None else max(1, _CHUNK_BYTES // (8 * key.d))
     for lo in range(0, n, chunk):
@@ -167,24 +165,22 @@ def _chain_tokens(model: SourceModel, key: WatermarkKey | None, u: np.ndarray,
             scores = batch.colorings * batch.flips[:, None]
         elif key is not None:
             deltas = perturbations_for(key, hi - lo, lo)
-            if score:  # the Gaussians perturbations_for just derived, cached
-                scores = keystream.derive_open_gaussians(key, hi - lo, lo)
+            scores = keystream.derive_open_steps(key, hi - lo, lo).gaussians  # a cache hit
         for j in range(lo, hi):
-            step = tokens if score else tokens[:, j]
+            row = None if key is None else scores[j - lo]
             groups = (((s, states == s) for s in np.unique(states)) if markov
                       else [(0, slice(None))])
             for s, group in groups:
                 law, order = prepare(s)
                 if closed:
-                    law = watermark_ranked(law, order, scores[j - lo])
+                    law = watermark_ranked(law, order, row)
                 elif key is not None:
                     law = softmax_rows(law + deltas[j - lo])
-                step[group] = sample_tokens(law, u[group, j])
+                tokens[group] = sample_tokens(law, u[group, j])
             if markov:
-                states = step + 1
-            if score:
-                u[:, j] = scores[j - lo].take(step)
-    return u if score else tokens
+                states = tokens + 1
+            yield j, tokens, row
+        row = scores = deltas = None  # freed before the next chunk is derived
 
 
 def _pstar_series(model: SourceModel, tokens: np.ndarray) -> np.ndarray:
@@ -202,10 +198,8 @@ def generate(model: SourceModel, n: int, key: WatermarkKey | None,
     ``key`` if one is given: the one-text case of ``generate_many``, plus
     the per-step top probabilities. Deterministic given the rng state and
     key."""
-    tokens = generate_many(model, n, key, 1, rng)[0]
-    tokens.flags.writeable = False
-    pstar = _pstar_series(model, tokens)
-    pstar.flags.writeable = False
+    tokens = keystream._freeze(generate_many(model, n, key, 1, rng)[0])
+    pstar = keystream._freeze(_pstar_series(model, tokens))
     return GenerationRecord(
         tokens=tokens,
         per_step_pstar=pstar,
@@ -226,7 +220,10 @@ def generate_many(model: SourceModel, n: int, key: WatermarkKey | None,
     u = _uniforms(model, n, key, texts, rng)
     if model.laws.shape[0] == 1 and key is None:
         return sample_tokens(model.laws[0], u)
-    return _chain_tokens(model, key, u)
+    out = np.empty(u.shape, dtype=np.int64)
+    for j, tokens, _ in _chain_tokens(model, key, u):
+        out[:, j] = tokens
+    return out
 
 
 def generate_statistics(model: SourceModel, n: int, key: WatermarkKey, texts: int,
@@ -238,7 +235,10 @@ def generate_statistics(model: SourceModel, n: int, key: WatermarkKey, texts: in
     exact; an open row is reduced as one contiguous row, as in detector."""
     if not isinstance(key, WatermarkKey):
         raise InvalidInputError(f"statistics need a watermark key, got {key!r}")
-    return _chain_tokens(model, key, _uniforms(model, n, key, texts, rng), score=True).mean(axis=1)
+    u = _uniforms(model, n, key, texts, rng)
+    for j, tokens, scores in _chain_tokens(model, key, u):
+        u[:, j] = scores.take(tokens)
+    return u.mean(axis=1)
 
 
 def _uniforms(model: SourceModel, n: int, key: WatermarkKey | None, texts: int,

@@ -273,6 +273,35 @@ class TestBatchPaths:
         with pytest.raises(InvalidInputError):
             watermark_distributions(np.ones((3, 4)) / 4, np.tile(COLORING4, (2, 1)), [1, 1])
 
+    # Two rows at d = 8 split 16 signs by the stable argsort, and two at
+    # d = 4096 split 8192 by the nonzero scans (_SPLIT_SCAN_MIN = 2048).
+    @pytest.mark.parametrize("d", [8, 4096])
+    @pytest.mark.parametrize("flips", [
+        [0, 0], [2, -1], [1, 0], [True, False], [1.0, -1.0], np.array([1, 255], dtype=np.uint8),
+        [1], [1, -1, 1], [[1], [-1]], ["1", "-1"], np.array([1, -1], dtype=object), [1, [1]],
+    ], ids=["zeros", "two", "one-zero", "bools", "floats", "uint8-255", "short", "long",
+            "column", "strings", "objects", "ragged"])
+    def test_rejects_invalid_flips(self, d, flips):
+        # Each flip must be the integer +1 or -1, one per coloring row.
+        # [0, 0] gave rows summing to 0 and 2, [2, -1] negative entries, and
+        # at d = 4096 [1, 0] and booleans a bare numpy broadcast error.
+        rng = np.random.default_rng(d)
+        colorings = np.vstack([random_balanced_coloring(rng, d) for _ in range(2)])
+        for probs in (random_probs(rng, d), np.vstack([random_probs(rng, d)] * 2)):
+            with pytest.raises(InvalidInputError, match="flips"):
+                watermark_distributions(probs, colorings, flips)
+            valid = watermark_distributions(probs, colorings, np.array([1, -1], dtype=np.int8))
+            np.testing.assert_array_equal(watermark_distributions(probs, colorings, [1, -1]),
+                                          valid)
+            assert (valid >= 0).all()
+            np.testing.assert_allclose(valid.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize("probs", ["abc", [[0.5] * 4, [0.5] * 3], [0.25, "x", 0.25, 0.5],
+                                       {"p": 1}], ids=["string", "ragged", "mixed", "dict"])
+    def test_rejects_probs_numpy_cannot_convert(self, probs):
+        with pytest.raises(InvalidInputError):
+            watermark_distributions(probs, np.tile(COLORING4, (2, 1)), [1, -1])
+
 
 class TestLargeDictionary:
     """The batch rows equal single-step watermark_distribution and a lexsort

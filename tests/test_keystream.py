@@ -25,7 +25,7 @@ from scipy import stats
 from tokenmark import keystream
 from tokenmark.cli import main
 from tokenmark.closed_scheme import closed_step
-from tokenmark.detector import detect
+from tokenmark.detector import closed_statistics, detect, open_statistics
 from tokenmark.errors import InvalidInputError, InvalidKeyError, SchemeMismatchError
 from tokenmark.keystream import (
     CLOSED,
@@ -48,6 +48,7 @@ from tokenmark.keystream import (
     open_gaussian_entries,
     save_key,
 )
+from tokenmark.open_scheme import perturbations_for
 
 SEED = bytes(range(32))
 
@@ -96,6 +97,18 @@ def ref_gaussian(seed, step, d, epsilon):
         out.append(radius * math.cos(2.0 * math.pi * u2))
         out.append(radius * math.sin(2.0 * math.pi * u2))
     return [epsilon * g for g in out[:d]]
+
+
+def ref_gaussian_entry(seed, step, t, epsilon):
+    """Entry ``t`` of a step's Gaussian vector from the one block that holds
+    its pair of words, at any d. Agrees with ``ref_gaussian``."""
+    block, first = divmod(2 * (t // 2), 128)
+    data = seed + bytes([2]) + step.to_bytes(8, "big") + block.to_bytes(8, "big")
+    raw = hashlib.shake_256(data).digest(1024)
+    w1, w2 = (int.from_bytes(raw[8 * i : 8 * i + 8], "big") for i in (first, first + 1))
+    radius = math.sqrt(-2.0 * math.log(((w1 >> 11) + 1) * 2.0**-53))
+    angle = 2.0 * math.pi * ((w2 >> 11) * 2.0**-53)
+    return epsilon * (radius * (math.sin(angle) if t % 2 else math.cos(angle)))
 
 
 def ref_support(seed, step, d, k):
@@ -655,6 +668,71 @@ class TestRuntime:
             derive_closed_step(key, step)
         elapsed = time.perf_counter() - start
         assert elapsed < 2.0, f"20 closed steps took {elapsed:.2f}s >= 2s"
+
+
+def traced_peak(call):
+    """tracemalloc peak of ``call()``, and what it returned or the
+    InvalidKeyError it raised."""
+    tracemalloc.start()
+    try:
+        try:
+            outcome = call()
+        except InvalidKeyError as exc:
+            outcome = exc
+        return tracemalloc.get_traced_memory()[1], outcome
+    finally:
+        tracemalloc.stop()
+
+
+class TestHugeDictionary:
+    """Key material no array can hold is refused with InvalidKeyError before
+    anything of size d is allocated or hashed. Each (count, d) derivation
+    allocated its output first, so these ended in numpy's bare ValueError
+    ("array is too big", "Maximum allowed dimension exceeded") or a
+    MemoryError."""
+
+    @pytest.mark.parametrize("log2_d", [62, 70])
+    def test_every_batch_entry_point_refuses(self, log2_d):
+        d = 2**log2_d
+        closed = closed_key(d)
+        fixed = open_key(d=d, epsilon=0.5, k=3)
+        fresh = open_key(d=d, epsilon=0.5, k=3, mode=FRESH_SUPPORT)
+        matrix = np.zeros((2, 3), dtype=np.int64)
+        calls = {
+            "derive_closed_step": lambda: derive_closed_step(closed, 5),
+            "derive_closed_steps": lambda: derive_closed_steps(closed, 2, 7),
+            "closed_statistics": lambda: closed_statistics(closed, matrix),
+            "derive_open_step": lambda: derive_open_step(fixed, 5),
+            "derive_open_step fresh": lambda: derive_open_step(fresh, 5),
+            "perturbations_for": lambda: perturbations_for(fixed, 2, 7),
+            "perturbations_for fresh": lambda: perturbations_for(fresh, 2, 7),
+            "derive_open_steps": lambda: derive_open_steps(fixed, 2, 7),
+            "derive_open_gaussians": lambda: derive_open_gaussians(fixed, 2, 7),
+            "open_statistics": lambda: open_statistics(fixed, matrix),
+            "fixed support": lambda: keystream._fixed_support(fixed),
+        }
+        for name, call in calls.items():
+            peak, outcome = traced_peak(call)
+            assert isinstance(outcome, InvalidKeyError), f"{name}: {outcome!r}"
+            assert f"d={d} is too large to derive" in str(outcome), name
+            assert peak < 1 << 20, f"{name} peaked at {peak} B"
+
+    @pytest.mark.parametrize("log2_d", [62, 70])
+    def test_open_detection_reads_one_block_per_token(self, log2_d):
+        # Scoring reads each token's Gaussian pair, so an open key at such
+        # a d still detects, in memory that does not grow with d.
+        d = 2**log2_d
+        key = open_key(d=d, epsilon=0.5, k=3)
+        tokens = [0, min(d, 2**63) - 1, 12345, 2**40 + 1]  # int64 tokens
+        peak, report = traced_peak(lambda: detect(key, tokens, start=2**40))
+        assert report.n_tokens == 4, report
+        assert peak < 1 << 20, f"peaked at {peak} B"
+        assert ([ref_gaussian_entry(SEED, 2**40, t, 0.5) for t in range(300)]
+                == ref_gaussian(SEED, 2**40, 300, 0.5))
+        expected = [ref_gaussian_entry(SEED, 2**40 + j, t, 0.5) for j, t in enumerate(tokens)]
+        np.testing.assert_allclose(open_gaussian_entries(key, tokens, 2**40), expected,
+                                   rtol=1e-14)
+
 
 class TestDistributions:
     def test_coloring_flip_pairs_uniform(self):

@@ -4,8 +4,10 @@
 ``padded`` flag or appends the padding token's zero, so the rule has one
 place to be right. Each scheme derives a run of steps in one uncached body,
 and a single step is row 0 of a batch of one that goes through no batch
-cache. The experiments generate keyed texts only through the scored pass,
-which keeps no token matrix. Every closed shift comes from one pairing
+cache. Generation is one loop that yields its steps, and its two consumers
+keep a token matrix or score each step. The experiments generate keyed
+texts only through the scored pass, which keeps no token matrix. Every
+closed shift comes from one pairing
 kernel, which only ``watermark_ranked`` calls. ``keystream`` reads one
 key-file format: one block function and one coloring rule, with no table
 of versions.
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tokenmark import closed_scheme, keystream
+from tokenmark import closed_scheme, keystream, textgen
 from tokenmark.closed_scheme import closed_step, watermark_distribution, watermark_distributions
 from tokenmark.detector import closed_statistics, detect
 from tokenmark.errors import CorruptTextError
@@ -33,7 +35,14 @@ from tokenmark.keystream import (
     derive_open_step,
     derive_open_steps,
 )
-from tokenmark.textgen import generate, generate_many, iid_source, markov_source
+from tokenmark.textgen import (
+    generate,
+    generate_many,
+    generate_statistics,
+    iid_source,
+    markov_source,
+    powerlaw_source,
+)
 
 SRC = Path(keystream.__file__).resolve().parent
 SEED = bytes(range(32))
@@ -234,3 +243,45 @@ class TestSingleFormat:
             ("keystream.py", "_coloring_matrix")]
         assert sorted(key for key, names in calls.items() if "_select_color" in names) == [
             ("keystream.py", "closed_token_colors")]
+
+
+class TestGenerationLoop:
+    def test_loop_yields_steps_with_no_score_mode(self):
+        loop = module_function("textgen.py", "_chain_tokens")
+        params = [arg.arg for arg in loop.args.args + loop.args.kwonlyargs]
+        assert params == ["model", "key", "u"]
+        assert [node for node in ast.walk(loop) if isinstance(node, ast.Yield)]
+
+    def test_two_consumers(self):
+        # The token matrix and the scored pass are the loop's only callers,
+        # and no module but textgen names it.
+        callers = sorted(key for key, names in function_calls().items()
+                         if "_chain_tokens" in names)
+        assert callers == [("textgen.py", "generate_many"),
+                           ("textgen.py", "generate_statistics")]
+        named = {module for module, tree in parsed_modules().items()
+                 if any(isinstance(node, (ast.Name, ast.Attribute))
+                        and getattr(node, "id", getattr(node, "attr", None)) == "_chain_tokens"
+                        for node in ast.walk(tree))}
+        assert named == {"textgen.py"}
+
+    @pytest.mark.parametrize("mode", [FIXED_SUPPORT, FRESH_SUPPORT])
+    @pytest.mark.parametrize("consume", [generate_many, generate_statistics])
+    def test_open_consumers_derive_each_chunk_once(self, monkeypatch, consume, mode):
+        # Each chunk's Gaussians are derived once, by perturbations_for's
+        # batch, and the scores read that batch back: 23 steps in chunks
+        # of 7 miss four times. A call whose one chunk is still cached
+        # derives no Gaussians again, even after another Gaussian batch.
+        key = WatermarkKey(master_seed=SEED, d=16, scheme=OPEN, epsilon=0.5, k=3,
+                           support_mode=mode)
+        model = powerlaw_source(16, 1.1)
+        monkeypatch.setattr(textgen, "_CHUNK_BYTES", 8 * 7 * key.d)
+        derive_open_steps.cache_clear()
+        derive_open_gaussians.cache_clear()
+        consume(model, 23, key, 3, np.random.default_rng(5))
+        assert derive_open_gaussians.cache_info().misses == 4
+        consume(model, 5, key, 3, np.random.default_rng(6))
+        derive_open_gaussians(key, 9)
+        misses = derive_open_gaussians.cache_info().misses
+        consume(model, 5, key, 3, np.random.default_rng(6))
+        assert derive_open_gaussians.cache_info().misses == misses
