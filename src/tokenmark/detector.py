@@ -100,10 +100,14 @@ def open_threshold(n: int, delta: float, epsilon: float) -> float:
 
 def closed_p_value(z: float, n: int) -> float:
     """Sub-Gaussian tail bound exp(-n * max(z, 0)^2 / 2) on falsely reaching
-    score z with unwatermarked text."""
+    score z with unwatermarked text: 0.0, its limit, where z**2 overflows."""
     _check_z(z)
     _check_n(n)
-    return math.exp(-n * max(z, 0.0) ** 2 / 2.0)
+    try:
+        square = max(z, 0.0) ** 2
+    except OverflowError:
+        return 0.0
+    return math.exp(-n * square / 2.0)
 
 
 def open_p_value(z: float, n: int, epsilon: float) -> float:

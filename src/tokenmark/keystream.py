@@ -431,13 +431,11 @@ def _fixed_support(key: WatermarkKey) -> np.ndarray:
     return _freeze(_support_matrix(key, 0, 1)[0])
 
 
-def _open_steps(key: WatermarkKey, count: int, start: int, cached: bool) -> OpenStepBatch:
-    """Open sampler material for ``count`` steps from ``start``, uncached but
-    for a ``cached`` run's Gaussians, the batch that scoring reads."""
+def _open_steps(key: WatermarkKey, count: int, start: int) -> OpenStepBatch:
+    """Open sampler material for ``count`` steps from ``start``, uncached."""
     _require_scheme(key, OPEN)
     start, count = _check_step(start, count)
-    gaussians = (derive_open_gaussians(key, count, start) if cached
-                 else _freeze(_gaussian_matrix(key, start, count)))
+    gaussians = _freeze(_gaussian_matrix(key, start, count))
     if key.support_mode == FIXED_SUPPORT:
         supports = np.broadcast_to(_fixed_support(key), (count, key.k))
     else:
@@ -449,14 +447,14 @@ def _open_steps(key: WatermarkKey, count: int, start: int, cached: bool) -> Open
 def derive_open_step(key: WatermarkKey, step: int) -> OpenStepKey:
     """Re-derive one step's Gaussian vector, support, and direction, row 0
     of an uncached batch of one."""
-    batch = _open_steps(key, 1, step, cached=False)
+    batch = _open_steps(key, 1, step)
     return OpenStepKey(batch.gaussians[0], batch.supports[0], int(batch.directions[0]))
 
 
 @functools.lru_cache(maxsize=1, typed=True)
 def derive_open_steps(key: WatermarkKey, count: int, start: int = 0) -> OpenStepBatch:
     """Open sampler material for ``count`` steps from ``start`` (cached)."""
-    return _open_steps(key, count, start, cached=True)
+    return _open_steps(key, count, start)
 
 
 @functools.lru_cache(maxsize=1, typed=True)

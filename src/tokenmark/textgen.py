@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .core import (array_field, as_probs, field, is_int, is_number, read_json, s
 from .detector import closed_threshold
 from .errors import CorruptTextError, InvalidInputError
 from .keystream import CLOSED, OPEN, WatermarkKey
-from .open_scheme import perturbations_for
+from .open_scheme import _perturbations
 
 IID = "iid"
 MARKOV = "markov"
@@ -100,6 +101,9 @@ def powerlaw_source(d: int, s: float, scale: float = 1.0) -> SourceModel:
     if not (is_number(s) and is_number(scale)) or s < 0 or scale <= 0:
         raise InvalidInputError(f"exponent must be a finite number >= 0 and scale a finite "
                                 f"number > 0, got {s!r} and {scale!r}")
+    if not math.isfinite(scale * s * math.log(d)):  # the last token's logit
+        raise InvalidInputError(f"scale * s * ln(d) must be finite, got scale={scale!r}, "
+                                f"s={s!r} at d={d}")
     logits = -scale * s * np.log(np.arange(1, d + 1, dtype=np.float64))
     return SourceModel(kind=POWERLAW, d=d, laws=keystream._freeze(softmax(logits)[None]),
                        logits=keystream._freeze(logits))
@@ -164,8 +168,9 @@ def _chain_tokens(model: SourceModel, key: WatermarkKey | None, u: np.ndarray):
             batch = keystream.derive_closed_steps(key, hi - lo, lo)
             scores = batch.colorings * batch.flips[:, None]
         elif key is not None:
-            deltas = perturbations_for(key, hi - lo, lo)
-            scores = keystream.derive_open_steps(key, hi - lo, lo).gaussians  # a cache hit
+            batch = keystream.derive_open_steps(key, hi - lo, lo)
+            scores = batch.gaussians
+            deltas = _perturbations(scores, batch.supports, batch.directions, key.epsilon)
         for j in range(lo, hi):
             row = None if key is None else scores[j - lo]
             groups = (((s, states == s) for s in np.unique(states)) if markov
@@ -337,9 +342,17 @@ def save_tokens(tokens, path) -> None:
 
 
 def tokens_from_text(text: str, path) -> np.ndarray:
-    """Token ids of ``text``, the contents of the bare token file ``path``."""
+    """Token ids of ``text``, the contents of the bare token file ``path``:
+    whitespace-separated ASCII decimal digit strings, as ``save_tokens``
+    writes them. Signs, underscores and other scripts' digits, all of which
+    ``int`` accepts, are refused."""
+    entries = text.split()
+    bad = next((tok for tok in entries if not (tok.isascii() and tok.isdigit())), None)
+    if bad is not None:
+        raise InvalidInputError(f"cannot read token file {path}: entry {bad!r} is not "
+                                "a token id of ASCII decimal digits")
     try:
-        return np.array([int(tok) for tok in text.split()], dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
+        return np.array([int(tok) for tok in entries], dtype=np.int64)
+    except OverflowError as exc:
         raise InvalidInputError(f"cannot read token file {path}: {exc}") from exc
 

@@ -33,7 +33,8 @@ import tokenmark.textgen
 from tokenmark.cli import main
 from tokenmark.detector import detect
 from tokenmark.keystream import CLOSED, OPEN, WatermarkKey, load_key, save_key
-from tokenmark.textgen import load_record, tokens_from_text
+from tokenmark.textgen import (generate, load_record, save_tokens, tokens_from_text,
+                               uniform_source)
 
 UNIFORM64 = json.dumps({"kind": "uniform", "d": 64})
 FPR = {"name": "fpr", "type": "closed-soundness", "d": 8, "n": 50, "texts": 40,
@@ -198,6 +199,20 @@ class TestGenerate:
         assert rc == 0
         assert load_record(out).d == 16
 
+    def test_overflowing_power_law_is_refused(self, tmp_path, capsys):
+        # numpy's overflow RuntimeWarning went to stderr before the exit-2
+        # message (and, as an error, ended the command).
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"kind": "powerlaw-logits", "d": 16, "s": 1e300,
+                                     "scale": 1e10}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli("generate", "--model-file", str(model), "--n", "3",
+                         "--seed", "1", "--out", str(tmp_path / "record.json"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite" in err
+
     def test_unwatermarked_has_no_scheme(self, tmp_path):
         out = tmp_path / "record.json"
         run_cli("generate", "--model", UNIFORM64, "--n", "20", "--seed", "0",
@@ -329,6 +344,29 @@ class TestDetect:
         rc = run_cli("detect", "--text", str(bad), "--key", str(key))
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_token_ids_int_would_read(self, tmp_path, capsys):
+        # "1_0 +3 \u0661\u0662" was scored as the tokens [10, 3, 12], exit 1.
+        key = tmp_path / "key.json"
+        run_cli("keygen", "--scheme", "closed", "--d", "16", "--out", str(key))
+        text = tmp_path / "tokens.txt"
+        for content, entry in (("1_0 +3 \u0661\u0662", "1_0"), ("0 +3 1", "+3"),
+                               ("0 \u0661\u0662 1", "\u0661\u0662")):
+            text.write_text(content + "\n", encoding="utf-8")
+            assert run_cli("detect", "--text", str(text), "--key", str(key)) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and repr(entry) in captured.err
+
+    def test_saved_tokens_detect_as_the_record(self, tmp_path, capsys):
+        key = tmp_path / "key.json"
+        run_cli("keygen", "--scheme", "closed", "--d", "64", "--out", str(key))
+        record = generate(uniform_source(64), 80, load_key(key), np.random.default_rng(4))
+        text = tmp_path / "tokens.txt"
+        save_tokens(record.tokens, text)
+        assert run_cli("detect", "--text", str(text), "--key", str(key)) == 0
+        assert json.loads(capsys.readouterr().out) == detect(load_key(key),
+                                                             record.tokens).to_dict()
 
     def test_token_out_of_range(self, tmp_path, capsys):
         key = tmp_path / "key.json"

@@ -136,6 +136,18 @@ class TestPValues:
         assert closed_p_value(-0.3, 100) == 1.0
         assert open_p_value(-0.3, 100, 0.5) == 0.5
 
+    def test_closed_limit_where_the_square_overflows(self):
+        # z**2 overflowed: closed_p_value(1e155, 2) raised a bare OverflowError.
+        for z in (1e155, 1e200, 1.7e308):
+            assert closed_p_value(z, 2) == 0.0
+        assert closed_p_value(1e154, 2) == 0.0
+
+    def test_closed_unit_range_unchanged(self):
+        zs = np.linspace(-1.0, 1.0, 2001).tolist() + [5e-324, 1e-300, 1e-8]
+        for n in (1, 7, 100, 10**6):
+            for z in zs:
+                assert closed_p_value(z, n) == math.exp(-n * max(z, 0.0) ** 2 / 2.0)
+
     def test_monotone_decreasing_in_z(self):
         zs = [0.0, 0.05, 0.1, 0.5, 1.0]
         closed = [closed_p_value(z, 200) for z in zs]
@@ -381,13 +393,14 @@ class TestBatchBlocks:
 
 class TestCacheTraffic:
     """The batched statistics read the one batch the derive caches keep:
-    completeness scores texts against the batch their generation derived,
-    and soundness scores block after block of texts against one batch."""
+    closed texts are scored against the batch their generation derived,
+    and soundness scores block after block of texts against one batch.
+    Open generation fills the sampler's cache, not the detector's."""
 
     CASES = [(CLOSED_KEY, derive_closed_steps, closed_statistics),
              (OPEN_KEY, derive_open_gaussians, open_statistics)]
 
-    @pytest.mark.parametrize("key, derive, statistics", CASES, ids=[CLOSED, OPEN])
+    @pytest.mark.parametrize("key, derive, statistics", CASES[:1], ids=[CLOSED])
     def test_completeness_scores_the_generated_batch(self, key, derive, statistics):
         derive.cache_clear()
         tokens = generate_many(uniform_source(8), 40, key, 30, np.random.default_rng(3))

@@ -5,12 +5,12 @@
 place to be right. Each scheme derives a run of steps in one uncached body,
 and a single step is row 0 of a batch of one that goes through no batch
 cache. Generation is one loop that yields its steps, and its two consumers
-keep a token matrix or score each step. The experiments generate keyed
-texts only through the scored pass, which keeps no token matrix. Every
-closed shift comes from one pairing
-kernel, which only ``watermark_ranked`` calls. ``keystream`` reads one
-key-file format: one block function and one coloring rule, with no table
-of versions.
+keep a token matrix or score each step; it derives each chunk once, as
+its scheme's sampler batch, and fills no detector cache. The experiments
+generate keyed texts only through the scored pass, which keeps no token
+matrix. Every closed shift comes from one pairing kernel, which only
+``watermark_ranked`` calls. ``keystream`` reads one key-file format: one
+block function and one coloring rule, with no table of versions.
 """
 
 import ast
@@ -117,6 +117,15 @@ class TestDerivationBodies:
         assert calls["_support_matrix"] == ["_fixed_support", "_open_steps"]
         assert calls["_open_steps"] == ["derive_open_step", "derive_open_steps"]
         assert names["FIXED_SUPPORT"] == names["LANE_DIRECTION"] == ["_open_steps"]
+
+    def test_open_body_has_no_cache_route(self):
+        # The sampler's batch derives its own Gaussians: nothing in keystream
+        # fills the detector's Gaussian cache.
+        body = module_function("keystream.py", "_open_steps")
+        assert [arg.arg for arg in body.args.args + body.args.kwonlyargs] == [
+            "key", "count", "start"]
+        assert [key for key, names in function_calls().items()
+                if key[0] == "keystream.py" and "derive_open_gaussians" in names] == []
 
     @pytest.mark.parametrize("mode", [FIXED_SUPPORT, FRESH_SUPPORT])
     def test_single_steps_touch_no_batch_cache(self, mode):
@@ -268,20 +277,39 @@ class TestGenerationLoop:
     @pytest.mark.parametrize("mode", [FIXED_SUPPORT, FRESH_SUPPORT])
     @pytest.mark.parametrize("consume", [generate_many, generate_statistics])
     def test_open_consumers_derive_each_chunk_once(self, monkeypatch, consume, mode):
-        # Each chunk's Gaussians are derived once, by perturbations_for's
-        # batch, and the scores read that batch back: 23 steps in chunks
-        # of 7 miss four times. A call whose one chunk is still cached
-        # derives no Gaussians again, even after another Gaussian batch.
+        # Each chunk's sampler batch is derived once, and its perturbations
+        # and scores both come from it: 23 steps in chunks of 7 miss four
+        # times. A call whose one chunk is still cached derives nothing
+        # again, even after a detector-side Gaussian batch.
         key = WatermarkKey(master_seed=SEED, d=16, scheme=OPEN, epsilon=0.5, k=3,
                            support_mode=mode)
         model = powerlaw_source(16, 1.1)
         monkeypatch.setattr(textgen, "_CHUNK_BYTES", 8 * 7 * key.d)
         derive_open_steps.cache_clear()
-        derive_open_gaussians.cache_clear()
         consume(model, 23, key, 3, np.random.default_rng(5))
-        assert derive_open_gaussians.cache_info().misses == 4
+        assert derive_open_steps.cache_info().misses == 4
         consume(model, 5, key, 3, np.random.default_rng(6))
         derive_open_gaussians(key, 9)
-        misses = derive_open_gaussians.cache_info().misses
+        misses = derive_open_steps.cache_info().misses
         consume(model, 5, key, 3, np.random.default_rng(6))
-        assert derive_open_gaussians.cache_info().misses == misses
+        assert derive_open_steps.cache_info().misses == misses
+
+    @pytest.mark.parametrize("consume", [generate_many, generate_statistics])
+    def test_generation_fills_only_the_sampler_caches(self, monkeypatch, consume):
+        # One derivation per chunk and no read-back: 23 steps in chunks of 7
+        # miss the scheme's sampler cache four times and never hit it, and
+        # the detector's Gaussian cache is left as it was.
+        keys = [WatermarkKey(master_seed=SEED, d=16, scheme=CLOSED)] + [
+            WatermarkKey(master_seed=SEED, d=16, scheme=OPEN, epsilon=0.5, k=3,
+                         support_mode=mode) for mode in (FIXED_SUPPORT, FRESH_SUPPORT)]
+        monkeypatch.setattr(textgen, "_CHUNK_BYTES", 8 * 7 * 16)
+        model = powerlaw_source(16, 1.1)
+        derive_open_gaussians(keys[1], 9)
+        detector_side = derive_open_gaussians.cache_info()
+        for key in keys:
+            derive = derive_closed_steps if key.scheme == CLOSED else derive_open_steps
+            derive.cache_clear()
+            consume(model, 23, key, 3, np.random.default_rng(5))
+            info = derive.cache_info()
+            assert (info.hits, info.misses) == (0, 4), key
+        assert derive_open_gaussians.cache_info() == detector_side

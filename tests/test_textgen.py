@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -115,14 +116,16 @@ class TestSources:
             powerlaw_source(4, s=1.0, scale=0.0)
 
     @pytest.mark.parametrize("s, scale", [(True, 1.0), (1.0, True), (math.nan, 1.0),
-                                          (math.inf, 1.0), (1.0, math.inf), ("1", 1.0)])
+                                          (math.inf, 1.0), (1.0, math.inf), ("1", 1.0),
+                                          (1e308, 1.0), (1e300, 1e10)])
     def test_powerlaw_parameters_must_be_finite_numbers(self, s, scale):
         # powerlaw_source(4, True) once built exponent 1, and an infinite
-        # scale raised numpy's RuntimeWarning before it was refused.
+        # scale raised numpy's RuntimeWarning before it was refused; so did
+        # finite ones whose last logit, -scale * s * ln(d), overflows.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError):
-                powerlaw_source(4, s, scale)
+                powerlaw_source(16, s, scale)
 
     @pytest.mark.parametrize("d", [4.5, 4.0, np.float64(4), True, "4", 1, -3])
     def test_dictionary_size_must_be_an_integer(self, d):
@@ -786,6 +789,14 @@ class TestFiles:
     def test_garbled_token_file(self):
         with pytest.raises(InvalidInputError, match="bad.txt"):
             tokens_from_text("12 potato 7", "bad.txt")
+
+    @pytest.mark.parametrize("entry", ["1_0", "+3", "\u0661\u0662", "-1", "\u00b2", "3.0",
+                                       "0x1f"])
+    def test_token_ids_are_ascii_digits(self, entry):
+        # int() reads the first three as 10, 3 and 12, so "1_0 +3 \u0661\u0662"
+        # once loaded as the tokens [10, 3, 12].
+        with pytest.raises(InvalidInputError, match=re.escape(repr(entry))):
+            tokens_from_text(f"0 {entry} 1\n", "bad.txt")
 
     def test_missing_files(self, tmp_path):
         with pytest.raises(InvalidInputError):
