@@ -78,12 +78,38 @@ def rank_order(probs: np.ndarray) -> np.ndarray:
     ascending index: the rank order the pairing uses.
 
     Equal to ``np.argsort(-probs, axis=-1, kind="stable")`` for every
-    input, but sorts with numpy's faster unstable argsort. That one may
-    list equal values in any order, so where the sorted values have a run
-    of equal values (NaNs count as equal, as in a stable sort), the order
-    is sorted again by the unique integer key ``run * d + index``: runs
-    keep their place and each run lists its tokens by ascending index.
+    input. A float64 law is ordered by one sort of packed 64-bit keys:
+    each token's float bits without their low ``b = (d - 1).bit_length()``
+    bits, complemented so that larger values sort first, above its index
+    in the low b bits. Equal values then list their tokens by ascending
+    index. Truncation can merge two distinct values, and negative values,
+    -0.0 and NaN do not order by their bits, so the result is checked:
+    every ranked value must be at least the next one, and the first one
+    must not have its sign bit set (those entries sort ahead of every
+    other). If the check fails, ``_argsort_order`` orders the law instead.
     """
+    d = probs.shape[-1]
+    if probs.dtype != np.float64 or d < 2:
+        return _argsort_order(probs)
+    low = np.uint64((1 << (d - 1).bit_length()) - 1)
+    keys = probs.view(np.uint64) | low
+    np.invert(keys, out=keys)
+    keys |= np.arange(d, dtype=np.uint64)
+    keys.sort(axis=-1)
+    keys &= low
+    order = keys.view(np.int64)
+    ranked = np.take_along_axis(probs, order, axis=-1)
+    if np.signbit(ranked[..., 0]).any() or not (ranked[..., :-1] >= ranked[..., 1:]).all():
+        return _argsort_order(probs)
+    return order
+
+
+def _argsort_order(probs: np.ndarray) -> np.ndarray:
+    """``rank_order`` by numpy's unstable argsort, which may list equal
+    values in any order. So where the sorted values have a run of equal
+    values (NaNs count as equal, as in a stable sort), the order is sorted
+    again by the unique integer key ``run * d + index``: runs keep their
+    place and each run lists its tokens by ascending index."""
     order = np.argsort(-probs, axis=-1)
     ranked = np.take_along_axis(probs, order, axis=-1)
     before, after = ranked[..., :-1], ranked[..., 1:]

@@ -64,9 +64,13 @@ class DetectionReport:
         return report
 
 
+# Every delta is above this: then 1/delta, and so each threshold, is finite.
+DELTA_MIN = 2.0 ** -1024
+
+
 def _check_delta(delta: float) -> None:
-    if not is_number(delta) or not 0.0 < delta < 1.0:
-        raise InvalidInputError(f"delta must be a number in (0, 1), got {delta!r}")
+    if not is_number(delta) or not DELTA_MIN < delta < 1.0:
+        raise InvalidInputError(f"delta must be a number in (2**-1024, 1), got {delta!r}")
 
 
 def _check_n(n: int) -> None:

@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import field, is_int, is_number, json_text, read_json
-from .detector import closed_statistics, open_statistics, threshold
+from .detector import DELTA_MIN, closed_statistics, open_statistics, threshold
 from .errors import InvalidInputError
-from .keystream import CLOSED, FRESH_SUPPORT, OPEN, WatermarkKey
+from .keystream import CLOSED, EPSILON_LIMIT, FRESH_SUPPORT, OPEN, WatermarkKey
 from .seeds import check_seed, derive_master_seed, derive_seed, rng_for
 from .sparsemean import (POWER_CSV_HEADER, SCAN_TEST, THRESHOLD_TEST, power_point,
                          scan_budget_error, wilson_interval)
@@ -87,8 +87,9 @@ def validate_config(config: dict) -> None:
 
 # The open interval each number, or each entry of a list, must lie in where
 # a runner reads it; k's is (0, d + 1), and a closed d must also be even.
-_RANGES = {**dict.fromkeys(("n", "n_grid", "texts", "trials", "epsilon"), (0, math.inf)),
-           **dict.fromkeys(("delta", "deltas", "alpha"), (0, 1))}
+_RANGES = {**dict.fromkeys(("n", "n_grid", "texts", "trials"), (0, math.inf)),
+           "epsilon": (0, EPSILON_LIMIT), "delta": (DELTA_MIN, 1), "deltas": (DELTA_MIN, 1),
+           "alpha": (0, 1)}
 
 
 def _check_values(exp: dict) -> None:

@@ -97,6 +97,12 @@ FRESH_SUPPORT = "fresh-per-step"
 # leaves the regime the guarantees were designed around.
 EPSILON_SOFT_CAP = 0.5
 
+# Every epsilon is below this: then epsilon * 2**64 is finite, so each
+# Gaussian entry (Box-Muller radius at most 8.6) plus its support shift,
+# times epsilon, is finite, and so is the open statistic's sum over any
+# n <= 2**53 scored steps.
+EPSILON_LIMIT = 2.0 ** 960
+
 
 @dataclass(frozen=True)
 class WatermarkKey:
@@ -141,8 +147,9 @@ class WatermarkKey:
             if self.epsilon is not None or self.k is not None or self.support_mode is not None:
                 raise InvalidKeyError("epsilon/k/support_mode only apply to the open scheme")
         elif self.scheme == OPEN:
-            if not is_number(self.epsilon) or self.epsilon <= 0:
-                raise InvalidKeyError("open scheme requires a finite epsilon > 0")
+            if not is_number(self.epsilon) or not 0 < float(self.epsilon) < EPSILON_LIMIT:
+                raise InvalidKeyError(f"open scheme requires an epsilon in (0, 2**960), "
+                                      f"got {self.epsilon!r}")
             if not is_int(self.k) or not 1 <= self.k <= self.d:
                 raise InvalidKeyError(f"open scheme requires an integer 1 <= k <= d, "
                                       f"got {self.k!r}")

@@ -164,6 +164,29 @@ class TestKeygen:
         assert "epsilon" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_epsilon_refused(self, tmp_path, capsys):
+        # keygen once wrote this key with only the soft-cap warning; generate
+        # then sampled from NaN laws with exit 0 and detect ended on a NaN
+        # statistic.
+        out = tmp_path / "key.json"
+        rc = run_cli("keygen", "--scheme", "open", "--d", "64", "--k", "4",
+                     "--epsilon", "1e308", "--out", str(out))
+        assert rc == 2
+        assert "epsilon" in capsys.readouterr().err
+        assert not out.exists()
+        save_key(WatermarkKey(b"\x00" * 32, d=64, scheme=OPEN, epsilon=0.5, k=4), out)
+        obj = json.loads(out.read_text())
+        out.write_text(json.dumps({**obj, "epsilon": 1e308}))
+        text = tmp_path / "tokens.txt"
+        text.write_text("0 1 2\n")
+        record = tmp_path / "record.json"
+        for argv in (("generate", "--model", UNIFORM64, "--n", "20", "--seed", "1",
+                      "--key", str(out), "--out", str(record)),
+                     ("detect", "--text", str(text), "--key", str(out))):
+            assert run_cli(*argv) == 2
+            assert "epsilon" in capsys.readouterr().err
+        assert not record.exists()
+
 
 class TestGenerate:
     def test_deterministic_record(self, tmp_path):
@@ -558,6 +581,16 @@ class TestDetect:
                      "--delta", "0")
         assert rc == 2
         capsys.readouterr()
+        # 1/delta overflowed for these, and the report held "threshold": Infinity.
+        for delta in ("1e-320", "5e-324"):
+            assert run_cli("detect", "--text", str(text), "--key", str(key),
+                           "--delta", delta) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "delta" in captured.err
+        assert run_cli("detect", "--text", str(text), "--key", str(key),
+                       "--delta", "2.3e-308") in (0, 1)
+        report = json.loads(capsys.readouterr().out)
+        assert report["delta"] == 2.3e-308 and np.isfinite(report["threshold"])
 
 
 class TestVerify:
@@ -633,6 +666,17 @@ class TestExperiment:
         rc = run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir))
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_overflowing_epsilon_config_refused(self, tmp_path, capsys):
+        # Such a sweep once wrote power 1.0 from NaN statistics and exited 0.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"root_seed": 99, "experiments": [
+            {"name": "open-power", "type": "open-completeness", "d": 16, "n_grid": [50],
+             "texts": 10, "delta": 0.05, "epsilon": 1e308, "k": 2}]}))
+        out_dir = tmp_path / "results"
+        assert run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir)) == 2
+        assert "epsilon" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_missing_field_of_later_experiment(self, tmp_path, capsys):

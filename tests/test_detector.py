@@ -110,6 +110,25 @@ class TestArgumentTypes:
             with pytest.raises(InvalidInputError, match="delta"):
                 call()
 
+    @pytest.mark.parametrize("delta", [1e-320, 5e-324, 2.0**-1024])
+    def test_delta_with_infinite_reciprocal_rejected(self, delta):
+        # 1/delta overflowed, so detect reported an infinite threshold,
+        # which is not JSON and which DetectionReport.from_dict refuses.
+        for call in (lambda: detect(CLOSED_KEY, [0, 1], delta=delta),
+                     lambda: detect(OPEN_KEY, [0, 1], delta=delta),
+                     lambda: closed_threshold(10, delta),
+                     lambda: open_threshold(10, delta, 0.5)):
+            with pytest.raises(InvalidInputError, match="delta"):
+                call()
+
+    @pytest.mark.parametrize("delta", [2.3e-308, float(np.nextafter(2.0**-1024, 1.0))])
+    def test_smallest_deltas_accepted(self, delta):
+        assert closed_threshold(10, delta) == math.sqrt(2.0 * math.log(1.0 / delta) / 10)
+        for key in (CLOSED_KEY, OPEN_KEY):
+            report = detect(key, [0, 1, 2], delta=delta)
+            assert math.isfinite(report.threshold)
+            assert DetectionReport.from_dict(json.loads(json_text(report.to_dict()))) == report
+
     def test_numpy_scalars_accepted(self):
         assert closed_threshold(np.int64(100), 0.05) == closed_threshold(100, 0.05)
         assert closed_threshold(100, np.float64(0.05)) == closed_threshold(100, 0.05)

@@ -126,6 +126,27 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             validate_config(config)
 
+    @pytest.mark.parametrize("index, name, value", [
+        (2, "epsilon", 1e308), (3, "epsilon", 2.0**960), (4, "epsilon", 1e300 * 1e8),
+        (1, "delta", 1e-320), (0, "deltas", [0.05, 5e-324]), (4, "deltas", [2.0**-1024]),
+    ])
+    def test_rejects_overflowing_epsilon_and_delta(self, tmp_path, index, name, value):
+        # An open-completeness sweep at epsilon = 1e308 once wrote power 1.0
+        # from NaN statistics, and a subnormal delta an infinite threshold.
+        config = pinned_config()
+        config["experiments"][index][name] = value
+        with pytest.raises(InvalidInputError, match=name):
+            validate_config(config)
+        with pytest.raises(InvalidInputError, match=name):
+            run_experiments(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_smallest_delta_accepted(self):
+        config = pinned_config()
+        config["experiments"][1]["delta"] = 2.3e-308
+        config["experiments"][0]["deltas"] = [2.3e-308, 0.05]
+        validate_config(config)
+
     def test_missing_parameter_reported(self, tmp_path):
         config = small_config()
         del config["experiments"][0]["deltas"]

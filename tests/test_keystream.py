@@ -29,6 +29,7 @@ from tokenmark.detector import closed_statistics, detect, open_statistics
 from tokenmark.errors import InvalidInputError, InvalidKeyError, SchemeMismatchError
 from tokenmark.keystream import (
     CLOSED,
+    EPSILON_LIMIT,
     EPSILON_SOFT_CAP,
     FIXED_SUPPORT,
     FRESH_SUPPORT,
@@ -918,6 +919,37 @@ class TestKeyValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             open_key(epsilon=EPSILON_SOFT_CAP)
+
+    def test_epsilon_must_keep_key_material_finite(self, tmp_path):
+        # epsilon = 1e308 once made a key whose text was sampled from NaN
+        # laws and whose statistic was NaN.
+        for epsilon in (1e308, 2.0**1000, EPSILON_LIMIT):
+            with pytest.raises(InvalidKeyError, match="epsilon"):
+                open_key(epsilon=epsilon)
+            obj = key_to_dict(open_key())
+            obj["epsilon"] = epsilon
+            with pytest.raises(InvalidKeyError, match="epsilon"):
+                key_from_dict(obj)
+            path = tmp_path / "key.json"
+            path.write_text(json.dumps(obj))
+            with pytest.raises(InvalidKeyError, match="epsilon"):
+                load_key(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            key = open_key(d=64, epsilon=np.nextafter(EPSILON_LIMIT, 0), k=4)
+        with np.errstate(all="raise"):
+            assert np.isfinite(perturbations_for(key, 64)).all()
+            tokens = np.arange(64)[None, :] % 64
+            assert np.isfinite(open_statistics(key, tokens)).all()
+
+    def test_small_epsilon_key_file_bytes_kept(self, tmp_path):
+        for epsilon in (0.5, 0.25, 1e-300):
+            path = tmp_path / "key.json"
+            save_key(open_key(epsilon=epsilon), path)
+            saved = path.read_bytes()
+            save_key(load_key(path), path)
+            assert path.read_bytes() == saved
+            assert json.loads(saved)["epsilon"] == epsilon
 
     def test_new_master_seed(self):
         a, b = new_master_seed(), new_master_seed()

@@ -187,6 +187,89 @@ class TestPairing:
             assert_same_bits(argsort[1], ranked_reference(p, -c[0]))
 
 
+def stable_order(probs):
+    return np.argsort(-probs, axis=-1, kind="stable")
+
+
+def near_ties(rng, d):
+    """A law in which each even token and the next one differ only in the
+    lowest of the low ``(d - 1).bit_length()`` bits the packed keys drop,
+    the later token being the larger: index order ranks each pair wrong."""
+    low = np.uint64((1 << (d - 1).bit_length()) - 1)
+    bits = rng.dirichlet(np.full(d, 0.5)).view(np.uint64) & ~low
+    bits[1::2] = bits[0::2][: d // 2] | np.uint64(1)
+    return bits.view(np.float64)
+
+
+def rank_inputs(d):
+    """Laws whose float bits order them wrongly or not at all, and laws
+    with exact ties, which the packed keys order right."""
+    rng = np.random.default_rng(d + 4)
+    base = rng.dirichlet(np.full(d, 0.5))
+    tied = rng.choice([0.0, 1.0, 2.0], size=d)
+    tied[0] = 0.0
+    tied /= max(tied.sum(), 1.0)
+    signed_zeros = tied.copy()
+    signed_zeros[rng.integers(0, d, max(1, d // 8))] = -0.0
+    with_nan = base.copy()
+    with_nan[rng.integers(0, d, max(1, d // 64))] = np.nan
+    negative_nan = base.copy()
+    negative_nan[-1] = -np.nan
+    subnormal = base.copy()
+    subnormal[rng.integers(0, d, max(2, d // 4))] = rng.integers(0, 4, max(2, d // 4)) * 5e-324
+    negative = base - np.median(base)
+    return {"near-ties": near_ties(rng, d), "tied": tied, "signed-zeros": signed_zeros,
+            "zero-then-minus-zero": np.where(np.arange(d) % 2, -0.0, 0.0),
+            "nan": with_nan, "all-nan": np.full(d, np.nan), "negative-nan": negative_nan,
+            "subnormal": subnormal, "negative": negative, "all-negative": -base,
+            "infinite": np.where(np.arange(d) % 3, base, np.inf),
+            "uniform": np.full(d, 1.0 / d), "padded": np.append(base[1:] / base[1:].sum(), 0.0)}
+
+
+class TestRankOrder:
+    """``rank_order`` sorts packed 64-bit keys and checks the result, and
+    falls back to an argsort where the check fails; either way its order
+    is the stable argsort's."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 1000, 32768, 2**18])
+    def test_matches_stable_argsort(self, d):
+        for name, p in rank_inputs(d).items():
+            np.testing.assert_array_equal(closed_scheme.rank_order(p), stable_order(p),
+                                          err_msg=name)
+
+    @pytest.mark.parametrize("d", [2, 8, 1000, 32768])
+    def test_batches_with_one_bad_row(self, d):
+        rng = np.random.default_rng(d + 5)
+        good = np.vstack([rng.dirichlet(np.full(d, 0.5)) for _ in range(3)])
+        np.testing.assert_array_equal(closed_scheme.rank_order(good), stable_order(good))
+        for name, bad in rank_inputs(d).items():
+            rows = good.copy()
+            rows[1] = bad
+            np.testing.assert_array_equal(closed_scheme.rank_order(rows), stable_order(rows),
+                                          err_msg=name)
+
+    def test_fast_path_and_fallback(self, monkeypatch):
+        d = 32768
+        calls = []
+        fallback = closed_scheme._argsort_order
+
+        def spy(probs):
+            calls.append(probs.shape)
+            return fallback(probs)
+
+        monkeypatch.setattr(closed_scheme, "_argsort_order", spy)
+        power = np.arange(1, d + 1) ** -0.7
+        power = power[np.random.default_rng(6).permutation(d)] / power.sum()
+        inputs = rank_inputs(d)
+        for p in (power, inputs["uniform"], inputs["padded"], inputs["tied"]):
+            np.testing.assert_array_equal(closed_scheme.rank_order(p), stable_order(p))
+        assert calls == []
+        for name in ("near-ties", "signed-zeros", "nan", "negative"):
+            p = inputs[name]
+            np.testing.assert_array_equal(closed_scheme.rank_order(p), stable_order(p))
+            assert calls.pop() == (d,), name
+
+
 class TestOpenStep:
     D = 32768
 
