@@ -21,11 +21,12 @@ import numpy as np
 
 from .core import field, is_int, is_number, json_text, read_json
 from .detector import DELTA_MIN, closed_statistics, open_statistics, threshold
-from .errors import InvalidInputError
+from .errors import InvalidInputError, TokenmarkError
 from .keystream import CLOSED, EPSILON_LIMIT, FRESH_SUPPORT, OPEN, WatermarkKey
 from .seeds import check_seed, derive_master_seed, derive_seed, rng_for
-from .sparsemean import (POWER_CSV_HEADER, SCAN_TEST, THRESHOLD_TEST, power_point,
-                         scan_budget_error, wilson_interval)
+from .sparsemean import (EPSILON_LIMIT as SPARSE_EPSILON_LIMIT, POWER_CSV_HEADER, SCAN_TEST,
+                         THRESHOLD_TEST, power_point, scan_budget_error, scan_directions,
+                         wilson_interval)
 from .textgen import _condition_slack, generate_many, generate_statistics, uniform_source
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
@@ -86,20 +87,22 @@ def validate_config(config: dict) -> None:
 
 
 # The open interval each number, or each entry of a list, must lie in where
-# a runner reads it; k's is (0, d + 1), and a closed d must also be even.
+# a runner reads it; k's is (0, d + 1), epsilon's the key's or the sparse-mean
+# data's limit, and a closed d must also be even.
 _RANGES = {**dict.fromkeys(("n", "n_grid", "texts", "trials"), (0, math.inf)),
-           "epsilon": (0, EPSILON_LIMIT), "delta": (DELTA_MIN, 1), "deltas": (DELTA_MIN, 1),
-           "alpha": (0, 1)}
+           "delta": (DELTA_MIN, 1), "deltas": (DELTA_MIN, 1), "alpha": (0, 1)}
 
 
 def _check_values(exp: dict) -> None:
     """Raise unless each value the experiment's runner reads lies in its range."""
     kind, d, k = exp["type"], exp["d"], exp.get("k")
+    sparse = kind == "sparse-power"
     reads = _REQUIRED[kind] + (("epsilon", "k") if kind.startswith("open") else ())
     if not all(exp[name] for name in ("n_grid", "tests") if name in reads):
         # A grid with no point makes only a detector's key.
-        reads = () if kind == "sparse-power" else set(reads) & {"d", "epsilon", "k"}
-    ranges = {**_RANGES, "d": (0 if kind == "sparse-power" else 1, math.inf), "k": (0, d + 1)}
+        reads = () if sparse else set(reads) & {"d", "epsilon", "k"}
+    ranges = {**_RANGES, "d": (0 if sparse else 1, math.inf), "k": (0, d + 1),
+              "epsilon": (0, SPARSE_EPSILON_LIMIT if sparse else EPSILON_LIMIT)}
     for name, (lo, hi) in ranges.items():
         if name in reads and name in exp and not all(lo < v < hi for v in np.ravel(exp[name])):
             raise InvalidInputError(f"{name} must lie in ({lo}, {hi}), got {exp[name]!r}")
@@ -136,7 +139,7 @@ def _rate(key: WatermarkKey, z: np.ndarray, n: int, delta: float) -> list:
 _SOUNDNESS_BLOCK_BYTES = 2 << 20
 
 
-def _soundness(exp: dict, root, scheme: str) -> tuple[list[str], list[list]]:
+def _soundness(exp: dict, root, scheme: str) -> list[list]:
     """False-positive rates of unkeyed texts. Successive draws of one rng
     give the rows of a single draw, so the texts, and their statistics, do
     not depend on the block size."""
@@ -146,11 +149,11 @@ def _soundness(exp: dict, root, scheme: str) -> tuple[list[str], list[list]]:
     rows = max(1, _SOUNDNESS_BLOCK_BYTES // (8 * n))
     z = np.concatenate([_statistics(key, generate_many(model, n, None, min(rows, texts - lo), rng))
                         for lo in range(0, texts, rows)])
-    return SOUNDNESS_HEADER, [[scheme, delta, d, n, texts, *_rate(key, z, n, delta)]
-                              for delta in sorted(set(exp["deltas"]))]
+    return [[scheme, delta, d, n, texts, *_rate(key, z, n, delta)]
+            for delta in sorted(set(exp["deltas"]))]
 
 
-def _completeness(exp: dict, root, scheme: str) -> tuple[list[str], list[list]]:
+def _completeness(exp: dict, root, scheme: str) -> list[list]:
     d, n_grid, texts, delta = exp["d"], exp["n_grid"], exp["texts"], exp["delta"]
     key = _key(exp, root, scheme, d)
     rows = []
@@ -164,31 +167,32 @@ def _completeness(exp: dict, root, scheme: str) -> tuple[list[str], list[list]]:
             rows.append([CLOSED, n, d, delta, texts, gamma, *rate])
         else:
             rows.append([OPEN, n, d, key.epsilon, key.k, delta, texts, *rate])
-    return (CLOSED_COMPLETENESS_HEADER if scheme == CLOSED else OPEN_COMPLETENESS_HEADER), rows
+    return rows
 
 
-def _sparse_power(exp: dict, root, workers: int) -> tuple[list[str], list[list]]:
-    import concurrent.futures  # loads logging; only this runner needs it
-
-    seed = derive_seed(root, exp["name"])
-    points = [(test, n) for test in sorted(set(exp["tests"])) for n in sorted(set(exp["n_grid"]))]
-
-    def run_point(point):
-        return power_point(*point, exp["d"], exp["k"], float(exp["epsilon"]),
-                           float(exp["alpha"]), exp["trials"], seed)
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return POWER_CSV_HEADER, [p.to_row() for p in pool.map(run_point, points)]
+def _power_point(exp: dict, root, test: str, n: int) -> list[list]:
+    """The row of one (test, n) point of a sparse-power grid."""
+    point = power_point(test, n, exp["d"], exp["k"], float(exp["epsilon"]),
+                        float(exp["alpha"]), exp["trials"], derive_seed(root, exp["name"]))
+    return [point.to_row()]
 
 
-# Each experiment type's runner, and the fields it needs, which
-# validate_config checks before any experiment runs.
+# Each experiment type's task, which returns CSV rows, and its CSV header.
+# The fields each type needs are checked by validate_config before any
+# experiment runs.
 _RUNNERS = {
-    "closed-soundness": lambda exp, root, workers: _soundness(exp, root, CLOSED),
-    "open-soundness": lambda exp, root, workers: _soundness(exp, root, OPEN),
-    "closed-completeness": lambda exp, root, workers: _completeness(exp, root, CLOSED),
-    "open-completeness": lambda exp, root, workers: _completeness(exp, root, OPEN),
-    "sparse-power": _sparse_power,
+    "closed-soundness": lambda exp, root: _soundness(exp, root, CLOSED),
+    "open-soundness": lambda exp, root: _soundness(exp, root, OPEN),
+    "closed-completeness": lambda exp, root: _completeness(exp, root, CLOSED),
+    "open-completeness": lambda exp, root: _completeness(exp, root, OPEN),
+    "sparse-power": _power_point,
+}
+_HEADERS = {
+    "closed-soundness": SOUNDNESS_HEADER,
+    "open-soundness": SOUNDNESS_HEADER,
+    "closed-completeness": CLOSED_COMPLETENESS_HEADER,
+    "open-completeness": OPEN_COMPLETENESS_HEADER,
+    "sparse-power": POWER_CSV_HEADER,
 }
 _REQUIRED = {
     "closed-soundness": ("d", "n", "texts", "deltas"),
@@ -197,6 +201,81 @@ _REQUIRED = {
     "open-completeness": ("d", "n_grid", "texts", "delta", "epsilon", "k"),
     "sparse-power": ("d", "k", "epsilon", "alpha", "n_grid", "trials", "tests"),
 }
+
+
+def _points(exp: dict) -> list[tuple]:
+    """The extra arguments of each of the experiment's tasks, in the order
+    of their rows: one task for a detector experiment, one per (test, n)
+    point of a sparse-power grid."""
+    if exp["type"] != "sparse-power":
+        return [()]
+    return [(test, n) for test in sorted(set(exp["tests"])) for n in sorted(set(exp["n_grid"]))]
+
+
+def _run_task(task: tuple) -> list[list]:
+    """The rows of one (experiment, root seed, point) task. The runner is
+    looked up when the task runs, so a rebound ``_RUNNERS`` entry is the one
+    called, in a worker process too."""
+    exp, root, point = task
+    return _RUNNERS[exp["type"]](exp, root, *point)
+
+
+# OpenBLAS's thread-count setters: numpy's own wheels, then other builds.
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Give this process's OpenBLAS, if numpy loaded one, a single thread.
+
+    A pool worker calls it first: the workers are the sweep's parallelism,
+    and each forked worker's OpenBLAS otherwise starts a thread per CPU,
+    whose spinning made two workers' scans 2 to 4 times slower on two CPUs.
+    Other BLAS builds, and systems with no ``/proc/self/maps``, are left as
+    they are."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line[line.index("/"):].strip() for line in maps if "openblas" in line}
+        libraries = [ctypes.CDLL(path) for path in paths]
+    except OSError:  # a failed initializer would break the pool
+        return
+    for library in libraries:
+        setter = next((getattr(library, name) for name in _OPENBLAS_SETTERS
+                       if hasattr(library, name)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
+def _run_tasks(tasks: list[tuple], workers: int) -> list[list[list]]:
+    """The rows of each task, in task order. The tasks run here, one after
+    another, when ``workers`` or their count is 1; otherwise on a pool of
+    that many forked processes, whose results are read in task order, so
+    the first task to fail in that order raises, as it would here."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return list(map(_run_task, tasks))
+    # Loaded here: concurrent.futures loads logging, which no other command needs.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # Forked workers start with the parent's modules, caches and rebound
+    # names; spawned ones would import numpy and tokenmark again. The pool
+    # forks at its first task, after the first scan's direction matrix is
+    # built here, so the workers share that matrix instead of each building one.
+    scans = [exp for exp, _, point in tasks if point[:1] == (SCAN_TEST,)]
+    if scans:
+        scan_directions(scans[0]["d"], scans[0]["k"])
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_one_blas_thread) as pool:
+        try:
+            return list(pool.map(_run_task, tasks))
+        except BrokenProcessPool:
+            raise TokenmarkError("an experiment worker process ended before returning "
+                                 "its result") from None
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -233,11 +312,15 @@ def run_experiments(config: dict, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     root = config["root_seed"]
     workers = config.get("workers", 1)
+    experiments = config["experiments"]
+    tasks = [(exp, root, point) for exp in experiments for point in _points(exp)]
+    rows = {exp["name"]: [] for exp in experiments}
+    for (exp, _, _), task_rows in zip(tasks, _run_tasks(tasks, workers)):
+        rows[exp["name"]] += task_rows
     outputs = {}
-    for exp in config["experiments"]:
-        header, rows = _RUNNERS[exp["type"]](exp, root, workers)
+    for exp in experiments:
         filename = f"{exp['name']}.csv"
-        _write_csv(out / filename, header, rows)
+        _write_csv(out / filename, _HEADERS[exp["type"]], rows[exp["name"]])
         outputs[exp["name"]] = filename
     manifest = {
         "config_digest": config_digest(config),

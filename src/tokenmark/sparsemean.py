@@ -41,8 +41,13 @@ SCAN_MATRIX_BYTES = 256 << 20
 NULL_DRAWS = 2000
 _SCAN_CHUNK = 8192
 # Scans read _subset_directions under this lock: lru_cache lets callers
-# that miss at once each build the matrix, a sweep's worker threads too.
+# that miss at once each build the matrix, a caller's own threads too.
 _DIRECTIONS_LOCK = threading.Lock()
+# epsilon must stay below this. A draw's entries are epsilon times a
+# standard normal draw, under 16 in magnitude, plus at most epsilon, so a
+# second moment is under 2**10 * epsilon**2 and a sum of k <= d < 2**60 of
+# them under 2**70 * epsilon**2: finite for epsilon * 2**64 < 2**512.
+EPSILON_LIMIT = 2.0 ** 448
 
 # 97.5% standard-normal quantile, pinned so Wilson intervals are stable.
 _WILSON_Z = 1.959963984540054
@@ -76,8 +81,8 @@ def _check_params(n: int, d: int, k: int, epsilon: float) -> None:
         raise InvalidInputError("need at least one sample")
     if not 1 <= k <= d:
         raise InvalidInputError("need 1 <= k <= d")
-    if not is_number(epsilon) or epsilon <= 0:
-        raise InvalidInputError(f"epsilon must be a finite number > 0, got {epsilon!r}")
+    if not is_number(epsilon) or not 0 < epsilon < EPSILON_LIMIT:
+        raise InvalidInputError(f"epsilon must be a number in (0, 2**448), got {epsilon!r}")
 
 
 def sample_instance(n: int, d: int, k: int, epsilon: float, hypothesis: str,
@@ -158,6 +163,13 @@ def _subset_directions(d: int, k: int) -> np.ndarray:
     return u
 
 
+def scan_directions(d: int, k: int) -> np.ndarray:
+    """The scan's read-only (d, C(d, k)) direction matrix, built at most once
+    however many threads ask for it at once."""
+    with _DIRECTIONS_LOCK:
+        return _subset_directions(d, k)
+
+
 def scan_statistic(data: np.ndarray, k: int) -> float:
     """Exhaustive support scan: max over all k-subsets T of the mean absolute
     alignment (1/n) sum_j |<X_j, mu_T>|. Cost grows with C(d, k) and memory
@@ -167,8 +179,7 @@ def scan_statistic(data: np.ndarray, k: int) -> float:
     refusal = scan_budget_error(d, k)
     if refusal:
         raise ScanBudgetError(refusal)
-    with _DIRECTIONS_LOCK:
-        directions = _subset_directions(d, k)
+    directions = scan_directions(d, k)
     n, count = data.shape[0], directions.shape[1]
     # Every chunk's products go into one buffer and take their absolute
     # values in place: fresh (n, chunk) arrays per chunk cost more than the

@@ -29,9 +29,11 @@ import pytest
 
 import tokenmark.cli
 import tokenmark.closed_scheme
+import tokenmark.experiments
 import tokenmark.textgen
 from tokenmark.cli import main
 from tokenmark.detector import detect
+from tokenmark.errors import InvalidInputError, ScanBudgetError
 from tokenmark.keystream import CLOSED, OPEN, WatermarkKey, load_key, save_key
 from tokenmark.textgen import (generate, load_record, save_tokens, tokens_from_text,
                                uniform_source)
@@ -678,6 +680,70 @@ class TestExperiment:
         assert run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir)) == 2
         assert "epsilon" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_sparse_epsilon_refused(self, tmp_path, capsys, workers):
+        # The threshold statistic squares the data: at epsilon = 1e200 numpy
+        # warned of the overflow, and the sweep wrote power 0.0 and exited 0.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"root_seed": 99, "workers": workers, "experiments": [
+            {**SPARSE, "d": 24, "k": 3, "epsilon": 1e200, "n_grid": [16, 32]}]}))
+        out_dir = tmp_path / "results"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "epsilon must" in err and "got 1e+200" in err
+        assert not out_dir.exists()
+
+    def test_library_error_in_a_worker(self, tmp_path, capsys, monkeypatch):
+        """A library error raised in a worker process ends the run with exit
+        2 and the stderr it gives at one worker: the first failing task in
+        grid order, though a later one fails sooner."""
+        pids = tmp_path / "pids"
+
+        def failing_point(exp, root, test, n):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if (test, n) == ("scan", 10):
+                time.sleep(0.5)
+                raise ScanBudgetError("no scan at n = 10")
+            if test == "threshold":
+                raise InvalidInputError(f"no threshold at n = {n}")
+            return [[test, n]]
+
+        monkeypatch.setitem(tokenmark.experiments._RUNNERS, "sparse-power", failing_point)
+        results = []
+        for workers in (1, 2):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"root_seed": 99, "workers": workers, "experiments": [
+                FPR, {**SPARSE, "n_grid": [5, 10], "tests": ["threshold", "scan"]}]}))
+            out_dir = tmp_path / f"results-{workers}"
+            results.append((run_cli("experiment", "--config", str(config),
+                                    "--out-dir", str(out_dir)), *capsys.readouterr()))
+            assert not (out_dir / "manifest.json").exists()
+        assert results == [(2, "", "error: no scan at n = 10\n")] * 2
+        ran = pids.read_text().split()
+        assert ran[:2] == [str(os.getpid())] * 2 and str(os.getpid()) not in ran[2:]
+
+    def test_worker_that_dies(self, tmp_path):
+        # A worker process that ends without a result breaks the pool, and
+        # every task still waiting with it. Run in a child interpreter, with
+        # a timeout, so that a hang fails the test.
+        config, out_dir = tmp_path / "config.json", tmp_path / "results"
+        config.write_text(json.dumps({"root_seed": 99, "workers": 2, "experiments": [
+            FPR, {**SPARSE, "n_grid": [5, 10, 20]}]}))
+        code = ("import os, sys\n"
+                "from tokenmark import cli, experiments\n"
+                "experiments._RUNNERS['sparse-power'] = lambda exp, root, test, n: os._exit(3)\n"
+                f"sys.exit(cli.main(['experiment', '--config', {str(config)!r}, "
+                f"'--out-dir', {str(out_dir)!r}]))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env(), timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: an experiment worker process ended before returning its result\n")
+        assert not (out_dir / "manifest.json").exists()
 
     def test_missing_field_of_later_experiment(self, tmp_path, capsys):
         # Required fields were once checked only as each experiment ran, by

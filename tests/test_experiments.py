@@ -1,14 +1,16 @@
 """Experiment runner: config validation, CSV schemas, reproducibility."""
 
+import ctypes
 import hashlib
 import json
+import os
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tokenmark import experiments
+from tokenmark import experiments, sparsemean
 from tokenmark.cli import main
 from tokenmark.errors import InvalidInputError
 from tokenmark.experiments import (
@@ -91,6 +93,21 @@ PINNED_OUTPUTS = {
 }
 
 
+def openblas_thread_getter():
+    """OpenBLAS's thread-count getter, if numpy loaded an OpenBLAS, else None."""
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line[line.index("/"):].strip() for line in maps if "openblas" in line})
+    for path in paths:
+        library = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(library, name):
+                getter = getattr(library, name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter
+    return None
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
@@ -128,11 +145,13 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("index, name, value", [
         (2, "epsilon", 1e308), (3, "epsilon", 2.0**960), (4, "epsilon", 1e300 * 1e8),
+        (3, "epsilon", 1e200),
         (1, "delta", 1e-320), (0, "deltas", [0.05, 5e-324]), (4, "deltas", [2.0**-1024]),
     ])
     def test_rejects_overflowing_epsilon_and_delta(self, tmp_path, index, name, value):
         # An open-completeness sweep at epsilon = 1e308 once wrote power 1.0
-        # from NaN statistics, and a subnormal delta an infinite threshold.
+        # from NaN statistics, a sparse-power sweep at 1e200 power 0.0 from
+        # infinite ones, and a subnormal delta an infinite threshold.
         config = pinned_config()
         config["experiments"][index][name] = value
         with pytest.raises(InvalidInputError, match=name):
@@ -266,13 +285,24 @@ class TestReproducibility:
             assert hashlib.sha256(raw).hexdigest() == expected, name
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
-        serial = small_config()
-        threaded = small_config()
-        threaded["workers"] = 4
-        a, b = tmp_path / "serial", tmp_path / "threaded"
-        run_experiments(serial, a)
-        run_experiments(threaded, b)
-        assert (a / "sparse-grid.csv").read_bytes() == (b / "sparse-grid.csv").read_bytes()
+        """All five experiment types write the same CSV bytes inline and on
+        three worker processes. The manifests differ only in ``workers`` and
+        in the config digest, which hashes the config with its workers."""
+        outputs, manifests = [], []
+        for workers in (1, 3):
+            config = pinned_config()
+            config["workers"] = workers
+            out = tmp_path / str(workers)
+            run_experiments(config, out)
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            manifest = json.loads(files.pop("manifest.json"))
+            assert manifest.pop("workers") == workers
+            assert manifest.pop("config_digest") == config_digest(config)
+            outputs.append(files)
+            manifests.append(manifest)
+        assert sorted(outputs[0]) == sorted(name for name in PINNED_OUTPUTS if name.endswith(".csv"))
+        assert outputs[1] == outputs[0]
+        assert manifests[1] == manifests[0]
 
     def test_duplicate_grid_values_run_once(self, tmp_path):
         """A value repeated in ``deltas``, ``n_grid`` or ``tests`` writes one
@@ -351,10 +381,10 @@ class TestReproducibility:
         for texts in (2048, 8192):
             exp = {"name": "fpr", "type": kind, "d": 64, "n": 256, "texts": texts,
                    "epsilon": 0.5, "k": 2, "deltas": [0.05]}
-            experiments._RUNNERS[kind](exp, 3, 1)  # derive the key material once
+            experiments._RUNNERS[kind](exp, 3)  # derive the key material once
             tracemalloc.start()
             try:
-                experiments._RUNNERS[kind](exp, 3, 1)
+                experiments._RUNNERS[kind](exp, 3)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -371,15 +401,60 @@ class TestReproducibility:
         for texts in (2048, 8192):
             exp = {"name": "power", "type": kind, "d": 64, "n_grid": [256], "texts": texts,
                    "delta": 0.05, "epsilon": 0.5, "k": 2}
-            experiments._RUNNERS[kind](exp, 3, 1)  # derive the key material once
+            experiments._RUNNERS[kind](exp, 3)  # derive the key material once
             tracemalloc.start()
             try:
-                experiments._RUNNERS[kind](exp, 3, 1)
+                experiments._RUNNERS[kind](exp, 3)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + 10 * (8192 - 2048) * 256, (
             f"peaked at {peaks[0] / 2**20:.1f} and {peaks[1] / 2**20:.1f} MiB")
+
+    def test_tasks_run_on_worker_processes(self, tmp_path, monkeypatch):
+        """At more than one worker, every task runs in a forked worker
+        process, at most ``workers`` of them, and the scan's direction matrix
+        the workers read is the one built before the fork. At one worker the
+        tasks run in this process."""
+        power_point = experiments._RUNNERS["sparse-power"]
+
+        def where(exp, root, test, n):
+            directions = sparsemean.scan_directions(exp["d"], exp["k"])
+            return [[*power_point(exp, root, test, n)[0], os.getpid(),
+                     directions.__array_interface__["data"][0]]]
+
+        monkeypatch.setitem(experiments._RUNNERS, "sparse-power", where)
+        config = {"root_seed": 17, "experiments": [
+            {"name": "grid", "type": "sparse-power", "d": 7, "k": 3, "epsilon": 1.0,
+             "alpha": 0.05, "n_grid": [4, 6, 8], "trials": 3, "tests": ["threshold", "scan"]}]}
+        for workers in (1, 2):
+            sparsemean._subset_directions.cache_clear()
+            run_experiments({**config, "workers": workers}, tmp_path / str(workers))
+            _, rows = read_csv(tmp_path / str(workers) / "grid.csv")
+            pids = {int(row[-2]) for row in rows}
+            matrix = sparsemean.scan_directions(7, 3).__array_interface__["data"][0]
+            assert len(rows) == 6 and {int(row[-1]) for row in rows} == {matrix}
+            if workers == 1:
+                assert pids == {os.getpid()}
+            else:
+                assert os.getpid() not in pids and 1 <= len(pids) <= workers
+
+    def test_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
+        # Each forked worker's OpenBLAS started a thread per CPU, and on two
+        # CPUs two workers' scans ran 2 to 4 times slower.
+        getter = openblas_thread_getter()
+        if getter is None:
+            pytest.skip("numpy did not load an OpenBLAS that reports its thread count")
+        monkeypatch.setitem(experiments._RUNNERS, "sparse-power",
+                            lambda exp, root, test, n: [[getter()]])
+        config = {"root_seed": 17, "workers": 2, "experiments": [
+            {"name": "grid", "type": "sparse-power", "d": 7, "k": 3, "epsilon": 1.0,
+             "alpha": 0.05, "n_grid": [4, 6], "trials": 3, "tests": ["threshold"]}]}
+        threads = getter()
+        run_experiments(config, tmp_path)
+        assert [row for _, rows in [read_csv(tmp_path / "grid.csv")] for row in rows] == [
+            ["1"], ["1"]]
+        assert getter() == threads
 
     def test_bad_worker_count(self, tmp_path):
         config = small_config()

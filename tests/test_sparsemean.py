@@ -137,6 +137,23 @@ class TestSampleInstance:
         with pytest.raises(InvalidInputError):
             sample_instance(5, 6, 2, 1.0, "maybe", seed=0)
 
+    @pytest.mark.parametrize("epsilon", [1e200, sparsemean.EPSILON_LIMIT, 1e308])
+    def test_epsilon_whose_squares_overflow_refused(self, epsilon):
+        # At epsilon = 1e200 the threshold statistic squared to infinity, so
+        # every test statistic and null quantile was inf and the power 0.0.
+        for call in (lambda: sample_instance(16, 24, 3, epsilon, HA, seed=0),
+                     lambda: null_quantile(THRESHOLD_TEST, 16, 24, 3, epsilon, 0.05),
+                     lambda: power_point(THRESHOLD_TEST, 16, 24, 3, epsilon, 0.05, 2, 0)):
+            with pytest.raises(InvalidInputError, match="epsilon"):
+                call()
+
+    def test_largest_epsilon_gives_finite_statistics(self):
+        # Overflow warnings are errors under this suite's settings.
+        epsilon = float(np.nextafter(sparsemean.EPSILON_LIMIT, 0))
+        data = sample_instance(64, 24, 24, epsilon, HA, seed=3).data
+        assert math.isfinite(threshold_statistic(data, 24))
+        assert math.isfinite(scan_statistic(data, 3))
+
     def test_instance_consistency_enforced(self):
         with pytest.raises(InvalidInputError):
             SparseMeanInstance(
@@ -185,7 +202,7 @@ class TestStatistics:
         datasets = [rng.standard_normal((n, d)) for n in (1, 16, 160)]
         expected = [float(np.abs(x @ dirs).mean(axis=0).max()) for x in datasets]
         assert [scan_statistic(x, k) for x in datasets] == expected
-        # The sweep scans on two worker threads at once.
+        # A caller may scan on threads of its own.
         with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
             assert list(pool.map(lambda x: scan_statistic(x, k), datasets * 2)) == expected * 2
 
